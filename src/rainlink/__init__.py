@@ -16,28 +16,29 @@ from .analysis import (ComparisonRow, PlotCurve, ResolvedSource, SweepTable,
                        availability_sweep, compare_sources, emit_plot_data,
                        emit_report, overestimation_percentage, rank_stations,
                        sweep_to_plot_curves)
-from .attenuation import (AttenuationCurve, LatitudeTerm, ReductionFactors,
-                          attenuation_curve, horizontal_reduction_factor,
-                          latitude_term, reference_attenuation,
-                          scale_attenuation, vertical_adjustment)
+from .attenuation import (AttenuationCurve, attenuation_curve,
+                          horizontal_reduction_factor, latitude_term,
+                          reference_attenuation, scale_attenuation,
+                          vertical_adjustment)
 from .errors import (CadenceWarning, ClampWarning, ConfigError, DomainError,
                      DuplicateWarning, ParseError, RainlinkError,
                      SeparationWarning, UnsupportedRegimeError, UsageError,
                      ValidationError)
 from .geometry import (GroundStation, PathGeometry, free_space_path_loss,
                        rain_height, rain_slant_path, slant_range)
-from .link_budget import (CnrMode, LinkResult, Scenario, SourceDescriptor,
-                          TransmissionParams, UnavailabilityDuration,
-                          available_margin, band_scenario, carrier_to_noise,
-                          evaluate_link, link_closes, noise_power,
-                          parse_scenario, unavailability_duration)
-from .rain_data import (RainSeries, RainSource, SourceKind, StationCatalog,
-                        Strategy, annual_accumulation, catalog_to_csv,
-                        chebil_r001, empirical_exceedance_rate,
-                        great_circle_km, mean_rain_rate,
-                        packaged_catalog_text, parse_rain_series,
-                        parse_station_catalog, resolve_r001, series_to_csv)
+from .link_budget import (CnrMode, LinkResult, TransmissionParams,
+                          UnavailabilityDuration, available_margin,
+                          band_scenario, carrier_to_noise, evaluate_link,
+                          link_closes, noise_power, unavailability_duration)
+from .rain_data import (RainSeries, StationCatalog, Strategy,
+                        annual_accumulation, catalog_to_csv, chebil_r001,
+                        empirical_exceedance_rate, great_circle_km,
+                        mean_rain_rate, packaged_catalog_text,
+                        parse_rain_series, parse_station_catalog,
+                        resolve_r001, series_to_csv)
 from .rain_physics import (CoefficientTable, Polarization, RainCoefficients,
                            SpecificAttenuation, load_coefficient_table,
                            load_validation_table, parse_coefficient_table,
                            regression_coefficients, specific_attenuation)
+from .scenario import (Scenario, SourceDescriptor, SourceKind,
+                       parse_scenario, resolve_sources)

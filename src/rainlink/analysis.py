@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 from .attenuation import attenuation_curve
 from .errors import DomainError, UsageError, ValidationError
-from .geometry import rain_height, rain_slant_path
+from .geometry import rain_slant_path
 from .link_budget import (CnrMode, LinkResult, TransmissionParams,
                           evaluate_link)
 from .rain_data import StationCatalog
-from .rain_physics import CoefficientTable, regression_coefficients
+from .rain_physics import (CoefficientTable, Polarization,
+                           regression_coefficients)
 
 SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
                  "required_margin_dB", "available_margin_dB", "closes"]
@@ -114,7 +115,7 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                        sources: list[ResolvedSource], p_list: list[float],
                        mode: CnrMode | str = CnrMode.PHYSICS,
                        k_clear_dB: float | None = None,
-                       polarization: str = "vertical",
+                       polarization: Polarization | str = Polarization.VERTICAL,
                        coefficient_table: CoefficientTable | None = None) -> SweepTable:
     """Evaluate the full (station, source, p) cross-product through the
     attenuation chain (for rain-rate sources) and the link budget."""
@@ -130,27 +131,23 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
     diagnostics: list[str] = []
     for station in catalog.stations:
         for source in sources:
-            if source.attenuation_by_station is not None:
-                if station.name not in source.attenuation_by_station:
-                    raise ValidationError(f"source {source.label!r} has no "
-                                          f"value for station {station.name!r}")
-                a_fixed = source.attenuation_by_station[station.name]
-                for p in sorted(set(p_list)):
-                    rows.append(evaluate_link(station.name, source.label, p,
-                                              a_fixed, params, mode=mode,
-                                              k_clear_dB=k_clear_dB))
-                continue
-            if station.name not in source.r001_by_station:
+            injected = source.attenuation_by_station is not None
+            by_station = (source.attenuation_by_station if injected
+                          else source.r001_by_station)
+            if station.name not in by_station:
                 raise ValidationError(f"source {source.label!r} has no "
                                       f"value for station {station.name!r}")
-            r001 = source.r001_by_station[station.name]
-            path = rain_slant_path(station, params.elevation_deg,
-                                   rain_height(station))
-            curve = attenuation_curve(station, path, coeffs, r001,
-                                      list(p_list))
-            for note in curve.diagnostics:
-                diagnostics.append(f"{station.name}/{source.label}: {note}")
-            for p, a_p in curve.points:
+            value = by_station[station.name]
+            if injected:
+                points = [(p, value) for p in sorted(set(p_list))]
+            else:
+                path = rain_slant_path(station, params.elevation_deg)
+                curve = attenuation_curve(station, path, coeffs, value,
+                                          list(p_list))
+                for note in curve.diagnostics:
+                    diagnostics.append(f"{station.name}/{source.label}: {note}")
+                points = curve.points
+            for p, a_p in points:
                 rows.append(evaluate_link(station.name, source.label, p, a_p,
                                           params, mode=mode,
                                           k_clear_dB=k_clear_dB))

@@ -16,33 +16,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+from .constants import P_MAX_PERCENT, P_MIN_PERCENT
 from .errors import ClampWarning, DomainError
 from .geometry import GroundStation, PathGeometry
 from .rain_physics import RainCoefficients, specific_attenuation
-
-P_MIN_PERCENT = 0.001
-P_MAX_PERCENT = 1.0
-
-
-@dataclass(frozen=True)
-class ReductionFactors:
-    """Intermediate factors of the chain: horizontal reduction r001,
-    vertical adjustment v001, the adjusted path L_R, and the effective
-    path L_E = L_R * v001."""
-
-    horizontal_r001: float
-    vertical_v001: float
-    adjusted_path_km: float
-    effective_path_km: float
-
-
-@dataclass(frozen=True)
-class LatitudeTerm:
-    """The z term of the exceedance-scaling exponent."""
-
-    z: float
-    absolute_latitude_deg: float
-    elevation_deg: float
 
 
 @dataclass(frozen=True)
@@ -134,20 +111,17 @@ def reference_attenuation(gamma_dB_per_km: float, effective_path_km: float) -> f
 
 
 def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
-                  p_percent: float) -> LatitudeTerm:
+                  p_percent: float) -> float:
     """The z term of the scaling exponent, per the four-branch rule:
     zero at p >= 1% or |lat| >= 36 deg; -0.005(|lat|-36) at elevations
     of 25 deg and above; the same plus 1.8 - 4.25 sin(e) below."""
     _check_p(p_percent)
     abs_lat = abs(absolute_latitude_deg)
     if p_percent >= 1.0 or abs_lat >= 36.0:
-        z = 0.0
-    elif elevation_deg >= 25.0:
-        z = -0.005 * (abs_lat - 36.0)
-    else:
-        z = -0.005 * (abs_lat - 36.0) + 1.8 - 4.25 * math.sin(math.radians(elevation_deg))
-    return LatitudeTerm(z=z, absolute_latitude_deg=abs_lat,
-                        elevation_deg=elevation_deg)
+        return 0.0
+    if elevation_deg >= 25.0:
+        return -0.005 * (abs_lat - 36.0)
+    return -0.005 * (abs_lat - 36.0) + 1.8 - 4.25 * math.sin(math.radians(elevation_deg))
 
 
 def scale_attenuation(A001_dB: float, p_percent: float, z: float,
@@ -198,7 +172,7 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
     A001 = reference_attenuation(gamma, L_E)
     points = []
     for p in sorted(set(p_list)):
-        z = latitude_term(abs(station.latitude_deg), path.elevation_deg, p).z
+        z = latitude_term(abs(station.latitude_deg), path.elevation_deg, p)
         points.append((p, scale_attenuation(A001, p, z, path.elevation_deg)))
     for (p_lo, a_lo), (p_hi, a_hi) in zip(points, points[1:]):
         if a_hi > a_lo:

@@ -15,20 +15,22 @@ import argparse
 import os
 import sys
 import warnings
+from collections.abc import Sequence
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import (ResolvedSource, availability_sweep, compare_sources,
+from .analysis import (SweepTable, availability_sweep, compare_sources,
                        emit_plot_data, emit_report, sweep_to_plot_curves)
 from .attenuation import attenuation_curve
-from .errors import (ConfigError, DomainError, DuplicateWarning, ParseError,
-                     RainlinkError, UsageError, ValidationError)
-from .geometry import rain_height, rain_slant_path
-from .link_budget import Scenario, SourceDescriptor, parse_scenario
-from .rain_data import (RainSource, SourceKind, Strategy, StationCatalog,
-                        packaged_catalog_text, parse_rain_series,
-                        parse_station_catalog, resolve_r001)
-from .rain_physics import regression_coefficients
+from .constants import P_MAX_PERCENT, P_MIN_PERCENT
+from .errors import ConfigError, DuplicateWarning, RainlinkError, UsageError
+from .geometry import rain_slant_path
+from .rain_data import (StationCatalog, Strategy, packaged_catalog_text,
+                        parse_rain_series, parse_station_catalog,
+                        resolve_r001)
+from .rain_physics import Polarization, regression_coefficients
+from .scenario import (Scenario, SourceDescriptor, parse_scenario,
+                       resolve_sources)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,9 +52,15 @@ def _load_catalog(path: str | None) -> StationCatalog:
     return parse_station_catalog(text)
 
 
+def _check_p(p: float) -> float:
+    if not P_MIN_PERCENT <= p <= P_MAX_PERCENT:
+        raise UsageError(f"--p {p:g} outside [{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
+    return p
+
+
 def _parse_p_list(text: str) -> list[float]:
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        values = [_check_p(float(x)) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --p list {text!r}: {exc}") from exc
     if not values:
@@ -80,67 +88,24 @@ def _emit(report: str, format: str, stamp: bool) -> None:
     sys.stdout.write(report)
 
 
-def _scenario_relative(scenario_path: str, path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(os.path.dirname(os.path.abspath(scenario_path)), path)
-
-
-def _load_scenario(path: str) -> Scenario:
-    return parse_scenario(_read_text(path))
-
-
-def _resolve_descriptor(desc: SourceDescriptor, catalog: StationCatalog,
-                        scenario_path: str) -> ResolvedSource:
-    """Reduce a scenario source descriptor to per-station sweep inputs,
-    loading series files as needed."""
-    names = [s.name for s in catalog.stations]
-    if desc.kind == "attenuation":
-        return ResolvedSource(label=desc.label,
-                              attenuation_by_station=dict(desc.values))
-    if desc.kind == "r001":
-        if desc.value is not None:
-            return ResolvedSource(label=desc.label,
-                                  r001_by_station={n: desc.value for n in names})
-        return ResolvedSource(label=desc.label,
-                              r001_by_station=dict(desc.values))
-    rates = {}
-    for name in names:
-        if name not in desc.paths:
-            raise ConfigError(f"source {desc.label!r}: no series path for "
-                              f"station {name!r}")
-        series_path = _scenario_relative(scenario_path, desc.paths[name])
-        series = parse_rain_series(_read_text(series_path), station_ref=name)
-        source = RainSource(label=desc.label, kind=SourceKind.SERIES,
-                            strategy=Strategy(desc.strategy), series=series)
-        rates[name] = resolve_r001(source)
-    return ResolvedSource(label=desc.label, r001_by_station=rates)
-
-
-def _scenario_catalog(args, scenario: Scenario) -> StationCatalog:
-    if getattr(args, "catalog", None):
-        return _load_catalog(args.catalog)
-    if scenario.catalog_path:
-        return _load_catalog(_scenario_relative(args.scenario,
-                                                scenario.catalog_path))
-    return _load_catalog(None)
-
-
-def _scenario_sweep(args, p_list: list[float] | None = None):
-    scenario = _load_scenario(args.scenario)
-    catalog = _scenario_catalog(args, scenario)
-    if not scenario.sources:
-        raise ConfigError("scenario defines no sources")
-    sources = [_resolve_descriptor(d, catalog, args.scenario)
-               for d in scenario.sources]
+def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
+           p_list: Sequence[float]) -> SweepTable:
+    """Resolve sources over the scenario's catalog (--catalog wins) and
+    sweep them, printing the chain diagnostics."""
+    base_dir = os.path.dirname(os.path.abspath(args.scenario))
+    if args.catalog:
+        catalog = _load_catalog(args.catalog)
+    elif scenario.catalog_path:
+        catalog = _load_catalog(os.path.join(base_dir, scenario.catalog_path))
+    else:
+        catalog = _load_catalog(None)
     table = availability_sweep(
-        catalog, scenario.params, sources,
-        list(p_list if p_list is not None else scenario.p_list),
-        mode=scenario.mode, k_clear_dB=scenario.k_clear_dB,
+        catalog, scenario.params, resolve_sources(sources, catalog, base_dir),
+        list(p_list), mode=scenario.mode, k_clear_dB=scenario.k_clear_dB,
         polarization=scenario.polarization)
     for note in table.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
-    return scenario, catalog, table
+    return table
 
 
 def cmd_stations(args) -> int:
@@ -166,12 +131,10 @@ def cmd_attenuation(args) -> int:
         label = args.label or os.path.basename(args.series)
         series = parse_rain_series(_read_text(args.series),
                                    station_ref=station.name)
-        source = RainSource(label=label, kind=SourceKind.SERIES,
-                            strategy=Strategy(args.strategy), series=series)
-        r001 = resolve_r001(source)
+        r001 = resolve_r001(series, args.strategy, label)
     p_list = _parse_p_list(args.p)
     coeffs = regression_coefficients(args.freq_ghz, args.polarization)
-    path = rain_slant_path(station, args.elevation_deg, rain_height(station))
+    path = rain_slant_path(station, args.elevation_deg)
     curve = attenuation_curve(station, path, coeffs, r001, p_list)
     for note in curve.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
@@ -182,15 +145,11 @@ def cmd_attenuation(args) -> int:
     return EXIT_OK
 
 
-def cmd_linkbudget(args) -> int:
-    _, _, table = _scenario_sweep(args)
-    _emit(emit_report(table, args.format), args.format, args.stamp)
-    return EXIT_OK
-
-
 def cmd_sweep(args) -> int:
+    """sweep, and linkbudget, which is a sweep at the scenario's p_list."""
     p_list = _parse_p_list(args.p) if args.p else None
-    _, _, table = _scenario_sweep(args, p_list)
+    scenario = parse_scenario(_read_text(args.scenario))
+    table = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
     _emit(emit_report(table, args.format), args.format, args.stamp)
     if args.plot_data:
         curves = sweep_to_plot_curves(table, args.plot_field)
@@ -200,27 +159,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _load_scenario(args.scenario)
-    catalog = _scenario_catalog(args, scenario)
+    scenario = parse_scenario(_read_text(args.scenario))
     try:
-        baseline_desc = scenario.source(args.baseline)
-        estimate_desc = scenario.source(args.estimate)
+        baseline = scenario.source(args.baseline)
+        estimate = scenario.source(args.estimate)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    p = args.p_value if args.p_value is not None else scenario.p_list[0]
-    results = {}
-    for desc in (baseline_desc, estimate_desc):
-        resolved = _resolve_descriptor(desc, catalog, args.scenario)
-        table = availability_sweep(catalog, scenario.params, [resolved], [p],
-                                   mode=scenario.mode,
-                                   k_clear_dB=scenario.k_clear_dB,
-                                   polarization=scenario.polarization)
-        for note in table.diagnostics:
-            print(f"diagnostic: {note}", file=sys.stderr)
-        results[desc.label] = list(table.rows)
-    rows = compare_sources(results[baseline_desc.label],
-                           results[estimate_desc.label])
-    _emit(emit_report(rows, args.format), args.format, args.stamp)
+    p = scenario.p_list[0] if args.p_value is None else _check_p(args.p_value)
+    chosen = [baseline] if baseline is estimate else [baseline, estimate]
+    table = _sweep(args, scenario, chosen, [p])
+    rows = {d.label: [r for r in table.rows if r.source_label == d.label]
+            for d in chosen}
+    comparison = compare_sources(rows[baseline.label], rows[estimate.label])
+    _emit(emit_report(comparison, args.format), args.format, args.stamp)
     return EXIT_OK
 
 
@@ -259,13 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="direct rain rate exceeded 0.01%% of the year, mm/hr")
     p.add_argument("--series", help="rain series CSV to reduce instead of "
                    "--r001")
-    p.add_argument("--strategy", choices=["chebil_annual",
-                                          "empirical_exceedance"],
-                   default="chebil_annual",
+    p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                   default=Strategy.CHEBIL_ANNUAL.value,
                    help="series reduction strategy (default chebil_annual)")
-    p.add_argument("--polarization", choices=["horizontal", "vertical"],
-                   default="vertical", help="wave polarization (default "
-                   "vertical)")
+    p.add_argument("--polarization", choices=[pol.value for pol in Polarization],
+                   default=Polarization.VERTICAL.value,
+                   help="wave polarization (default vertical)")
     p.add_argument("--label", help="provenance label echoed in the output")
     common(p)
     p.set_defaults(func=cmd_attenuation)
@@ -274,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="scenario JSON path")
     p.add_argument("--catalog", help="override the scenario's catalog")
     common(p)
-    p.set_defaults(func=cmd_linkbudget)
+    p.set_defaults(func=cmd_sweep, p=None, plot_data=None)
 
     p = sub.add_parser("sweep", help="availability sweep over stations, "
                        "sources, and p values")
@@ -310,25 +260,20 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    warnings.simplefilter("always")
-    old_showwarning = warnings.showwarning
-    warnings.showwarning = _print_warning
-    try:
-        return args.func(args)
-    except (UsageError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ValidationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except RainlinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    finally:
-        warnings.showwarning = old_showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (UsageError, ConfigError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except RainlinkError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

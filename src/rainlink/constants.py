@@ -16,6 +16,11 @@ HOURS_PER_YEAR = 8766.0
 COEFF_FREQ_MIN_GHZ = 1.0
 COEFF_FREQ_MAX_GHZ = 1000.0
 
+# Validity range of the exceedance-scaling step, percent of an average
+# year.
+P_MIN_PERCENT = 0.001
+P_MAX_PERCENT = 1.0
+
 # Elevation floor, degrees. The low-angle prediction branch is not
 # implemented; paths below this are rejected.
 MIN_ELEVATION_DEG = 5.0

@@ -1,5 +1,5 @@
 """Carrier-to-noise, link margin, closure verdicts, unavailability
-durations, band re-parameterization, and scenario-file loading.
+durations, and band re-parameterization.
 
 Two CNR modes exist. Physics mode evaluates the standard budget
 EIRP - FSPL - A - other losses + G_r - 10 log10(kTB). Calibrated mode
@@ -11,7 +11,6 @@ and may be negative.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -157,132 +156,3 @@ def evaluate_link(station_ref: str, source_label: str, p_percent: float,
                       p_percent=p_percent, attenuation_dB=attenuation_dB,
                       cnr_dB=cnr, required_margin_dB=params.required_margin_dB,
                       available_margin_dB=margin, closes=link_closes(margin))
-
-
-_PARAM_FIELDS = ("frequency_GHz", "bandwidth_Hz", "eirp_dBW", "elevation_deg",
-                 "receiver_gain_dBi", "system_temperature_K",
-                 "required_margin_dB", "satellite_altitude_km")
-_OPTIONAL_PARAM_FIELDS = ("other_losses_dB", "antenna_diameter_m")
-
-
-@dataclass(frozen=True)
-class SourceDescriptor:
-    """One rain source named in a scenario.
-
-    kind selects what the descriptor carries: "r001" a direct rain rate,
-    "series" a per-station mapping of series CSV paths plus a strategy,
-    "attenuation" a per-station mapping of attenuation values in dB to
-    inject verbatim (for replicating published tables whose attenuations
-    are not reproducible from disclosed inputs).
-    """
-
-    label: str
-    kind: str
-    value: float | None = None
-    values: dict[str, float] | None = None
-    paths: dict[str, str] | None = None
-    strategy: str = "chebil_annual"
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A reproducible run configuration."""
-
-    params: TransmissionParams
-    mode: CnrMode
-    k_clear_dB: float | None
-    catalog_path: str | None
-    sources: tuple[SourceDescriptor, ...]
-    p_list: tuple[float, ...]
-    polarization: str = "vertical"
-
-    def source(self, label: str) -> SourceDescriptor:
-        for s in self.sources:
-            if s.label == label:
-                return s
-        known = ", ".join(s.label for s in self.sources) or "none"
-        raise ConfigError(f"unknown source label {label!r} (known: {known})")
-
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse a scenario JSON document (see README for the schema)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario must be a JSON object")
-    missing = [f for f in _PARAM_FIELDS if f not in doc]
-    if missing:
-        raise ConfigError(f"scenario missing fields: {', '.join(missing)}")
-    kwargs = {}
-    for name in _PARAM_FIELDS + _OPTIONAL_PARAM_FIELDS:
-        if name in doc:
-            try:
-                kwargs[name] = float(doc[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field {name}: {exc}") from exc
-    try:
-        params = TransmissionParams(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-    mode_text = doc.get("mode", "physics")
-    try:
-        mode = CnrMode(mode_text)
-    except ValueError as exc:
-        raise ConfigError(f"field mode: must be physics or calibrated, "
-                          f"got {mode_text!r}") from exc
-    k_clear = doc.get("k_clear_dB")
-    if k_clear is not None:
-        k_clear = float(k_clear)
-    if mode is CnrMode.CALIBRATED and k_clear is None:
-        raise ConfigError("field k_clear_dB: required in calibrated mode")
-    p_raw = doc.get("p_list", [0.01])
-    if not isinstance(p_raw, list) or not p_raw:
-        raise ConfigError("field p_list: must be a non-empty list")
-    p_list = tuple(float(p) for p in p_raw)
-    for p in p_list:
-        if not 0.001 <= p <= 1.0:
-            raise ConfigError(f"field p_list: {p} outside [0.001, 1]")
-    sources = []
-    for i, raw in enumerate(doc.get("sources", [])):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"sources[{i}]: must be an object")
-        label = raw.get("label")
-        kind = raw.get("kind")
-        if not label or not isinstance(label, str):
-            raise ConfigError(f"sources[{i}]: field label required")
-        if kind not in ("r001", "series", "attenuation"):
-            raise ConfigError(f"sources[{i}] ({label}): field kind must be "
-                              "r001, series, or attenuation")
-        desc = SourceDescriptor(
-            label=label, kind=kind,
-            value=float(raw["value"]) if "value" in raw else None,
-            values={str(k): float(v) for k, v in raw["values"].items()}
-            if isinstance(raw.get("values"), dict) else None,
-            paths={str(k): str(v) for k, v in raw["paths"].items()}
-            if isinstance(raw.get("paths"), dict) else None,
-            strategy=str(raw.get("strategy", "chebil_annual")))
-        if kind == "r001" and desc.value is None and desc.values is None:
-            raise ConfigError(f"sources[{i}] ({label}): r001 kind requires "
-                              "value or values")
-        if kind == "series" and desc.paths is None:
-            raise ConfigError(f"sources[{i}] ({label}): series kind requires paths")
-        if kind == "attenuation" and desc.values is None:
-            raise ConfigError(f"sources[{i}] ({label}): attenuation kind "
-                              "requires values")
-        if kind == "series" and desc.strategy not in ("chebil_annual",
-                                                      "empirical_exceedance"):
-            raise ConfigError(f"sources[{i}] ({label}): strategy must be "
-                              "chebil_annual or empirical_exceedance")
-        sources.append(desc)
-    labels = [s.label for s in sources]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("source labels must be unique")
-    polarization = doc.get("polarization", "vertical")
-    if polarization not in ("horizontal", "vertical"):
-        raise ConfigError(f"field polarization: must be horizontal or "
-                          f"vertical, got {polarization!r}")
-    return Scenario(params=params, mode=mode, k_clear_dB=k_clear,
-                    catalog_path=doc.get("catalog"), sources=tuple(sources),
-                    p_list=p_list, polarization=polarization)

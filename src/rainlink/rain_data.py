@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
-from .errors import (CadenceWarning, ConfigError, DomainError, ParseError,
+from .errors import (CadenceWarning, DomainError, ParseError,
                      SeparationWarning, ValidationError)
 from .geometry import GroundStation
 
@@ -31,14 +31,8 @@ _COARSE_CADENCE_HOURS = 24.0 * 28.0
 
 
 class Strategy(str, Enum):
-    DIRECT = "direct"
     CHEBIL_ANNUAL = "chebil_annual"
     EMPIRICAL_EXCEEDANCE = "empirical_exceedance"
-
-
-class SourceKind(str, Enum):
-    DIRECT_R001 = "direct_r001"
-    SERIES = "series"
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,6 @@ class RainSeries:
         first = self.samples[0][0]
         last = self.samples[-1][0]
         return (last - first).total_seconds() / 3600.0 / (len(self.samples) - 1)
-
-
-@dataclass(frozen=True)
-class RainSource:
-    """Either a direct R001 value or a series plus a conversion strategy."""
-
-    label: str
-    kind: SourceKind
-    strategy: Strategy
-    r001_mm_per_hr: float | None = None
-    series: RainSeries | None = None
-
-    def __post_init__(self):
-        if self.kind is SourceKind.DIRECT_R001:
-            if self.r001_mm_per_hr is None or self.series is not None:
-                raise ConfigError(f"source {self.label!r}: direct_r001 requires "
-                                  "r001_mm_per_hr and no series")
-            if self.strategy is not Strategy.DIRECT:
-                raise ConfigError(f"source {self.label!r}: direct_r001 requires "
-                                  "the direct strategy")
-        else:
-            if self.series is None or self.r001_mm_per_hr is not None:
-                raise ConfigError(f"source {self.label!r}: series kind requires "
-                                  "a series and no r001 value")
-            if self.strategy is Strategy.DIRECT:
-                raise ConfigError(f"source {self.label!r}: the direct strategy "
-                                  "requires kind direct_r001")
 
 
 @dataclass(frozen=True)
@@ -270,26 +237,21 @@ def empirical_exceedance_rate(series: RainSeries, p_percent: float) -> float:
     return rates[rank - 1]
 
 
-def resolve_r001(source: RainSource) -> float:
-    """Reduce a rain source to the R001 rain rate per its strategy.
+def resolve_r001(series: RainSeries, strategy: Strategy | str,
+                 label: str) -> float:
+    """Reduce a rain series to the R001 rain rate per a strategy.
 
-    direct: the stored value. chebil_annual: Chebil conversion of the
-    annual accumulation implied by the series mean. empirical_exceedance:
-    the rate exceeded in 0.01% of samples (warns on coarse cadences,
-    where that statistic is weak).
+    chebil_annual: Chebil conversion of the annual accumulation implied
+    by the series mean. empirical_exceedance: the rate exceeded in 0.01%
+    of samples (warns on coarse cadences, where that statistic is weak;
+    label names the source in the warning).
     """
-    if source.strategy is Strategy.DIRECT:
-        return float(source.r001_mm_per_hr)
-    series = source.series
-    if series is None:
-        raise ConfigError(f"source {source.label!r}: strategy "
-                          f"{source.strategy.value} requires a series")
-    if source.strategy is Strategy.CHEBIL_ANNUAL:
+    if Strategy(strategy) is Strategy.CHEBIL_ANNUAL:
         return chebil_r001(annual_accumulation(mean_rain_rate(series)))
     spacing = series.mean_spacing_hours()
     if spacing >= _COARSE_CADENCE_HOURS or series.cadence.lower() == "monthly":
         warnings.warn(
-            f"source {source.label!r}: empirical exceedance over a "
+            f"source {label!r}: empirical exceedance over a "
             f"{series.cadence or 'coarse'} cadence is statistically weak",
             CadenceWarning, stacklevel=2)
     return empirical_exceedance_rate(series, 0.01)

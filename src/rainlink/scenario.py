@@ -1,0 +1,202 @@
+"""Scenario files: a run configuration and the rain sources it names,
+checked once by parse_scenario and reduced by resolve_sources to the
+per-station inputs of a sweep."""
+
+from __future__ import annotations
+
+import json
+import os
+from collections.abc import Sequence
+from dataclasses import dataclass
+from enum import Enum
+
+from .analysis import ResolvedSource
+from .constants import P_MAX_PERCENT, P_MIN_PERCENT
+from .errors import ConfigError, DomainError
+from .link_budget import CnrMode, TransmissionParams
+from .rain_data import (StationCatalog, Strategy, parse_rain_series,
+                        resolve_r001)
+from .rain_physics import Polarization
+
+
+class SourceKind(str, Enum):
+    R001 = "r001"
+    SERIES = "series"
+    ATTENUATION = "attenuation"
+
+
+@dataclass(frozen=True)
+class SourceDescriptor:
+    """One rain source named in a scenario.
+
+    kind selects what the descriptor carries: r001 a direct rain rate
+    (one shared value or per-station values), series a per-station
+    mapping of series CSV paths reduced per strategy, attenuation a
+    per-station mapping of attenuation values in dB to inject verbatim
+    (for replicating published tables whose attenuations are not
+    reproducible from disclosed inputs).
+    """
+
+    label: str
+    kind: SourceKind
+    value: float | None = None
+    values: dict[str, float] | None = None
+    paths: dict[str, str] | None = None
+    strategy: Strategy = Strategy.CHEBIL_ANNUAL
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A reproducible run configuration."""
+
+    params: TransmissionParams
+    mode: CnrMode
+    k_clear_dB: float | None
+    catalog_path: str | None
+    sources: tuple[SourceDescriptor, ...]
+    p_list: tuple[float, ...]
+    polarization: Polarization = Polarization.VERTICAL
+
+    def source(self, label: str) -> SourceDescriptor:
+        for s in self.sources:
+            if s.label == label:
+                return s
+        known = ", ".join(s.label for s in self.sources) or "none"
+        raise ConfigError(f"unknown source label {label!r} (known: {known})")
+
+
+_PARAM_FIELDS = ("frequency_GHz", "bandwidth_Hz", "eirp_dBW", "elevation_deg",
+                 "receiver_gain_dBi", "system_temperature_K",
+                 "required_margin_dB", "satellite_altitude_km")
+_OPTIONAL_PARAM_FIELDS = ("other_losses_dB", "antenna_diameter_m")
+# the descriptor fields each kind needs, at least one of them set
+_KIND_FIELDS = {SourceKind.R001: ("value", "values"),
+                SourceKind.SERIES: ("paths",),
+                SourceKind.ATTENUATION: ("values",)}
+
+
+def _choice(enum: type[Enum], value, where: str):
+    """value as a member of enum, or a ConfigError listing the members."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        choices = ", ".join(member.value for member in enum)
+        raise ConfigError(f"{where}: must be one of {choices}, "
+                          f"got {value!r}") from exc
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse a scenario JSON document (see README for the schema)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("scenario must be a JSON object")
+    missing = [f for f in _PARAM_FIELDS if f not in doc]
+    if missing:
+        raise ConfigError(f"scenario missing fields: {', '.join(missing)}")
+    kwargs = {}
+    for name in _PARAM_FIELDS + _OPTIONAL_PARAM_FIELDS:
+        if name in doc:
+            try:
+                kwargs[name] = float(doc[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"field {name}: {exc}") from exc
+    try:
+        params = TransmissionParams(**kwargs)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    mode = _choice(CnrMode, doc.get("mode", "physics"), "field mode")
+    k_clear = doc.get("k_clear_dB")
+    if k_clear is not None:
+        k_clear = float(k_clear)
+    if mode is CnrMode.CALIBRATED and k_clear is None:
+        raise ConfigError("field k_clear_dB: required in calibrated mode")
+    p_raw = doc.get("p_list", [0.01])
+    if not isinstance(p_raw, list) or not p_raw:
+        raise ConfigError("field p_list: must be a non-empty list")
+    p_list = tuple(float(p) for p in p_raw)
+    for p in p_list:
+        if not P_MIN_PERCENT <= p <= P_MAX_PERCENT:
+            raise ConfigError(f"field p_list: {p} outside "
+                              f"[{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
+    sources = []
+    for i, raw in enumerate(doc.get("sources", [])):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"sources[{i}]: must be an object")
+        label = raw.get("label")
+        if not label or not isinstance(label, str):
+            raise ConfigError(f"sources[{i}]: field label required")
+        where = f"sources[{i}] ({label})"
+        desc = SourceDescriptor(
+            label=label,
+            kind=_choice(SourceKind, raw.get("kind"), f"{where}: field kind"),
+            value=float(raw["value"]) if "value" in raw else None,
+            values={str(k): float(v) for k, v in raw["values"].items()}
+            if isinstance(raw.get("values"), dict) else None,
+            paths={str(k): str(v) for k, v in raw["paths"].items()}
+            if isinstance(raw.get("paths"), dict) else None,
+            strategy=_choice(Strategy, raw.get("strategy", "chebil_annual"),
+                             f"{where}: field strategy"))
+        needs = _KIND_FIELDS[desc.kind]
+        if all(getattr(desc, f) is None for f in needs):
+            raise ConfigError(f"{where}: {desc.kind.value} kind requires "
+                              f"{' or '.join(needs)}")
+        sources.append(desc)
+    labels = [s.label for s in sources]
+    if len(set(labels)) != len(labels):
+        raise ConfigError("source labels must be unique")
+    polarization = _choice(Polarization, doc.get("polarization", "vertical"),
+                           "field polarization")
+    return Scenario(params=params, mode=mode, k_clear_dB=k_clear,
+                    catalog_path=doc.get("catalog"), sources=tuple(sources),
+                    p_list=p_list, polarization=polarization)
+
+
+def resolve_sources(sources: Sequence[SourceDescriptor],
+                    catalog: StationCatalog,
+                    base_dir: str) -> list[ResolvedSource]:
+    """Reduce scenario source entries to per-station sweep inputs, in the
+    order given.
+
+    Series paths resolve against base_dir unless absolute. Each series
+    file is parsed once per station and reduced for every source that
+    names it.
+    """
+    if not sources:
+        raise ConfigError("scenario defines no sources")
+    names = [s.name for s in catalog.stations]
+    series_sources = [s for s in sources if s.kind is SourceKind.SERIES]
+    rates: dict[str, dict[str, float]] = {s.label: {} for s in series_sources}
+    for name in names:
+        readers: dict[str, list[SourceDescriptor]] = {}
+        for source in series_sources:
+            if name not in source.paths:
+                raise ConfigError(f"source {source.label!r}: no series path "
+                                  f"for station {name!r}")
+            path = os.path.normpath(os.path.join(base_dir, source.paths[name]))
+            readers.setdefault(path, []).append(source)
+        for path, group in readers.items():
+            with open(path, "r", encoding="utf-8") as fh:
+                series = parse_rain_series(fh.read(), station_ref=name)
+            for source in group:
+                rates[source.label][name] = resolve_r001(
+                    series, source.strategy, source.label)
+            # a parsed series is several MiB; hold one at a time
+            del series
+    return [_resolved(s, names, rates) for s in sources]
+
+
+def _resolved(source: SourceDescriptor, names: list[str],
+              rates: dict[str, dict[str, float]]) -> ResolvedSource:
+    if source.kind is SourceKind.ATTENUATION:
+        return ResolvedSource(label=source.label,
+                              attenuation_by_station=dict(source.values))
+    if source.kind is SourceKind.SERIES:
+        r001 = rates[source.label]
+    elif source.value is not None:
+        r001 = {n: source.value for n in names}
+    else:
+        r001 = dict(source.values)
+    return ResolvedSource(label=source.label, r001_by_station=r001)

@@ -102,18 +102,18 @@ class TestReferenceAttenuation:
 
 class TestLatitudeTerm:
     def test_zero_at_one_percent(self):
-        assert latitude_term(10.0, 20.0, 1.0).z == 0.0
+        assert latitude_term(10.0, 20.0, 1.0) == 0.0
 
     def test_zero_at_high_latitude(self):
-        assert latitude_term(40.0, 20.0, 0.1).z == 0.0
-        assert latitude_term(36.0, 20.0, 0.1).z == 0.0
+        assert latitude_term(40.0, 20.0, 0.1) == 0.0
+        assert latitude_term(36.0, 20.0, 0.1) == 0.0
 
     def test_high_elevation_branch(self):
-        z = latitude_term(25.8889, 30.0, 0.5).z
+        z = latitude_term(25.8889, 30.0, 0.5)
         assert abs(z - (-0.005 * (25.8889 - 36.0))) < 1e-12
 
     def test_low_elevation_branch(self):
-        z = latitude_term(25.8889, 20.0, 0.5).z
+        z = latitude_term(25.8889, 20.0, 0.5)
         assert abs(z - 0.39696989086590806) < 1e-9
 
     def test_p_out_of_range(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -257,6 +258,37 @@ class TestCompare:
         assert "ITU" in err and "GPM" in err
 
 
+class TestPercentageDomain:
+    def test_compare_p_out_of_range_attenuation_sources(self, tmp_path,
+                                                        capsys):
+        scenario = write_scenario(tmp_path)
+        assert main(["compare", "--scenario", scenario, "--baseline", "ITU",
+                     "--estimate", "GPM", "--p", "50"]) == 2
+        _, err = capsys.readouterr()
+        assert "--p" in err
+
+    def test_compare_p_out_of_range_r001_source(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path, sources=[{"label": "ITU", "kind": "r001", "value": 90.0},
+                               {"label": "GPM", "kind": "attenuation",
+                                "values": GPM_ATTEN}])
+        assert main(["compare", "--scenario", scenario, "--baseline", "ITU",
+                     "--estimate", "GPM", "--p", "50"]) == 2
+        capsys.readouterr()
+
+    def test_sweep_p_out_of_range(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path)
+        assert main(["sweep", "--scenario", scenario, "--p", "0.01,50"]) == 2
+        assert main(["sweep", "--scenario", scenario, "--p", "0.0005"]) == 2
+        capsys.readouterr()
+
+    def test_attenuation_p_out_of_range(self, capsys):
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--r001", "42",
+                     "--p", "50"]) == 2
+        capsys.readouterr()
+
+
 class TestOutputModes:
     def test_stamp_prepends_metadata(self, capsys):
         assert main(["stations", "--format", "csv", "--stamp"]) == 0
@@ -276,3 +308,11 @@ class TestOutputModes:
         assert main(["stations"]) == 0
         out, _ = capsys.readouterr()
         assert out.splitlines()[0].startswith("name")
+
+    def test_warning_state_restored(self, capsys):
+        filters = list(warnings.filters)
+        showwarning = warnings.showwarning
+        assert main(["stations"]) == 0
+        capsys.readouterr()
+        assert warnings.filters == filters
+        assert warnings.showwarning is showwarning

@@ -6,8 +6,8 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from rainlink import (CadenceWarning, ConfigError, DomainError, ParseError,
-                      RainSeries, RainSource, SeparationWarning, SourceKind,
+from rainlink import (CadenceWarning, DomainError, ParseError,
+                      RainSeries, SeparationWarning,
                       Strategy, ValidationError, annual_accumulation,
                       catalog_to_csv, chebil_r001, empirical_exceedance_rate,
                       great_circle_km, mean_rain_rate, packaged_catalog_text,
@@ -219,47 +219,24 @@ class TestEmpiricalExceedance:
 
 
 class TestResolveR001:
-    def test_direct(self):
-        source = RainSource(label="ITU", kind=SourceKind.DIRECT_R001,
-                            strategy=Strategy.DIRECT, r001_mm_per_hr=42.0)
-        assert resolve_r001(source) == 42.0
-
     def test_chebil_composition(self):
         series = make_series([0.1455] * 120, step_hours=730.5)
-        source = RainSource(label="GPM", kind=SourceKind.SERIES,
-                            strategy=Strategy.CHEBIL_ANNUAL, series=series)
-        assert abs(resolve_r001(source) - 103.00932178409715) < 1e-9
+        assert abs(resolve_r001(series, Strategy.CHEBIL_ANNUAL, "GPM")
+                   - 103.00932178409715) < 1e-9
 
     def test_empirical_on_monthly_cadence_warns(self):
         series = make_series([0.1, 0.2, 0.3, 0.4] * 30, step_hours=730.5,
                              cadence="monthly")
-        source = RainSource(label="TRMM", kind=SourceKind.SERIES,
-                            strategy=Strategy.EMPIRICAL_EXCEEDANCE,
-                            series=series)
         with pytest.warns(CadenceWarning):
-            value = resolve_r001(source)
+            value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE, "TRMM")
         assert value == 0.4
 
     def test_empirical_on_fine_cadence_silent(self):
         import warnings as _warnings
         series = make_series([0.1, 9.0] * 40, step_hours=0.5)
-        source = RainSource(label="gauge", kind=SourceKind.SERIES,
-                            strategy=Strategy.EMPIRICAL_EXCEEDANCE,
-                            series=series)
         with _warnings.catch_warnings(record=True) as record:
             _warnings.simplefilter("always")
-            value = resolve_r001(source)
+            value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE,
+                                 "gauge")
         assert value == 9.0
         assert not any(isinstance(w.message, CadenceWarning) for w in record)
-
-    def test_kind_strategy_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            RainSource(label="x", kind=SourceKind.DIRECT_R001,
-                       strategy=Strategy.CHEBIL_ANNUAL, r001_mm_per_hr=1.0)
-        with pytest.raises(ConfigError):
-            RainSource(label="x", kind=SourceKind.SERIES,
-                       strategy=Strategy.DIRECT,
-                       series=make_series([1.0]))
-        with pytest.raises(ConfigError):
-            RainSource(label="x", kind=SourceKind.DIRECT_R001,
-                       strategy=Strategy.DIRECT)

@@ -1,0 +1,163 @@
+from __future__ import annotations
+
+import json
+import random
+from datetime import datetime, timedelta, timezone
+
+import pytest
+
+import rainlink.scenario
+from rainlink import (ConfigError, Polarization, SourceDescriptor,
+                      SourceKind, Strategy, availability_sweep,
+                      compare_sources, emit_report, packaged_catalog_text,
+                      parse_scenario, parse_station_catalog, resolve_sources)
+from rainlink.cli import main
+
+PHYSICS = {"frequency_GHz": 28.5, "bandwidth_Hz": 2.1e9, "eirp_dBW": 75.9,
+           "elevation_deg": 20.0, "receiver_gain_dBi": 31.8,
+           "system_temperature_K": 868.4, "required_margin_dB": 0.36,
+           "satellite_altitude_km": 1200.0, "mode": "physics"}
+
+
+def catalog():
+    return parse_station_catalog(packaged_catalog_text())
+
+
+def write_series(tmp_path) -> dict[str, str]:
+    """One seeded 30-minute rain series per bundled station, written under
+    tmp_path/series; returns the paths relative to tmp_path."""
+    rng = random.Random(7)
+    start = datetime(2010, 1, 1, tzinfo=timezone.utc)
+    (tmp_path / "series").mkdir()
+    paths = {}
+    for i, station in enumerate(catalog().stations):
+        rows = ["timestamp,rate_mm_per_hr"]
+        for k in range(400):
+            ts = (start + timedelta(minutes=30 * k)).isoformat()
+            rate = round(rng.lognormvariate(0.6, 1.2), 2) \
+                if rng.random() < 0.05 + 0.02 * i else 0.0
+            rows.append(f"{ts.replace('+00:00', 'Z')},{rate}")
+        paths[station.name] = f"series/{i}.csv"
+        (tmp_path / paths[station.name]).write_text("\n".join(rows) + "\n")
+    return paths
+
+
+def series_source(label, strategy, paths):
+    return SourceDescriptor(label=label, kind=SourceKind.SERIES,
+                            paths=dict(paths), strategy=strategy)
+
+
+class TestResolveSources:
+    def test_shared_file_parsed_once_per_station(self, tmp_path, monkeypatch):
+        paths = write_series(tmp_path)
+        sources = [series_source("chebil", Strategy.CHEBIL_ANNUAL, paths),
+                   series_source("empirical", Strategy.EMPIRICAL_EXCEEDANCE,
+                                 paths)]
+        alone = [resolve_sources([s], catalog(), str(tmp_path))[0]
+                 for s in sources]
+        parsed = []
+        real = rainlink.scenario.parse_rain_series
+
+        def counting(*args, **kwargs):
+            parsed.append(kwargs["station_ref"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rainlink.scenario, "parse_rain_series", counting)
+        together = resolve_sources(sources, catalog(), str(tmp_path))
+        assert sorted(parsed) == sorted(s.name for s in catalog().stations)
+        assert together == alone
+        assert together[0].r001_by_station != together[1].r001_by_station
+
+    def test_relative_paths_use_base_dir_absolute_unchanged(self, tmp_path):
+        paths = write_series(tmp_path)
+        relative = series_source("rel", Strategy.CHEBIL_ANNUAL, paths)
+        absolute = series_source(
+            "abs", Strategy.CHEBIL_ANNUAL,
+            {name: str(tmp_path / p) for name, p in paths.items()})
+        elsewhere = str(tmp_path / "elsewhere")
+        [from_rel] = resolve_sources([relative], catalog(), str(tmp_path))
+        [from_abs] = resolve_sources([absolute], catalog(), elsewhere)
+        assert from_rel.r001_by_station == from_abs.r001_by_station
+        with pytest.raises(OSError):
+            resolve_sources([relative], catalog(), elsewhere)
+
+    def test_missing_station_path_names_source_and_station(self, tmp_path,
+                                                           capsys):
+        paths = write_series(tmp_path)
+        del paths["Cairo"]
+        with pytest.raises(ConfigError) as err:
+            resolve_sources([series_source("gpm", Strategy.CHEBIL_ANNUAL,
+                                           paths)], catalog(), str(tmp_path))
+        assert "'gpm'" in str(err.value) and "'Cairo'" in str(err.value)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(PHYSICS, sources=[
+            {"label": "gpm", "kind": "series", "paths": paths}])))
+        assert main(["sweep", "--scenario", str(scenario)]) == 2
+        _, stderr = capsys.readouterr()
+        assert "gpm" in stderr and "Cairo" in stderr
+
+    def test_no_sources_rejected(self):
+        with pytest.raises(ConfigError):
+            resolve_sources([], catalog(), ".")
+
+
+class TestParseScenarioTypes:
+    def test_entries_are_typed(self):
+        scenario = parse_scenario(json.dumps(dict(
+            PHYSICS, polarization="horizontal", sources=[
+                {"label": "gpm", "kind": "series",
+                 "strategy": "empirical_exceedance", "paths": {"A": "a.csv"}},
+                {"label": "itu", "kind": "r001", "value": 90.0}])))
+        assert scenario.polarization is Polarization.HORIZONTAL
+        gpm, itu = scenario.sources
+        assert gpm.kind is SourceKind.SERIES
+        assert gpm.strategy is Strategy.EMPIRICAL_EXCEEDANCE
+        assert itu.kind is SourceKind.R001
+
+    @pytest.mark.parametrize("doc", [
+        dict(PHYSICS, polarization="circular"),
+        dict(PHYSICS, sources=[{"label": "gpm", "kind": "series",
+                                "strategy": "direct", "paths": {}}]),
+    ])
+    def test_unknown_choice_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            parse_scenario(json.dumps(doc))
+
+
+class TestCompareIsOneSweep:
+    @pytest.mark.parametrize("baseline, estimate, p", [
+        ("model", "chebil", None),
+        ("chebil", "empirical", "0.1"),
+        ("empirical", "empirical", None),
+        ("published", "model", "0.001"),
+    ])
+    def test_rows_match_two_single_source_sweeps(self, tmp_path, capsys,
+                                                 baseline, estimate, p):
+        paths = write_series(tmp_path)
+        doc = dict(PHYSICS, p_list=[0.01, 0.1], sources=[
+            {"label": "model", "kind": "r001", "value": 60.0},
+            {"label": "chebil", "kind": "series", "paths": paths},
+            {"label": "empirical", "kind": "series",
+             "strategy": "empirical_exceedance", "paths": paths},
+            {"label": "published", "kind": "attenuation",
+             "values": {s.name: 5.0 + i
+                        for i, s in enumerate(catalog().stations)}}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        scenario = parse_scenario(path.read_text())
+        p_value = scenario.p_list[0] if p is None else float(p)
+
+        def sweep_alone(label):
+            [resolved] = resolve_sources([scenario.source(label)], catalog(),
+                                         str(tmp_path))
+            return list(availability_sweep(
+                catalog(), scenario.params, [resolved], [p_value],
+                mode=scenario.mode, polarization=scenario.polarization).rows)
+
+        expected = emit_report(compare_sources(sweep_alone(baseline),
+                                               sweep_alone(estimate)), "csv")
+        args = ["compare", "--scenario", str(path), "--baseline", baseline,
+                "--estimate", estimate, "--format", "csv"]
+        assert main(args + (["--p", p] if p else [])) == 0
+        out, _ = capsys.readouterr()
+        assert out == expected
