@@ -39,7 +39,7 @@ class TransmissionParams:
     required_margin_dB: float
     satellite_altitude_km: float
     other_losses_dB: float = 0.0
-    antenna_diameter_m: float | None = None
+    antenna_diameter_m: float | None = None  # metadata; enters no calculation
 
     def __post_init__(self):
         for name in ("frequency_GHz", "bandwidth_Hz", "system_temperature_K",

@@ -9,10 +9,12 @@ CSV schemas (stable interfaces):
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -64,10 +66,7 @@ class StationCatalog:
     close_pairs: tuple[tuple[str, str, float], ...] = field(default=())
 
     def __post_init__(self):
-        names = [s.name for s in self.stations]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValidationError(f"duplicate station names: {', '.join(dupes)}")
+        _check_unique_names(self.stations)
 
     def station(self, name: str) -> GroundStation:
         for s in self.stations:
@@ -76,20 +75,63 @@ class StationCatalog:
         raise ValidationError(f"unknown station {name!r}")
 
 
+def _check_unique_names(stations) -> None:
+    counts = Counter(s.name for s in stations)
+    dupes = sorted(n for n, c in counts.items() if c > 1)
+    if dupes:
+        raise ValidationError(f"duplicate station names: {', '.join(dupes)}")
+
+
+def _haversine_km(lat1: float, lon1: float, cos_lat1: float,
+                  lat2: float, lon2: float, cos_lat2: float) -> float:
+    # radians in, with cos(lat) passed so a caller can compute it once
+    s = math.sin((lat2 - lat1) / 2.0) ** 2 \
+        + cos_lat1 * cos_lat2 * math.sin((lon2 - lon1) / 2.0) ** 2
+    return 2.0 * MEAN_EARTH_RADIUS_KM * math.asin(math.sqrt(s))
+
+
 def great_circle_km(lat1_deg: float, lon1_deg: float,
                     lat2_deg: float, lon2_deg: float) -> float:
     """Haversine great-circle distance in km on a mean-radius sphere."""
     lat1, lon1, lat2, lon2 = map(math.radians, (lat1_deg, lon1_deg, lat2_deg, lon2_deg))
-    s = math.sin((lat2 - lat1) / 2.0) ** 2 \
-        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2
-    return 2.0 * MEAN_EARTH_RADIUS_KM * math.asin(math.sqrt(s))
+    return _haversine_km(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2))
+
+
+def _close_pairs(stations) -> list[tuple[str, str, float]]:
+    """Every pair (a, b, km) under MIN_SEPARATION_KM, a before b in
+    catalog order, ordered as the all-pairs loop over (i, j > i) would
+    find them, with the distance great_circle_km(a, b) gives.
+
+    A pair under the minimum is never further apart in latitude than
+    MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM radians (haversine distance
+    is at least R * |dlat|), so only stations in that latitude band of
+    each station are measured. The band is widened by a relative 1e-9
+    so that no rounding can drop a pair.
+    """
+    lat = [math.radians(s.latitude_deg) for s in stations]
+    lon = [math.radians(s.longitude_deg) for s in stations]
+    cos_lat = [math.cos(x) for x in lat]
+    order = sorted(range(len(stations)), key=lat.__getitem__)
+    sorted_lat = [lat[k] for k in order]
+    band = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM * (1.0 + 1e-9)
+    close = []
+    for i, a in enumerate(stations):
+        lo = bisect.bisect_left(sorted_lat, lat[i] - band)
+        hi = bisect.bisect_right(sorted_lat, lat[i] + band)
+        for j in sorted(j for j in order[lo:hi] if j > i):
+            d = _haversine_km(lat[i], lon[i], cos_lat[i],
+                              lat[j], lon[j], cos_lat[j])
+            if d < MIN_SEPARATION_KM:
+                close.append((a.name, stations[j].name, d))
+    return close
 
 
 def parse_station_catalog(text: str) -> StationCatalog:
     """Parse a station catalog CSV; altitude_m converts to km internally.
 
-    Emits a SeparationWarning for every pair closer than the recommended
-    minimum; the pairs are also recorded on the catalog.
+    Station names must be unique. Every pair closer than the recommended
+    minimum separation is recorded on the catalog's close_pairs, and one
+    SeparationWarning gives their number and the closest pair.
     """
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -119,17 +161,15 @@ def parse_station_catalog(text: str) -> StationCatalog:
             raise ParseError(str(exc), line=idx) from exc
     if not stations:
         raise ValidationError("catalog has no station rows")
-    close = []
-    for i, a in enumerate(stations):
-        for b in stations[i + 1:]:
-            d = great_circle_km(a.latitude_deg, a.longitude_deg,
-                                b.latitude_deg, b.longitude_deg)
-            if d < MIN_SEPARATION_KM:
-                close.append((a.name, b.name, d))
-                warnings.warn(
-                    f"stations {a.name} and {b.name} are {d:.0f} km apart, "
-                    f"under the {MIN_SEPARATION_KM:.0f} km minimum separation",
-                    SeparationWarning, stacklevel=2)
+    # before the search, so a repeated name fails without a separation warning
+    _check_unique_names(stations)
+    close = _close_pairs(stations)
+    if close:
+        a, b, d = min(close, key=lambda pair: pair[2])
+        warnings.warn(
+            f"{len(close)} station pair{'s' if len(close) > 1 else ''} under "
+            f"the {MIN_SEPARATION_KM:.0f} km minimum separation; closest: "
+            f"{a} and {b}, {d:.0f} km apart", SeparationWarning, stacklevel=2)
     return StationCatalog(stations=tuple(stations), close_pairs=tuple(close))
 
 

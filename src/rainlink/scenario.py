@@ -85,6 +85,14 @@ def _choice(enum: type[Enum], value, where: str):
                           f"got {value!r}") from exc
 
 
+def _number(value, where: str) -> float:
+    """value as a float, or a ConfigError naming where it came from."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a scenario JSON document (see README for the schema)."""
     try:
@@ -96,13 +104,9 @@ def parse_scenario(text: str) -> Scenario:
     missing = [f for f in _PARAM_FIELDS if f not in doc]
     if missing:
         raise ConfigError(f"scenario missing fields: {', '.join(missing)}")
-    kwargs = {}
-    for name in _PARAM_FIELDS + _OPTIONAL_PARAM_FIELDS:
-        if name in doc:
-            try:
-                kwargs[name] = float(doc[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"field {name}: {exc}") from exc
+    kwargs = {name: _number(doc[name], f"field {name}")
+              for name in _PARAM_FIELDS + _OPTIONAL_PARAM_FIELDS
+              if name in doc}
     try:
         params = TransmissionParams(**kwargs)
     except DomainError as exc:
@@ -110,19 +114,26 @@ def parse_scenario(text: str) -> Scenario:
     mode = _choice(CnrMode, doc.get("mode", "physics"), "field mode")
     k_clear = doc.get("k_clear_dB")
     if k_clear is not None:
-        k_clear = float(k_clear)
+        k_clear = _number(k_clear, "field k_clear_dB")
     if mode is CnrMode.CALIBRATED and k_clear is None:
         raise ConfigError("field k_clear_dB: required in calibrated mode")
     p_raw = doc.get("p_list", [0.01])
     if not isinstance(p_raw, list) or not p_raw:
         raise ConfigError("field p_list: must be a non-empty list")
-    p_list = tuple(float(p) for p in p_raw)
+    p_list = tuple(_number(p, "field p_list") for p in p_raw)
     for p in p_list:
         if not P_MIN_PERCENT <= p <= P_MAX_PERCENT:
             raise ConfigError(f"field p_list: {p} outside "
                               f"[{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
+    catalog_path = doc.get("catalog")
+    if catalog_path is not None and not isinstance(catalog_path, str):
+        raise ConfigError(f"field catalog: must be a path string, "
+                          f"got {catalog_path!r}")
+    raw_sources = doc.get("sources", [])
+    if not isinstance(raw_sources, list):
+        raise ConfigError("field sources: must be a list")
     sources = []
-    for i, raw in enumerate(doc.get("sources", [])):
+    for i, raw in enumerate(raw_sources):
         if not isinstance(raw, dict):
             raise ConfigError(f"sources[{i}]: must be an object")
         label = raw.get("label")
@@ -132,8 +143,10 @@ def parse_scenario(text: str) -> Scenario:
         desc = SourceDescriptor(
             label=label,
             kind=_choice(SourceKind, raw.get("kind"), f"{where}: field kind"),
-            value=float(raw["value"]) if "value" in raw else None,
-            values={str(k): float(v) for k, v in raw["values"].items()}
+            value=_number(raw["value"], f"{where}: field value")
+            if "value" in raw else None,
+            values={str(k): _number(v, f"{where}: field values[{k!r}]")
+                    for k, v in raw["values"].items()}
             if isinstance(raw.get("values"), dict) else None,
             paths={str(k): str(v) for k, v in raw["paths"].items()}
             if isinstance(raw.get("paths"), dict) else None,
@@ -150,7 +163,7 @@ def parse_scenario(text: str) -> Scenario:
     polarization = _choice(Polarization, doc.get("polarization", "vertical"),
                            "field polarization")
     return Scenario(params=params, mode=mode, k_clear_dB=k_clear,
-                    catalog_path=doc.get("catalog"), sources=tuple(sources),
+                    catalog_path=catalog_path, sources=tuple(sources),
                     p_list=p_list, polarization=polarization)
 
 

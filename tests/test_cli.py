@@ -62,6 +62,31 @@ class TestStations:
         _, err = capsys.readouterr()
         assert "duplicate" in err
 
+    def test_duplicate_names_print_only_the_error(self, tmp_path, capsys):
+        # the two stations are also a close pair; no warning precedes the error
+        bad = tmp_path / "dup.csv"
+        bad.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                       "X,0,0,0\nX,5,5,5\n")
+        assert main(["stations", "--catalog", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: duplicate station names: X\n"
+
+    def test_close_pairs_give_one_summary_warning(self, tmp_path, capsys):
+        close = tmp_path / "close.csv"
+        close.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                         "A,0.0,0.0,0\nB,0.9,0.0,0\nC,5,5,0\nD,60,0,0\n"
+                         "E,61,1,0\n")
+        assert main(["stations", "--catalog", str(close), "--format",
+                     "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 6
+        warning_lines = [ln for ln in err.splitlines()
+                         if ln.startswith("warning:")]
+        assert len(warning_lines) == 1
+        assert warning_lines[0].startswith("warning: 4 station pairs ")
+        assert "closest: A and B, 100 km apart" in warning_lines[0]
+
     def test_close_pair_warns_on_stderr(self, tmp_path, capsys):
         close = tmp_path / "close.csv"
         close.write_text("name,latitude_deg,longitude_deg,altitude_m\n"

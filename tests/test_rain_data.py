@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainlink import (CadenceWarning, DomainError, ParseError,
                       RainSeries, SeparationWarning,
@@ -13,6 +16,7 @@ from rainlink import (CadenceWarning, DomainError, ParseError,
                       great_circle_km, mean_rain_rate, packaged_catalog_text,
                       parse_rain_series, parse_station_catalog, resolve_r001,
                       series_to_csv)
+from rainlink.constants import MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
 
 CATALOG = """name,latitude_deg,longitude_deg,altitude_m
 Abuja,9.010833,7.271389,348.00
@@ -83,6 +87,125 @@ class TestParseStationCatalog:
         text = catalog_to_csv(catalog)
         again = parse_station_catalog(text)
         assert again.stations == catalog.stations
+
+
+def brute_force_close_pairs(stations):
+    """The all-pairs loop: the oracle for the catalog's close-pair search."""
+    close = []
+    for i, a in enumerate(stations):
+        for b in stations[i + 1:]:
+            d = great_circle_km(a.latitude_deg, a.longitude_deg,
+                                b.latitude_deg, b.longitude_deg)
+            if d < MIN_SEPARATION_KM:
+                close.append((a.name, b.name, d))
+    return close
+
+
+def catalog_text(points):
+    rows = [f"S{i},{lat!r},{lon!r},0" for i, (lat, lon) in enumerate(points)]
+    return "name,latitude_deg,longitude_deg,altitude_m\n" + "\n".join(rows)
+
+
+def parse_quietly(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        return parse_station_catalog(text)
+
+
+# the latitude gap, in degrees, of two stations on one meridian that are
+# exactly the minimum separation apart
+BAND_DEG = math.degrees(MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM)
+
+POINT_SPEC = st.tuples(
+    st.sampled_from(["free", "copy", "band_edge"]),
+    st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 90.0]),
+              st.floats(85.0, 90.0), st.floats(-90.0, -85.0)),
+    st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0]),
+              st.floats(175.0, 180.0), st.floats(-180.0, -175.0)),
+    st.integers(0, 10 ** 6),
+    st.sampled_from([-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9]))
+
+
+def points_from_specs(specs):
+    """Station coordinates from drawn specs: a free point, a copy of an
+    earlier one (coincident stations), or an earlier one moved along its
+    meridian by the band width scaled by 1 + offset (a latitude gap at the
+    edge of the search band)."""
+    points = []
+    for kind, lat, lon, ref, offset in specs:
+        if points and kind != "free":
+            base_lat, base_lon = points[ref % len(points)]
+            if kind == "copy":
+                lat, lon = base_lat, base_lon
+            else:
+                sign = 1.0 if base_lat < 0.0 else -1.0
+                lat, lon = base_lat + sign * BAND_DEG * (1.0 + offset), base_lon
+        points.append((lat, lon))
+    return points
+
+
+class TestClosePairSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.lists(POINT_SPEC, min_size=n, max_size=n)))
+    def test_equals_all_pairs_loop(self, specs):
+        catalog = parse_quietly(catalog_text(points_from_specs(specs)))
+        assert list(catalog.close_pairs) == \
+            brute_force_close_pairs(catalog.stations)
+
+    def test_band_edge_pairs_kept(self):
+        # one meridian, latitude gaps just inside and just outside the band
+        points = [(0.0, 10.0)]
+        for k, offset in enumerate((-1e-12, -1e-15, 0.0, 1e-15, 1e-12)):
+            points += [(-60.0 + k, 20.0 + k),
+                       (-60.0 + k + BAND_DEG * (1.0 + offset), 20.0 + k)]
+        catalog = parse_quietly(catalog_text(points))
+        pairs = brute_force_close_pairs(catalog.stations)
+        assert any(abs(d - MIN_SEPARATION_KM) < 1e-6 for _, _, d in pairs)
+        assert list(catalog.close_pairs) == pairs
+
+    def test_poles_antimeridian_and_coincident(self):
+        points = [(90.0, 0.0), (90.0, 180.0), (89.0, -90.0), (-90.0, 5.0),
+                  (-90.0, -5.0), (0.0, 180.0), (0.0, -180.0),
+                  (1.0, 179.5), (1.0, -179.5), (12.0, 30.0), (12.0, 30.0)]
+        catalog = parse_quietly(catalog_text(points))
+        pairs = {(a, b) for a, b, _ in catalog.close_pairs}
+        assert {("S0", "S1"), ("S3", "S4"), ("S5", "S6"), ("S7", "S8"),
+                ("S9", "S10")} <= pairs
+        assert list(catalog.close_pairs) == \
+            brute_force_close_pairs(catalog.stations)
+
+    def test_dense_african_catalog(self):
+        rng = random.Random(20231)
+        points = [(rng.uniform(-34.5, 37.0), rng.uniform(-17.5, 51.0))
+                  for _ in range(1000)]
+        catalog = parse_quietly(catalog_text(points))
+        assert len(catalog.close_pairs) > 80000
+        assert list(catalog.close_pairs) == \
+            brute_force_close_pairs(catalog.stations)
+
+    def test_one_summary_warning(self):
+        text = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                "A,0.0,0.0,0\nB,0.9,0.0,0\nC,5,5,0\nD,60,0,0\n")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            catalog = parse_station_catalog(text)
+        assert [(a, b) for a, b, _ in catalog.close_pairs] == \
+            [("A", "B"), ("A", "C"), ("B", "C")]
+        assert len(record) == 1
+        assert record[0].category is SeparationWarning
+        message = str(record[0].message)
+        assert message.startswith("3 station pairs")
+        assert "A and B, 100 km apart" in message
+
+    def test_duplicate_names_checked_before_search(self):
+        text = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                "X,0,0,0\nX,5,5,5\nY,1,1,1\nY,2,2,2\nZ,3,3,3\n")
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="names: X, Y$"):
+                parse_station_catalog(text)
+        assert record == []
 
 
 class TestGreatCircle:

@@ -124,6 +124,35 @@ class TestParseScenarioTypes:
             parse_scenario(json.dumps(doc))
 
 
+class TestParseScenarioValues:
+    R001 = {"label": "model", "kind": "r001", "value": 90.0}
+
+    @pytest.mark.parametrize("doc, field", [
+        (dict(PHYSICS, sources=[dict(R001, value="abc")]), "field value"),
+        (dict(PHYSICS, sources=[{"label": "g", "kind": "r001",
+                                 "values": {"A": [1]}}]), "field values['A']"),
+        (dict(PHYSICS, sources=[R001], p_list=["x"]), "field p_list"),
+        (dict(PHYSICS, sources=[R001], k_clear_dB="x"), "field k_clear_dB"),
+        (dict(PHYSICS, sources=[R001], catalog=5), "field catalog"),
+        (dict(PHYSICS, sources=5), "field sources"),
+    ])
+    def test_bad_value_names_field(self, doc, field):
+        with pytest.raises(ConfigError, match=field.replace("[", r"\[")):
+            parse_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("override", [
+        {"sources": [dict(R001, value="abc")]},
+        {"sources": [R001], "p_list": ["x"]},
+        {"sources": [R001], "catalog": 5},
+    ])
+    def test_cli_exits_2(self, tmp_path, capsys, override):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(PHYSICS, **override)))
+        assert main(["sweep", "--scenario", str(path)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ")
+
+
 class TestCompareIsOneSweep:
     @pytest.mark.parametrize("baseline, estimate, p", [
         ("model", "chebil", None),
