@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
-from .attenuation import attenuation_curve
+from .attenuation import attenuation_curve, check_p_percent
 from .errors import DomainError, UsageError, ValidationError
 from .geometry import rain_slant_path
 from .link_budget import (CnrMode, LinkResult, TransmissionParams,
-                          evaluate_link)
+                          available_margin, link_budget, link_closes)
 from .rain_data import StationCatalog
 from .rain_physics import (CoefficientTable, Polarization,
                            regression_coefficients)
@@ -127,9 +130,15 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
         raise ValidationError("no sources given")
     coeffs = regression_coefficients(params.frequency_GHz, polarization,
                                      table=coefficient_table)
+    cnr_of = link_budget(params, mode, k_clear_dB)
+    required = params.required_margin_dB
+    p_points = sorted(set(p_list))
+    for p in p_points:
+        check_p_percent(p)
     rows: list[LinkResult] = []
     diagnostics: list[str] = []
     for station in catalog.stations:
+        path = None
         for source in sources:
             injected = source.attenuation_by_station is not None
             by_station = (source.attenuation_by_station if injected
@@ -139,18 +148,21 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                                       f"value for station {station.name!r}")
             value = by_station[station.name]
             if injected:
-                points = [(p, value) for p in sorted(set(p_list))]
+                points = [(p, value) for p in p_points]
             else:
-                path = rain_slant_path(station, params.elevation_deg)
+                if path is None:
+                    path = rain_slant_path(station, params.elevation_deg)
                 curve = attenuation_curve(station, path, coeffs, value,
-                                          list(p_list))
+                                          p_points)
                 for note in curve.diagnostics:
                     diagnostics.append(f"{station.name}/{source.label}: {note}")
                 points = curve.points
             for p, a_p in points:
-                rows.append(evaluate_link(station.name, source.label, p, a_p,
-                                          params, mode=mode,
-                                          k_clear_dB=k_clear_dB))
+                cnr = cnr_of(a_p)
+                margin = available_margin(cnr, required)
+                rows.append(LinkResult(station.name, source.label, p, a_p,
+                                       cnr, required, margin,
+                                       link_closes(margin)))
     rows.sort(key=lambda r: (r.station_ref, r.source_label, r.p_percent))
     return SweepTable(rows=tuple(rows), diagnostics=tuple(diagnostics))
 
@@ -182,17 +194,32 @@ def _comparison_cells(row: ComparisonRow) -> list:
             row.estimate_attenuation_dB, row.overestimation_percent]
 
 
-def _table_shape(table) -> tuple[list[str], list[list]]:
+def _table_shape(table) -> tuple[list[str], Iterable[Sequence]]:
+    """The header and the row cells of a table, the rows to be iterated
+    once."""
     if isinstance(table, SweepTable):
-        return SWEEP_COLUMNS, [_sweep_cells(r) for r in table.rows]
+        return SWEEP_COLUMNS, map(_sweep_cells, table.rows)
     if isinstance(table, tuple) and len(table) == 2:
         header, rows = table
-        return list(header), [list(r) for r in rows]
+        return list(header), rows
     if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
-        return COMPARISON_COLUMNS, [_comparison_cells(r) for r in table]
+        return COMPARISON_COLUMNS, map(_comparison_cells, table)
     if isinstance(table, list) and all(isinstance(r, LinkResult) for r in table):
-        return SWEEP_COLUMNS, [_sweep_cells(r) for r in table]
+        return SWEEP_COLUMNS, map(_sweep_cells, table)
     raise UsageError(f"cannot emit a report for {type(table).__name__}")
+
+
+def _json_text(value) -> str:
+    """value as json.dumps writes it."""
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)
 
 
 def _cell_text(value, machine: bool) -> str:
@@ -216,10 +243,17 @@ def emit_report(table, format: str = "csv") -> str:
             writer.writerow([_cell_text(c, machine=True) for c in cells])
         return out.getvalue()
     if format == "json":
-        records = []
-        for cells in rows:
-            records.append({k: v for k, v in zip(header, cells)})
-        return json.dumps(records, indent=2) + "\n"
+        # the layout of json.dumps(records, indent=2), one record per row
+        template = "{" + ",".join(
+            f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+            for k in header) + "\n  }" if header else "{}"
+        records = [template % tuple(map(_json_text, cells)) for cells in rows]
+        if not records:
+            return "[]\n"
+        # brackets on the end records, so one join builds the document
+        records[0] = "[\n  " + records[0]
+        records[-1] += "\n]\n"
+        return ",\n  ".join(records)
     if format in ("aligned-table", "table"):
         texts = [header] + [[_cell_text(c, machine=False) for c in cells]
                             for cells in rows]

@@ -37,7 +37,8 @@ class AttenuationCurve:
     diagnostics: tuple[str, ...] = field(default=())
 
 
-def _check_p(p_percent: float) -> None:
+def check_p_percent(p_percent: float) -> None:
+    """Raise DomainError unless p is in the exceedance-scaling range."""
     if not P_MIN_PERCENT <= p_percent <= P_MAX_PERCENT:
         raise DomainError(
             f"exceedance percentage {p_percent} outside [{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
@@ -115,7 +116,7 @@ def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
     """The z term of the scaling exponent, per the four-branch rule:
     zero at p >= 1% or |lat| >= 36 deg; -0.005(|lat|-36) at elevations
     of 25 deg and above; the same plus 1.8 - 4.25 sin(e) below."""
-    _check_p(p_percent)
+    check_p_percent(p_percent)
     abs_lat = abs(absolute_latitude_deg)
     if p_percent >= 1.0 or abs_lat >= 36.0:
         return 0.0
@@ -133,7 +134,7 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
 
     with natural logarithms and p in percent units.
     """
-    _check_p(p_percent)
+    check_p_percent(p_percent)
     if A001_dB < 0.0:
         raise DomainError(f"reference attenuation {A001_dB} dB must be >= 0")
     if A001_dB == 0.0:
@@ -155,7 +156,7 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
     if not p_list:
         raise DomainError("p_list must be non-empty")
     for p in p_list:
-        _check_p(p)
+        check_p_percent(p)
     diagnostics: list[str] = []
     gamma = specific_attenuation(r001_rain_rate, coefficients).gamma_dB_per_km
     with warnings.catch_warnings(record=True) as caught:

@@ -12,7 +12,8 @@ and may be negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .constants import (BOLTZMANN_J_PER_K, COEFF_FREQ_MAX_GHZ,
@@ -42,6 +43,13 @@ class TransmissionParams:
     antenna_diameter_m: float | None = None  # metadata; enters no calculation
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
+        if not 0.0 <= self.elevation_deg <= 90.0:
+            raise DomainError(f"elevation_deg {self.elevation_deg} outside "
+                              "[0, 90]")
         for name in ("frequency_GHz", "bandwidth_Hz", "system_temperature_K",
                      "satellite_altitude_km"):
             if getattr(self, name) <= 0.0:
@@ -75,27 +83,42 @@ def noise_power(system_temperature_K: float, bandwidth_Hz: float) -> float:
     return 10.0 * math.log10(BOLTZMANN_J_PER_K * system_temperature_K * bandwidth_Hz)
 
 
-def carrier_to_noise(params: TransmissionParams, attenuation_dB: float,
-                     mode: CnrMode | str = CnrMode.PHYSICS,
-                     k_clear_dB: float | None = None) -> float:
-    """C/N in dB under the given rain attenuation.
+def link_budget(params: TransmissionParams,
+                mode: CnrMode | str = CnrMode.PHYSICS,
+                k_clear_dB: float | None = None) -> Callable[[float], float]:
+    """C/N in dB as a function of the rain attenuation, for one set of
+    transmission parameters.
 
-    Physics mode requires attenuation >= 0 (the prediction chain never
-    emits negative attenuation); calibrated mode accepts any finite
-    value so published anchors can be injected as-is.
+    The mode, k_clear_dB, slant range, FSPL and noise power are checked
+    and computed here, once; the returned function does only the
+    per-attenuation arithmetic. Physics mode requires attenuation >= 0
+    (the prediction chain never emits negative attenuation) on every
+    call; calibrated mode accepts any finite value so published anchors
+    can be injected as-is.
     """
     mode = CnrMode(mode)
     if mode is CnrMode.CALIBRATED:
         if k_clear_dB is None:
             raise ConfigError("calibrated mode requires k_clear_dB")
-        return k_clear_dB - attenuation_dB
-    if attenuation_dB < 0.0:
-        raise DomainError(f"attenuation {attenuation_dB} dB must be >= 0")
+        return lambda attenuation_dB: k_clear_dB - attenuation_dB
     d = slant_range(params.satellite_altitude_km, params.elevation_deg)
-    fspl = free_space_path_loss(params.frequency_GHz, d)
-    return (params.eirp_dBW - fspl - attenuation_dB - params.other_losses_dB
-            + params.receiver_gain_dBi
-            - noise_power(params.system_temperature_K, params.bandwidth_Hz))
+    clear_dB = params.eirp_dBW - free_space_path_loss(params.frequency_GHz, d)
+    other_dB = params.other_losses_dB
+    gain_dBi = params.receiver_gain_dBi
+    noise_dBW = noise_power(params.system_temperature_K, params.bandwidth_Hz)
+
+    def cnr(attenuation_dB: float) -> float:
+        if attenuation_dB < 0.0:
+            raise DomainError(f"attenuation {attenuation_dB} dB must be >= 0")
+        return clear_dB - attenuation_dB - other_dB + gain_dBi - noise_dBW
+    return cnr
+
+
+def carrier_to_noise(params: TransmissionParams, attenuation_dB: float,
+                     mode: CnrMode | str = CnrMode.PHYSICS,
+                     k_clear_dB: float | None = None) -> float:
+    """C/N in dB under the given rain attenuation (see link_budget)."""
+    return link_budget(params, mode, k_clear_dB)(attenuation_dB)
 
 
 def available_margin(cnr_dB: float, required_margin_dB: float) -> float:

@@ -5,6 +5,7 @@ per-station inputs of a sweep."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -86,11 +87,26 @@ def _choice(enum: type[Enum], value, where: str):
 
 
 def _number(value, where: str) -> float:
-    """value as a float, or a ConfigError naming where it came from."""
+    """value as a finite float, or a ConfigError naming where it came
+    from."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return number
+
+
+def _mapping(raw: dict, name: str, where: str) -> dict | None:
+    """raw[name] if it is an object, None if it is absent, else a
+    ConfigError naming where it came from."""
+    if name not in raw:
+        return None
+    if not isinstance(raw[name], dict):
+        raise ConfigError(f"{where}: field {name}: must be an object keyed "
+                          f"by station name, got {type(raw[name]).__name__}")
+    return raw[name]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -140,16 +156,18 @@ def parse_scenario(text: str) -> Scenario:
         if not label or not isinstance(label, str):
             raise ConfigError(f"sources[{i}]: field label required")
         where = f"sources[{i}] ({label})"
+        values = _mapping(raw, "values", where)
+        paths = _mapping(raw, "paths", where)
         desc = SourceDescriptor(
             label=label,
             kind=_choice(SourceKind, raw.get("kind"), f"{where}: field kind"),
             value=_number(raw["value"], f"{where}: field value")
             if "value" in raw else None,
             values={str(k): _number(v, f"{where}: field values[{k!r}]")
-                    for k, v in raw["values"].items()}
-            if isinstance(raw.get("values"), dict) else None,
-            paths={str(k): str(v) for k, v in raw["paths"].items()}
-            if isinstance(raw.get("paths"), dict) else None,
+                    for k, v in values.items()}
+            if values is not None else None,
+            paths={str(k): str(v) for k, v in paths.items()}
+            if paths is not None else None,
             strategy=_choice(Strategy, raw.get("strategy", "chebil_annual"),
                              f"{where}: field strategy"))
         needs = _KIND_FIELDS[desc.kind]

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rainlink import (DomainError, LinkResult, ResolvedSource, SweepTable,
-                      TransmissionParams, UsageError, ValidationError,
+from rainlink import (ConfigError, DomainError, LinkResult, Polarization,
+                      ResolvedSource, SweepTable, TransmissionParams,
+                      UsageError, ValidationError, attenuation_curve,
                       availability_sweep, compare_sources, emit_plot_data,
                       emit_report, evaluate_link, overestimation_percentage,
                       packaged_catalog_text, parse_station_catalog,
-                      rank_stations, sweep_to_plot_curves)
-from rainlink.analysis import parse_report_csv
+                      rain_slant_path, rank_stations, regression_coefficients,
+                      sweep_to_plot_curves)
+from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
+                               parse_report_csv)
 
 
 def uplink_params():
@@ -159,6 +165,109 @@ class TestAvailabilitySweep:
             availability_sweep(catalog(), uplink_params(), [], [0.01])
 
 
+def sweep_oracle(cat, params, sources, p_list, mode="physics",
+                 k_clear_dB=None, polarization=Polarization.VERTICAL):
+    """The sweep one (station, source, p) triple at a time: the scalar
+    attenuation_curve and evaluate_link, then the documented sort."""
+    coeffs = regression_coefficients(params.frequency_GHz, polarization)
+    rows, diagnostics = [], []
+    for station in cat.stations:
+        for source in sources:
+            if source.attenuation_by_station is not None:
+                a = source.attenuation_by_station[station.name]
+                points = [(p, a) for p in sorted(set(p_list))]
+            else:
+                path = rain_slant_path(station, params.elevation_deg)
+                curve = attenuation_curve(station, path, coeffs,
+                                          source.r001_by_station[station.name],
+                                          list(p_list))
+                diagnostics += [f"{station.name}/{source.label}: {note}"
+                                for note in curve.diagnostics]
+                points = curve.points
+            rows += [evaluate_link(station.name, source.label, p, a, params,
+                                   mode=mode, k_clear_dB=k_clear_dB)
+                     for p, a in points]
+    rows.sort(key=lambda r: (r.station_ref, r.source_label, r.p_percent))
+    return rows, diagnostics
+
+
+class TestSweepOracle:
+    """availability_sweep equals the per-triple evaluation bit for bit."""
+
+    P_LIST = [0.5, 0.001, 0.01, 1.0, 0.01, 0.003]
+
+    def assert_matches_oracle(self, cat, params, sources, p_list, **kw):
+        table = availability_sweep(cat, params, sources, p_list, **kw)
+        rows, diagnostics = sweep_oracle(cat, params, sources, p_list, **kw)
+        assert list(table.rows) == rows
+        assert [repr(r) for r in table.rows] == [repr(r) for r in rows]
+        assert list(table.diagnostics) == diagnostics
+        return table
+
+    def r001_sources(self):
+        names = [s.name for s in catalog().stations]
+        return [ResolvedSource("shared", r001_by_station=dict.fromkeys(names, 90.0)),
+                ResolvedSource("per-station", r001_by_station={
+                    n: 20.0 + 15.0 * i for i, n in enumerate(names)})]
+
+    @pytest.mark.parametrize("other_losses", [0.0, 2.5])
+    def test_physics(self, other_losses):
+        params = dataclasses.replace(uplink_params(),
+                                     other_losses_dB=other_losses)
+        injected = ResolvedSource("injected", attenuation_by_station={
+            s.name: abs(GPM_ATTEN[s.name]) for s in catalog().stations})
+        self.assert_matches_oracle(catalog(), params,
+                                   self.r001_sources() + [injected],
+                                   self.P_LIST)
+
+    def test_calibrated(self):
+        injected = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
+        self.assert_matches_oracle(
+            catalog(), uplink_params(), [injected] + self.r001_sources(),
+            self.P_LIST, mode="calibrated", k_clear_dB=3.0665,
+            polarization=Polarization.HORIZONTAL)
+
+    def test_diagnostics_and_zero_path(self):
+        # 5 deg at 60 mm/h inverts the curve near p = 0.001 %; the high
+        # station sits above its rain height and gets a zero-length path
+        cat = parse_station_catalog(
+            "name,latitude_deg,longitude_deg,altitude_m\n"
+            "Low,0.0,10.0,300\nHigh,40.0,100.0,6000\n")
+        params = dataclasses.replace(uplink_params(), elevation_deg=5.0)
+        source = ResolvedSource("r", r001_by_station={"Low": 60.0,
+                                                      "High": 60.0})
+        table = self.assert_matches_oracle(cat, params, [source],
+                                           [0.001, 0.00133, 0.01])
+        assert any("monotonicity violation" in d for d in table.diagnostics)
+        assert all(r.attenuation_dB == 0.0 for r in table.rows
+                   if r.station_ref == "High")
+
+    @given(eirp=st.floats(40.0, 100.0), elevation=st.floats(5.0, 90.0),
+           other=st.floats(0.0, 10.0), frequency=st.floats(1.0, 100.0),
+           rate=st.floats(0.0, 250.0),
+           p_list=st.lists(st.sampled_from([0.001, 0.002, 0.01, 0.05, 0.3,
+                                            1.0]), min_size=1, max_size=6))
+    def test_random_physics_params(self, eirp, elevation, other, frequency,
+                                   rate, p_list):
+        params = dataclasses.replace(
+            uplink_params(), eirp_dBW=eirp, elevation_deg=elevation,
+            other_losses_dB=other, frequency_GHz=frequency)
+        source = ResolvedSource("r", r001_by_station={
+            s.name: rate for s in catalog().stations})
+        self.assert_matches_oracle(catalog(), params, [source], p_list)
+
+    def test_negative_injected_attenuation_rejected_in_physics(self):
+        source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
+        with pytest.raises(DomainError):
+            availability_sweep(catalog(), uplink_params(), [source], [0.01])
+
+    def test_calibrated_requires_k_clear(self):
+        source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
+        with pytest.raises(ConfigError):
+            availability_sweep(catalog(), uplink_params(), [source], [0.01],
+                               mode="calibrated")
+
+
 class TestRankStations:
     def test_reference_ranking(self):
         attens = {"Abuja": 10.5587, "Hartbeesthoek": 22.7269,
@@ -256,6 +365,64 @@ class TestEmitReport:
         a = emit_report(self.sweep_table(), "csv")
         b = emit_report(self.sweep_table(), "csv")
         assert a == b
+
+
+def json_oracle(header, rows) -> str:
+    return json.dumps([dict(zip(header, cells)) for cells in rows],
+                      indent=2) + "\n"
+
+
+class FloatSub(float):
+    pass
+
+
+CELLS = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                     float("nan"), float("inf"), float("-inf"),
+                     FloatSub(0.1), FloatSub("inf")]))
+
+
+class TestJsonRenderer:
+    """emit_report's json equals json.dumps(records, indent=2) byte for
+    byte, for every table shape."""
+
+    @given(st.lists(st.text(), min_size=0, max_size=6, unique=True)
+           .flatmap(lambda header: st.tuples(
+               st.just(header),
+               st.lists(st.lists(CELLS, min_size=len(header),
+                                 max_size=len(header)), max_size=5))))
+    def test_header_rows_tables(self, table):
+        header, rows = table
+        assert emit_report((header, rows), "json") == json_oracle(header, rows)
+
+    def test_percent_and_unicode_keys(self):
+        header = ["%s", "100%", "réseau", 'a"b\\c', "\x00"]
+        rows = [["%d", 1.5, "ü", None, True], ["%%", -0.0, "\n", 7, False]]
+        assert emit_report((header, rows), "json") == json_oracle(header, rows)
+
+    def test_empty_table(self):
+        assert emit_report(SweepTable(rows=()), "json") == "[]\n"
+        assert emit_report(SweepTable(rows=()), "json") == json_oracle(
+            SWEEP_COLUMNS, [])
+        assert emit_report((["a"], []), "json") == "[]\n"
+
+    def test_sweep_table(self):
+        source = ResolvedSource("ITU", r001_by_station={
+            s.name: 90.0 for s in catalog().stations})
+        table = availability_sweep(catalog(), uplink_params(), [source],
+                                   [0.001, 0.01, 0.5])
+        want = json_oracle(SWEEP_COLUMNS,
+                           [dataclasses.astuple(r) for r in table.rows])
+        assert emit_report(table, "json") == want
+        assert emit_report(list(table.rows), "json") == want
+
+    def test_comparison_rows(self):
+        rows = compare_sources(results_from(ITU_ATTEN),
+                               results_from(GPM_ATTEN, label="GPM"))
+        assert emit_report(rows, "json") == json_oracle(
+            COMPARISON_COLUMNS, [dataclasses.astuple(r) for r in rows])
 
 
 class TestEmitPlotData:

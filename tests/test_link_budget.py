@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rainlink import (CnrMode, ConfigError, DomainError, TransmissionParams,
                       available_margin, band_scenario, carrier_to_noise,
-                      evaluate_link, link_closes, noise_power, parse_scenario,
+                      evaluate_link, free_space_path_loss, link_closes,
+                      noise_power, parse_scenario, slant_range,
                       unavailability_duration)
+from rainlink.link_budget import link_budget
 
 
 def uplink_params(**overrides):
@@ -75,6 +80,35 @@ class TestCarrierToNoise:
         cnr_i = carrier_to_noise(uplink_params(), a_i)
         cnr_j = carrier_to_noise(uplink_params(), a_j)
         assert abs((cnr_i - cnr_j) - (a_j - a_i)) < 1e-9
+
+
+class TestLinkBudget:
+    @given(eirp=st.floats(0.0, 100.0), elevation=st.floats(0.0, 90.0),
+           gain=st.floats(-10.0, 60.0), other=st.floats(0.0, 10.0),
+           attenuation=st.floats(0.0, 300.0))
+    def test_physics_budget_is_the_written_formula(self, eirp, elevation,
+                                                   gain, other, attenuation):
+        params = uplink_params(eirp_dBW=eirp, elevation_deg=elevation,
+                               receiver_gain_dBi=gain, other_losses_dB=other)
+        fspl = free_space_path_loss(28.5, slant_range(1200.0, elevation))
+        want = (eirp - fspl - attenuation - other + gain
+                - noise_power(868.4, 2.1e9))
+        assert link_budget(params)(attenuation) == want
+        assert carrier_to_noise(params, attenuation) == want
+
+    def test_one_budget_many_attenuations(self):
+        cnr_of = link_budget(uplink_params(other_losses_dB=1.5), "physics")
+        for a in (0.0, 0.5, 34.1808, 250.0):
+            assert cnr_of(a) == carrier_to_noise(
+                uplink_params(other_losses_dB=1.5), a)
+        with pytest.raises(DomainError):
+            cnr_of(-0.1)
+
+    def test_calibrated_checked_once(self):
+        with pytest.raises(ConfigError):
+            link_budget(uplink_params(), CnrMode.CALIBRATED)
+        cnr_of = link_budget(uplink_params(), "calibrated", k_clear_dB=3.0665)
+        assert cnr_of(-13.2802) == 3.0665 - -13.2802
 
 
 class TestMarginAndClosure:
@@ -156,6 +190,24 @@ class TestTransmissionParams:
             uplink_params(required_margin_dB=-0.1)
         with pytest.raises(DomainError):
             uplink_params(other_losses_dB=-0.1)
+
+    @pytest.mark.parametrize("field", [
+        "frequency_GHz", "bandwidth_Hz", "eirp_dBW", "elevation_deg",
+        "receiver_gain_dBi", "system_temperature_K", "required_margin_dB",
+        "satellite_altitude_km", "other_losses_dB", "antenna_diameter_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            uplink_params(**{field: value})
+
+    @pytest.mark.parametrize("elevation", [-0.1, 90.5, 200.0])
+    def test_elevation_outside_0_90_rejected(self, elevation):
+        with pytest.raises(DomainError, match="elevation_deg"):
+            uplink_params(elevation_deg=elevation)
+
+    def test_elevation_bounds_accepted(self):
+        assert uplink_params(elevation_deg=0.0).elevation_deg == 0.0
+        assert uplink_params(elevation_deg=90.0).elevation_deg == 90.0
 
 
 SCENARIO = {

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -135,21 +137,50 @@ class TestParseScenarioValues:
         (dict(PHYSICS, sources=[R001], k_clear_dB="x"), "field k_clear_dB"),
         (dict(PHYSICS, sources=[R001], catalog=5), "field catalog"),
         (dict(PHYSICS, sources=5), "field sources"),
+        (dict(PHYSICS, sources=[R001], eirp_dBW=math.nan), "field eirp_dBW"),
+        (dict(PHYSICS, sources=[R001], elevation_deg=math.inf),
+         "field elevation_deg"),
+        (dict(PHYSICS, sources=[R001], antenna_diameter_m="nan"),
+         "field antenna_diameter_m"),
+        (dict(PHYSICS, sources=[dict(R001, value="inf")]), "field value"),
+        (dict(PHYSICS, sources=[{"label": "g", "kind": "r001",
+                                 "values": {"A": -math.inf}}]),
+         "field values['A']"),
+        (dict(PHYSICS, sources=[R001], p_list=[math.nan]), "field p_list"),
+        (dict(PHYSICS, sources=[R001], k_clear_dB=math.inf),
+         "field k_clear_dB"),
+        (dict(PHYSICS, sources=[dict(R001, values=[80.0, 90.0])]),
+         r"sources[0] (model): field values"),
+        (dict(PHYSICS, sources=[dict(R001, values=None)]),
+         r"sources[0] (model): field values"),
+        (dict(PHYSICS, sources=[{"label": "s", "kind": "series",
+                                 "paths": "a.csv"}]),
+         r"sources[0] (s): field paths"),
     ])
     def test_bad_value_names_field(self, doc, field):
-        with pytest.raises(ConfigError, match=field.replace("[", r"\[")):
+        with pytest.raises(ConfigError, match=re.escape(field)):
             parse_scenario(json.dumps(doc))
+
+    def test_elevation_outside_0_90_is_config_error(self):
+        with pytest.raises(ConfigError, match="elevation_deg"):
+            parse_scenario(json.dumps(dict(PHYSICS, sources=[self.R001],
+                                           elevation_deg=200.0)))
 
     @pytest.mark.parametrize("override", [
         {"sources": [dict(R001, value="abc")]},
         {"sources": [R001], "p_list": ["x"]},
         {"sources": [R001], "catalog": 5},
+        {"sources": [R001], "eirp_dBW": math.nan},
+        {"sources": [R001], "elevation_deg": 200.0},
+        {"sources": [dict(R001, value=50.0, values=[80.0, 90.0])]},
     ])
     def test_cli_exits_2(self, tmp_path, capsys, override):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(dict(PHYSICS, **override)))
-        assert main(["sweep", "--scenario", str(path)]) == 2
-        _, err = capsys.readouterr()
+        assert main(["sweep", "--scenario", str(path), "--format",
+                     "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ")
 
 
