@@ -20,10 +20,10 @@ from .attenuation import (AttenuationCurve, attenuation_curve,
                           horizontal_reduction_factor, latitude_term,
                           reference_attenuation, scale_attenuation,
                           vertical_adjustment)
-from .errors import (CadenceWarning, ClampWarning, ConfigError, DomainError,
-                     DuplicateWarning, ParseError, RainlinkError,
-                     SeparationWarning, UnsupportedRegimeError, UsageError,
-                     ValidationError)
+from .errors import (CadenceWarning, ClampWarning, ConfigError,
+                     CoverageWarning, DomainError, DuplicateWarning,
+                     ParseError, RainlinkError, SeparationWarning,
+                     UnsupportedRegimeError, UsageError, ValidationError)
 from .geometry import (GroundStation, PathGeometry, free_space_path_loss,
                        rain_height, rain_slant_path, slant_range)
 from .link_budget import (CnrMode, LinkResult, TransmissionParams,

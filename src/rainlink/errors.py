@@ -60,6 +60,11 @@ class CadenceWarning(UserWarning):
     exceedance over a monthly-mean series."""
 
 
+class CoverageWarning(UserWarning):
+    """A series too short or too sparse for the statistic drawn from it,
+    e.g. empirical exceedance at 0.01% from fewer than 10,000 samples."""
+
+
 class ClampWarning(UserWarning):
     """A computed factor was clamped to its physical range."""
 

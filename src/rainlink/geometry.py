@@ -35,6 +35,8 @@ class GroundStation:
             raise DomainError(f"latitude {self.latitude_deg} outside [-90, 90]")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise DomainError(f"longitude {self.longitude_deg} outside [-180, 180]")
+        if not math.isfinite(self.altitude_km):
+            raise DomainError(f"altitude {self.altitude_km} km must be finite")
         if self.altitude_km < 0.0:
             raise DomainError(f"altitude {self.altitude_km} km must be >= 0")
 

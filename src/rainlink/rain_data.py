@@ -13,6 +13,7 @@ import bisect
 import csv
 import io
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -20,16 +21,21 @@ from datetime import datetime, timezone
 from enum import Enum
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
-from .errors import (CadenceWarning, DomainError, ParseError,
-                     SeparationWarning, ValidationError)
+from .errors import (CadenceWarning, CoverageWarning, DomainError,
+                     ParseError, SeparationWarning, ValidationError)
 from .geometry import GroundStation
 
 CATALOG_HEADER = ["name", "latitude_deg", "longitude_deg", "altitude_m"]
 SERIES_HEADER = ["timestamp", "rate_mm_per_hr"]
+_SERIES_HEADER_LINE = ",".join(SERIES_HEADER)
 
 # cadences at or above this mean sample spacing are too coarse for the
 # empirical exceedance strategy to say anything about 0.01% of a year
 _COARSE_CADENCE_HOURS = 24.0 * 28.0
+
+# below this many samples the 0.01 % rank of empirical exceedance is 1:
+# the reduction returns the series maximum
+_R001_RANK_SAMPLES = 10_000
 
 
 class Strategy(str, Enum):
@@ -37,24 +43,42 @@ class Strategy(str, Enum):
     EMPIRICAL_EXCEEDANCE = "empirical_exceedance"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RainSeries:
-    """An ordered precipitation series for one station.
+    """An ordered precipitation series for one station, held as a times
+    column and a rates column of equal length.
 
     cadence is a human-readable label ("monthly", "30-minute"); when not
-    declared it is inferred from the mean sample spacing.
+    declared it is inferred from the mean sample spacing. The series can
+    also be built from samples=, a sequence of (time, rate) pairs.
     """
 
     station_ref: str
-    samples: tuple[tuple[datetime, float], ...]
-    cadence: str = ""
+    times: tuple[datetime, ...]
+    rates: tuple[float, ...]
+    cadence: str
+
+    def __init__(self, station_ref: str, times=(), rates=(),
+                 cadence: str = "", *, samples=None):
+        if samples is not None:
+            times = [t for t, _ in samples]
+            rates = [r for _, r in samples]
+        if len(times) != len(rates):
+            raise DomainError(f"{len(times)} times but {len(rates)} rates")
+        object.__setattr__(self, "station_ref", station_ref)
+        object.__setattr__(self, "times", tuple(times))
+        object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "cadence", cadence)
+
+    @property
+    def samples(self) -> tuple[tuple[datetime, float], ...]:
+        return tuple(zip(self.times, self.rates))
 
     def mean_spacing_hours(self) -> float:
-        if len(self.samples) < 2:
+        if len(self.times) < 2:
             return 0.0
-        first = self.samples[0][0]
-        last = self.samples[-1][0]
-        return (last - first).total_seconds() / 3600.0 / (len(self.samples) - 1)
+        span = self.times[-1] - self.times[0]
+        return span.total_seconds() / 3600.0 / (len(self.times) - 1)
 
 
 @dataclass(frozen=True)
@@ -198,9 +222,44 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> RainSeries:
-    """Parse a rain series CSV: strictly increasing UTC timestamps,
-    non-negative rates, at least one sample."""
+def _parse_columns(text: str):
+    """The whole series in one pass: (times, rates), or None when the text
+    is not in the plain form this pass accepts and _parse_rows must read it.
+
+    The plain form is the exact header, then lines of one comma each with
+    no quotes, no CR and no blank line; UTC timestamps that fromisoformat
+    reads as such, strictly increasing; finite, non-negative rates. Any
+    other text, valid or not, is left to the row loop, which alone reports
+    errors.
+    """
+    header, _, body = text.partition("\n")
+    if header != _SERIES_HEADER_LINE or not body or '"' in body or "\r" in body:
+        return None
+    if body.endswith("\n"):
+        body = body[:-1]
+    lines = body.split("\n")
+    # as many commas as lines, and a comma in every line: one per line
+    if body.count(",") != len(lines) or not all(
+            map(operator.contains, lines, [","] * len(lines))):
+        return None
+    del lines  # freed before the cells are built, to keep the peak down
+    cells = body.replace("\n", ",").split(",")
+    try:
+        rates = tuple(map(float, cells[1::2]))
+        times = tuple(map(datetime.fromisoformat, cells[0::2]))
+    except ValueError:
+        return None
+    # min() skips a NaN that is not first, so finiteness is checked apart
+    if not (all(map(math.isfinite, rates)) and min(rates) >= 0.0
+            and all(t.tzinfo is timezone.utc for t in times)
+            and all(map(operator.lt, times, times[1:]))):
+        return None
+    return times, rates
+
+
+def _parse_rows(text: str):
+    """The series row by row, as (times, rates); raises the error that
+    names the first bad line."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
@@ -208,7 +267,7 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
     if rows[0] != SERIES_HEADER:
         raise ParseError(f"expected header {','.join(SERIES_HEADER)}, "
                          f"got {','.join(rows[0])}", line=1)
-    samples = []
+    times, rates = [], []
     for idx, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -219,14 +278,28 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
             rate = float(row[1])
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
+        if not math.isfinite(rate):
+            raise ParseError(f"non-finite rate {rate}", line=idx)
         if rate < 0.0:
             raise ParseError(f"negative rate {rate}", line=idx)
-        if samples and ts <= samples[-1][0]:
+        if times and ts <= times[-1]:
             raise ParseError(f"timestamp {row[0].strip()} not after the previous row", line=idx)
-        samples.append((ts, rate))
-    if not samples:
+        times.append(ts)
+        rates.append(rate)
+    if not times:
         raise ValidationError("series has no sample rows")
-    return RainSeries(station_ref=station_ref, samples=tuple(samples), cadence=cadence)
+    return times, rates
+
+
+def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> RainSeries:
+    """Parse a rain series CSV: strictly increasing UTC timestamps,
+    finite non-negative rates, at least one sample.
+
+    Text in the plain form series_to_csv writes is parsed in bulk; any
+    other text, and every error, goes through the row loop.
+    """
+    times, rates = _parse_columns(text) or _parse_rows(text)
+    return RainSeries(station_ref, times, rates, cadence)
 
 
 def series_to_csv(series: RainSeries) -> str:
@@ -234,16 +307,16 @@ def series_to_csv(series: RainSeries) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SERIES_HEADER)
-    for ts, rate in series.samples:
+    for ts, rate in zip(series.times, series.rates):
         writer.writerow([ts.isoformat().replace("+00:00", "Z"), repr(rate)])
     return out.getvalue()
 
 
 def mean_rain_rate(series: RainSeries) -> float:
     """Arithmetic mean of the sample rates, mm/hr."""
-    if not series.samples:
+    if not series.rates:
         raise DomainError("series is empty")
-    return math.fsum(rate for _, rate in series.samples) / len(series.samples)
+    return math.fsum(series.rates) / len(series.rates)
 
 
 def annual_accumulation(mean_rate_mm_per_hr: float) -> float:
@@ -267,11 +340,11 @@ def chebil_r001(annual_accumulation_mm: float) -> float:
 def empirical_exceedance_rate(series: RainSeries, p_percent: float) -> float:
     """The rate exceeded during p percent of samples: sort descending and
     take the value at rank ceil(p/100 * N), clamped to a valid index."""
-    if not series.samples:
+    if not series.rates:
         raise DomainError("series is empty")
     if not 0.0 < p_percent < 100.0:
         raise DomainError(f"percentage {p_percent} outside (0, 100)")
-    rates = sorted((rate for _, rate in series.samples), reverse=True)
+    rates = sorted(series.rates, reverse=True)
     rank = math.ceil(p_percent / 100.0 * len(rates))
     rank = min(max(rank, 1), len(rates))
     return rates[rank - 1]
@@ -283,8 +356,9 @@ def resolve_r001(series: RainSeries, strategy: Strategy | str,
 
     chebil_annual: Chebil conversion of the annual accumulation implied
     by the series mean. empirical_exceedance: the rate exceeded in 0.01%
-    of samples (warns on coarse cadences, where that statistic is weak;
-    label names the source in the warning).
+    of samples (warns on coarse cadences, where that statistic is weak,
+    and on series too short for the rank to be above the maximum; label
+    names the source in the warnings).
     """
     if Strategy(strategy) is Strategy.CHEBIL_ANNUAL:
         return chebil_r001(annual_accumulation(mean_rain_rate(series)))
@@ -294,6 +368,11 @@ def resolve_r001(series: RainSeries, strategy: Strategy | str,
             f"source {label!r}: empirical exceedance over a "
             f"{series.cadence or 'coarse'} cadence is statistically weak",
             CadenceWarning, stacklevel=2)
+    if len(series.rates) < _R001_RANK_SAMPLES:
+        warnings.warn(
+            f"source {label!r}: {len(series.rates)} samples are too few for "
+            f"empirical exceedance at 0.01% (it needs {_R001_RANK_SAMPLES}); "
+            f"R001 is the series maximum", CoverageWarning, stacklevel=2)
     return empirical_exceedance_rate(series, 0.01)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .analysis import ResolvedSource
-from .constants import P_MAX_PERCENT, P_MIN_PERCENT
+from .constants import MIN_ELEVATION_DEG, P_MAX_PERCENT, P_MIN_PERCENT
 from .errors import ConfigError, DomainError
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import (StationCatalog, Strategy, parse_rain_series,
@@ -178,6 +178,12 @@ def parse_scenario(text: str) -> Scenario:
     labels = [s.label for s in sources]
     if len(set(labels)) != len(labels):
         raise ConfigError("source labels must be unique")
+    # the rain chain has no low-angle branch; injected attenuation skips it
+    rain = [s.label for s in sources if s.kind is not SourceKind.ATTENUATION]
+    if rain and params.elevation_deg < MIN_ELEVATION_DEG:
+        raise ConfigError(f"field elevation_deg: {params.elevation_deg:g} is "
+                          f"below the {MIN_ELEVATION_DEG:g} degree floor of "
+                          f"the rain chain (source {rain[0]!r})")
     polarization = _choice(Polarization, doc.get("polarization", "vertical"),
                            "field polarization")
     return Scenario(params=params, mode=mode, k_clear_dB=k_clear,

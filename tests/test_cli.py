@@ -156,6 +156,33 @@ class TestAttenuation:
         cells = out.splitlines()[1].split(",")
         assert abs(float(cells[2]) - 103.00932178409715) < 1e-9
 
+    @pytest.mark.parametrize("strategy", ["chebil_annual",
+                                          "empirical_exceedance"])
+    def test_non_finite_rate_is_data_error(self, tmp_path, capsys, strategy):
+        series = tmp_path / "rain.csv"
+        series.write_text("timestamp,rate_mm_per_hr\n"
+                          "2010-01-01T00:00:00Z,1\n"
+                          "2010-01-01T01:00:00Z,nan\n"
+                          "2010-01-01T02:00:00Z,3\n")
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--series",
+                     str(series), "--strategy", strategy,
+                     "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 3: non-finite rate nan\n"
+
+    def test_non_finite_altitude_is_data_error(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                           "A,0,0,nan\n")
+        assert main(["attenuation", "--catalog", str(catalog), "--station",
+                     "A", "--freq-ghz", "28.5", "--elevation-deg", "20",
+                     "--r001", "50", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 2: altitude nan km")
+
     def test_unknown_station_is_data_error(self, capsys):
         assert main(["attenuation", "--station", "Atlantis", "--freq-ghz",
                      "28.5", "--elevation-deg", "20", "--r001", "42"]) == 3

@@ -133,3 +133,8 @@ class TestGroundStation:
             GroundStation("x", 0.0, 0.0, -0.1)
         with pytest.raises(DomainError):
             GroundStation("", 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("altitude", [math.nan, math.inf])
+    def test_non_finite_altitude_rejected(self, altitude):
+        with pytest.raises(DomainError, match="finite"):
+            GroundStation("x", 0.0, 0.0, altitude)

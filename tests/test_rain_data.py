@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainlink import (CadenceWarning, DomainError, ParseError,
+import rainlink.rain_data as rain_data
+from rainlink import (CadenceWarning, CoverageWarning, DomainError, ParseError,
                       RainSeries, SeparationWarning,
                       Strategy, ValidationError, annual_accumulation,
                       catalog_to_csv, chebil_r001, empirical_exceedance_rate,
@@ -81,6 +82,13 @@ class TestParseStationCatalog:
         names = [s.name for s in catalog.stations]
         assert names == ["Abuja", "Hartbeesthoek", "Cairo", "Longonot",
                          "Port Louis", "Praia"]
+
+    @pytest.mark.parametrize("altitude", ["nan", "inf", "-inf"])
+    def test_non_finite_altitude_names_line(self, altitude):
+        text = CATALOG + f"A,0,0,{altitude}\n"
+        with pytest.raises(ParseError) as err:
+            parse_station_catalog(text)
+        assert err.value.line == 4
 
     def test_round_trip(self):
         catalog = parse_station_catalog(packaged_catalog_text())
@@ -276,6 +284,204 @@ class TestParseRainSeries:
         assert again.samples == series.samples
 
 
+    @pytest.mark.parametrize("rate", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_rate_names_line(self, rate):
+        text = ("timestamp,rate_mm_per_hr\n"
+                "2010-01-01T00:00:00Z,1\n"
+                f"2010-01-01T01:00:00Z,{rate}\n"
+                "2010-01-01T02:00:00Z,3\n")
+        with pytest.raises(ParseError, match="non-finite rate") as err:
+            parse_rain_series(text)
+        assert err.value.line == 3
+
+    def test_columns_and_samples_agree(self):
+        series = make_series([0.5, 0.0, 2.25])
+        assert series.rates == (0.5, 0.0, 2.25)
+        assert series.samples == tuple(zip(series.times, series.rates))
+        assert RainSeries("x", series.times, series.rates) == series
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(DomainError):
+            RainSeries("x", (datetime(2010, 1, 1, tzinfo=timezone.utc),), ())
+
+
+UTC_OFFSETS = ["Z", "+00:00", "-00:00"]
+OTHER_OFFSETS = ["+02:00", "-05:30", "naive"]
+
+
+def stamp_text(ts: datetime, offset: str) -> str:
+    """ts (UTC) written with the given offset, or naive."""
+    if offset == "naive":
+        return ts.replace(tzinfo=None).isoformat()
+    if offset in UTC_OFFSETS:
+        return ts.isoformat().replace("+00:00", offset)
+    sign = 1 if offset[0] == "+" else -1
+    hours, minutes = map(int, offset[1:].split(":"))
+    zone = timezone(sign * timedelta(hours=hours, minutes=minutes))
+    return ts.astimezone(zone).isoformat()
+
+
+RATE_TEXT = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(min_value=0, max_value=500).map(str),
+    st.floats(min_value=0.0, max_value=100.0).map(lambda r: f"{r:.2f}"),
+    st.floats(min_value=0.0, max_value=100.0).map(lambda r: f"{r:e}"))
+
+
+@st.composite
+def series_lines(draw, offsets):
+    """Body lines of a valid series: strictly increasing UTC instants,
+    each stamp written with one of offsets, rates as text."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    ts = datetime(2010, 1, 1, tzinfo=timezone.utc)
+    lines = []
+    for _ in range(n):
+        ts += timedelta(seconds=draw(st.integers(1, 10 ** 7)),
+                        microseconds=draw(st.sampled_from([0, 0, 500000, 7])))
+        lines.append(f"{stamp_text(ts, draw(st.sampled_from(offsets)))},"
+                     f"{draw(RATE_TEXT)}")
+    return lines
+
+
+def series_text(lines, final_newline=True):
+    return "\n".join(["timestamp,rate_mm_per_hr"] + lines) \
+        + ("\n" if final_newline else "")
+
+
+def outcome(parse, text):
+    """What parsing text gives: the columns, or the error raised."""
+    try:
+        times, rates = parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    assert all(t.tzinfo is timezone.utc for t in times)
+    return tuple(times), tuple(rates)
+
+
+def bulk_first(text):
+    series = parse_rain_series(text)
+    return series.times, series.rates
+
+
+def mutate(lines, kind, i, token):
+    """lines with one defect of the given kind at line i; the kinds that
+    need a line before or after i leave the lines as they are without
+    one. token is the text a "rate", "extra_field" or "stamp" defect
+    writes."""
+    lines = list(lines)
+    stamp, rate = lines[i].split(",")
+    if kind == "blank":
+        lines.insert(i, "")
+    elif kind == "quote":
+        lines[i] = f'"{stamp}",{rate}'
+    elif kind == "lead_space":
+        lines[i] = f" {stamp},{rate}"
+    elif kind == "trail_space":
+        lines[i] = f"{stamp} ,{rate}"
+    elif kind == "lower_z":
+        lines[i] = f"{stamp[:-1]}z,{rate}"
+    elif kind == "repeat" and i > 0:
+        lines[i] = f"{lines[i - 1].split(',')[0]},{rate}"
+    elif kind == "swap" and i > 0:
+        previous = lines[i - 1].split(",")
+        lines[i - 1], lines[i] = f"{stamp},{previous[1]}", \
+            f"{previous[0]},{rate}"
+    elif kind == "rate":
+        lines[i] = f"{stamp},{token}"
+    elif kind == "extra_field":
+        lines[i] = f"{stamp},{rate},{token}"
+    elif kind == "one_field":
+        lines[i] = stamp
+    elif kind == "shifted_field" and i + 1 < len(lines):
+        # the rate moved to the start of the next line: one comma per line
+        # on average, and the cells still alternate stamp, rate
+        lines[i], lines[i + 1] = stamp, f"{rate},{lines[i + 1]}"
+    elif kind == "stamp":
+        lines[i] = f"{token},{rate}"
+    return lines
+
+
+class TestBulkParse:
+    """parse_rain_series parses plain text in bulk and leaves the rest to
+    the row loop; both must give what the row loop alone gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=series_lines(UTC_OFFSETS + OTHER_OFFSETS),
+           final_newline=st.booleans())
+    def test_agrees_with_row_loop_on_valid_series(self, lines, final_newline):
+        text = series_text(lines, final_newline)
+        expected = outcome(rain_data._parse_rows, text)
+        assert isinstance(expected[0], tuple)
+        assert outcome(bulk_first, text) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=series_lines(UTC_OFFSETS), final_newline=st.booleans())
+    def test_utc_series_take_the_bulk_path(self, lines, final_newline):
+        text = series_text(lines, final_newline)
+        columns = rain_data._parse_columns(text)
+        assert columns is not None
+        assert outcome(lambda _: columns, text) == outcome(
+            rain_data._parse_rows, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=series_lines(["Z", "+00:00"]),
+           kind=st.sampled_from(["blank", "crlf", "quote", "lead_space",
+                                 "trail_space", "lower_z",
+                                 "repeat", "swap", "rate", "extra_field",
+                                 "one_field", "shifted_field", "stamp",
+                                 "header"]),
+           where=st.integers(min_value=0),
+           token=st.sampled_from(["-1", "-0.5", "-0.0", "nan", "inf", "-inf",
+                                  "NaN", "1e999", "abc", "", " 2.5 ",
+                                  "not-a-time", "2010-13-01T00:00:00Z"]),
+           final_newline=st.booleans())
+    def test_agrees_with_row_loop_on_defects(self, lines, kind, where, token,
+                                             final_newline):
+        i = where % len(lines)
+        if kind == "crlf":
+            text = series_text(lines, final_newline).replace("\n", "\r\n")
+        elif kind == "header":
+            text = series_text(lines, final_newline).replace(
+                "timestamp,", "timestamp ,", 1)
+        else:
+            text = series_text(mutate(lines, kind, i, token), final_newline)
+        expected = outcome(rain_data._parse_rows, text)
+        assert outcome(bulk_first, text) == expected
+        if not isinstance(expected[0], tuple):
+            # the row loop rejects it, so the bulk pass must have declined
+            assert rain_data._parse_columns(text) is None
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "timestamp,rate_mm_per_hr",
+        "timestamp,rate_mm_per_hr\n",
+        "timestamp,rate_mm_per_hr\n\n",
+        "timestamp,rate\n2010-01-01T00:00:00Z,1\n",
+        # the right number of commas, but not one on every line
+        "timestamp,rate_mm_per_hr\n"
+        "2010-01-01T00:00:00Z,1,2010-01-02T00:00:00Z\n2\n",
+    ])
+    def test_degenerate_texts_match_row_loop(self, text):
+        assert rain_data._parse_columns(text) is None
+        assert outcome(bulk_first, text) == outcome(rain_data._parse_rows,
+                                                    text)
+
+    def test_plain_series_never_reach_the_row_loop(self, monkeypatch):
+        rng = random.Random(11)
+        series = make_series([round(rng.lognormvariate(0.6, 1.2), 2)
+                              if rng.random() < 0.1 else 0.0
+                              for _ in range(2000)], step_hours=0.5)
+        text = series_to_csv(series)
+
+        def row_loop(text):
+            raise AssertionError("row loop reached for a plain series")
+
+        monkeypatch.setattr(rain_data, "_parse_rows", row_loop)
+        assert parse_rain_series(text, station_ref="x") == series
+        offsets = text.replace("Z,", "+00:00,").rstrip("\n")
+        assert parse_rain_series(offsets, station_ref="x") == series
+
+
 class TestReductions:
     def test_mean_constant(self):
         assert mean_rain_rate(make_series([0.5] * 7)) == 0.5
@@ -363,3 +569,21 @@ class TestResolveR001:
                                  "gauge")
         assert value == 9.0
         assert not any(isinstance(w.message, CadenceWarning) for w in record)
+
+    def test_empirical_on_short_series_warns_coverage(self):
+        series = make_series([0.0] * 9998 + [7.0], step_hours=0.5)
+        with pytest.warns(CoverageWarning,
+                          match=r"'gauge': 9999 samples .* needs 10000"):
+            value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE,
+                                 "gauge")
+        assert value == 7.0
+
+    @pytest.mark.parametrize("count, strategy", [
+        (10000, Strategy.EMPIRICAL_EXCEEDANCE),
+        (12, Strategy.CHEBIL_ANNUAL)])
+    def test_no_coverage_warning(self, count, strategy):
+        series = make_series([0.5] * count, step_hours=0.5)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            resolve_r001(series, strategy, "gauge")
+        assert record == []

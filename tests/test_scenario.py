@@ -166,12 +166,29 @@ class TestParseScenarioValues:
             parse_scenario(json.dumps(dict(PHYSICS, sources=[self.R001],
                                            elevation_deg=200.0)))
 
+    @pytest.mark.parametrize("kind", [{"kind": "r001", "value": 50.0},
+                                      {"kind": "series",
+                                       "paths": {"Abuja": "a.csv"}}])
+    def test_elevation_below_chain_floor_is_config_error(self, kind):
+        doc = dict(PHYSICS, elevation_deg=3.0,
+                   sources=[dict(kind, label="rain")])
+        with pytest.raises(ConfigError,
+                           match=r"field elevation_deg: 3 .*'rain'"):
+            parse_scenario(json.dumps(doc))
+
+    def test_injected_attenuation_below_chain_floor_accepted(self):
+        doc = dict(PHYSICS, elevation_deg=3.0,
+                   sources=[{"label": "fade", "kind": "attenuation",
+                             "values": {"Abuja": 1.0}}])
+        assert parse_scenario(json.dumps(doc)).params.elevation_deg == 3.0
+
     @pytest.mark.parametrize("override", [
         {"sources": [dict(R001, value="abc")]},
         {"sources": [R001], "p_list": ["x"]},
         {"sources": [R001], "catalog": 5},
         {"sources": [R001], "eirp_dBW": math.nan},
         {"sources": [R001], "elevation_deg": 200.0},
+        {"sources": [R001], "elevation_deg": 3.0},
         {"sources": [dict(R001, value=50.0, values=[80.0, 90.0])]},
     ])
     def test_cli_exits_2(self, tmp_path, capsys, override):
