@@ -61,8 +61,8 @@ class CadenceWarning(UserWarning):
 
 
 class CoverageWarning(UserWarning):
-    """A series too short or too sparse for the statistic drawn from it,
-    e.g. empirical exceedance at 0.01% from fewer than 10,000 samples."""
+    """A series too short for the statistic drawn from it, e.g. empirical
+    exceedance at 0.01% from fewer than 10,000 samples."""
 
 
 class ClampWarning(UserWarning):

@@ -265,7 +265,7 @@ def _parse_rows(text: str):
     if not rows:
         raise ValidationError("empty series")
     if rows[0] != SERIES_HEADER:
-        raise ParseError(f"expected header {','.join(SERIES_HEADER)}, "
+        raise ParseError(f"expected header {_SERIES_HEADER_LINE}, "
                          f"got {','.join(rows[0])}", line=1)
     times, rates = [], []
     for idx, row in enumerate(rows[1:], start=2):
