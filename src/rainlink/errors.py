@@ -62,7 +62,7 @@ class CadenceWarning(UserWarning):
 
 class CoverageWarning(UserWarning):
     """A series too short for the statistic drawn from it, e.g. empirical
-    exceedance at 0.01% from fewer than 10,000 samples."""
+    exceedance at 0.01% from 10,000 samples or fewer."""
 
 
 class ClampWarning(UserWarning):

@@ -33,7 +33,7 @@ _SERIES_HEADER_LINE = ",".join(SERIES_HEADER)
 # empirical exceedance strategy to say anything about 0.01% of a year
 _COARSE_CADENCE_HOURS = 24.0 * 28.0
 
-# below this many samples the 0.01 % rank of empirical exceedance is 1:
+# up to this many samples the 0.01 % rank of empirical exceedance is 1:
 # the reduction returns the series maximum
 _R001_RANK_SAMPLES = 10_000
 
@@ -235,6 +235,14 @@ def _parse_columns(text: str):
     header, _, body = text.partition("\n")
     if header != _SERIES_HEADER_LINE or not body or '"' in body or "\r" in body:
         return None
+    # naive or offset stamps are left to the row loop before any column
+    # is built, judged by the first one
+    try:
+        first = datetime.fromisoformat(body[:body.find(",")])
+    except ValueError:
+        return None
+    if first.tzinfo is not timezone.utc:
+        return None
     if body.endswith("\n"):
         body = body[:-1]
     lines = body.split("\n")
@@ -368,11 +376,12 @@ def resolve_r001(series: RainSeries, strategy: Strategy | str,
             f"source {label!r}: empirical exceedance over a "
             f"{series.cadence or 'coarse'} cadence is statistically weak",
             CadenceWarning, stacklevel=2)
-    if len(series.rates) < _R001_RANK_SAMPLES:
+    if len(series.rates) <= _R001_RANK_SAMPLES:
         warnings.warn(
             f"source {label!r}: {len(series.rates)} samples are too few for "
-            f"empirical exceedance at 0.01% (it needs {_R001_RANK_SAMPLES}); "
-            f"R001 is the series maximum", CoverageWarning, stacklevel=2)
+            f"empirical exceedance at 0.01% (it needs more than "
+            f"{_R001_RANK_SAMPLES}); R001 is the series maximum",
+            CoverageWarning, stacklevel=2)
     return empirical_exceedance_rate(series, 0.01)
 
 

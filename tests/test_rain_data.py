@@ -570,16 +570,18 @@ class TestResolveR001:
         assert value == 9.0
         assert not any(isinstance(w.message, CadenceWarning) for w in record)
 
-    def test_empirical_on_short_series_warns_coverage(self):
-        series = make_series([0.0] * 9998 + [7.0], step_hours=0.5)
+    @pytest.mark.parametrize("count", [9999, 10000])
+    def test_empirical_on_short_series_warns_coverage(self, count):
+        series = make_series([0.0] * (count - 1) + [7.0], step_hours=0.5)
         with pytest.warns(CoverageWarning,
-                          match=r"'gauge': 9999 samples .* needs 10000"):
+                          match=rf"'gauge': {count} samples .* needs more "
+                                r"than 10000"):
             value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE,
                                  "gauge")
         assert value == 7.0
 
     @pytest.mark.parametrize("count, strategy", [
-        (10000, Strategy.EMPIRICAL_EXCEEDANCE),
+        (10001, Strategy.EMPIRICAL_EXCEEDANCE),
         (12, Strategy.CHEBIL_ANNUAL)])
     def test_no_coverage_warning(self, count, strategy):
         series = make_series([0.5] * count, step_hours=0.5)
