@@ -481,6 +481,19 @@ class TestBulkParse:
         offsets = text.replace("Z,", "+00:00,").rstrip("\n")
         assert parse_rain_series(offsets, station_ref="x") == series
 
+    @pytest.mark.parametrize("suffix", ["", "+02:00"])
+    def test_non_utc_series_decline_before_the_columns(self, monkeypatch,
+                                                       suffix):
+        text = series_to_csv(make_series([0.5] * 50)).replace("Z,",
+                                                              suffix + ",")
+
+        class NoColumnWork:
+            def __getattr__(self, name):
+                raise AssertionError("columns built for a non-UTC series")
+
+        monkeypatch.setattr(rain_data, "operator", NoColumnWork())
+        assert rain_data._parse_columns(text) is None
+
 
 class TestReductions:
     def test_mean_constant(self):
