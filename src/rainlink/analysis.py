@@ -8,18 +8,20 @@ humans and rounds for readability.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
+from itertools import repeat, starmap
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 
-from .attenuation import attenuation_curve, check_p_percent
+from .attenuation import PPlan, attenuation_curve
 from .errors import DomainError, UsageError, ValidationError
 from .geometry import rain_slant_path
-from .link_budget import (CnrMode, LinkResult, TransmissionParams,
-                          available_margin, link_budget, link_closes)
+from .link_budget import CnrMode, LinkResult, TransmissionParams, link_budget
 from .rain_data import StationCatalog
 from .rain_physics import (CoefficientTable, Polarization,
                            regression_coefficients)
@@ -28,6 +30,8 @@ SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
                  "required_margin_dB", "available_margin_dB", "closes"]
 COMPARISON_COLUMNS = ["station", "baseline_attenuation_dB",
                       "estimate_attenuation_dB", "overestimation_percent"]
+# a LinkResult's fields, in SWEEP_COLUMNS order, as a tuple
+_LINK_CELLS = attrgetter(*(f.name for f in fields(LinkResult)))
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,8 @@ class ComparisonRow:
         # integer display per the reporting convention; raw value retained
         return round(self.overestimation_percent)
 
+
+_COMPARISON_CELLS = attrgetter(*(f.name for f in fields(ComparisonRow)))
 
 @dataclass(frozen=True)
 class ResolvedSource:
@@ -65,13 +71,24 @@ class ResolvedSource:
                                   "r001_by_station/attenuation_by_station required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepTable:
     """Link results over the (station, source, p) cross-product, sorted by
-    station, then source, then p. diagnostics carries chain notes."""
+    station, then source, then p: records holds one tuple per row in
+    SWEEP_COLUMNS order, rows the LinkResults, built on first access (or
+    given). diagnostics carries chain notes."""
 
-    rows: tuple[LinkResult, ...]
-    diagnostics: tuple[str, ...] = field(default=())
+    records: tuple[tuple, ...]
+    diagnostics: tuple[str, ...]
+
+    def __init__(self, rows=(), diagnostics=(), *, records=None):
+        object.__setattr__(self, "records", tuple(
+            map(_LINK_CELLS, rows) if records is None else records))
+        object.__setattr__(self, "diagnostics", tuple(diagnostics))
+
+    @cached_property
+    def rows(self) -> tuple[LinkResult, ...]:
+        return tuple(starmap(LinkResult, self.records))
 
 
 def overestimation_percentage(baseline_dB: float, estimate_dB: float) -> float:
@@ -104,13 +121,9 @@ def compare_sources(baseline_results: list[LinkResult],
         raise ValidationError("station sets differ; " + "; ".join(parts))
     rows = []
     for base in baseline_results:
-        est = est_by_station[base.station_ref]
-        rows.append(ComparisonRow(
-            station_ref=base.station_ref,
-            baseline_attenuation_dB=base.attenuation_dB,
-            estimate_attenuation_dB=est.attenuation_dB,
-            overestimation_percent=overestimation_percentage(
-                base.attenuation_dB, est.attenuation_dB)))
+        a, b = base.attenuation_dB, est_by_station[base.station_ref].attenuation_dB
+        rows.append(ComparisonRow(base.station_ref, a, b,
+                                  overestimation_percentage(a, b)))
     return rows
 
 
@@ -132,10 +145,8 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                                      table=coefficient_table)
     cnr_of = link_budget(params, mode, k_clear_dB)
     required = params.required_margin_dB
-    p_points = sorted(set(p_list))
-    for p in p_points:
-        check_p_percent(p)
-    rows: list[LinkResult] = []
+    plan = PPlan(p_list)
+    rows: list[tuple] = []
     diagnostics: list[str] = []
     for station in catalog.stations:
         path = None
@@ -148,23 +159,22 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                                       f"value for station {station.name!r}")
             value = by_station[station.name]
             if injected:
-                points = [(p, value) for p in p_points]
+                points = [(p, value) for p in plan]
             else:
                 if path is None:
                     path = rain_slant_path(station, params.elevation_deg)
-                curve = attenuation_curve(station, path, coeffs, value,
-                                          p_points)
+                curve = attenuation_curve(station, path, coeffs, value, plan)
                 for note in curve.diagnostics:
                     diagnostics.append(f"{station.name}/{source.label}: {note}")
                 points = curve.points
+            # available_margin and link_closes, inline
             for p, a_p in points:
                 cnr = cnr_of(a_p)
-                margin = available_margin(cnr, required)
-                rows.append(LinkResult(station.name, source.label, p, a_p,
-                                       cnr, required, margin,
-                                       link_closes(margin)))
-    rows.sort(key=lambda r: (r.station_ref, r.source_label, r.p_percent))
-    return SweepTable(rows=tuple(rows), diagnostics=tuple(diagnostics))
+                margin = cnr - required
+                rows.append((station.name, source.label, p, a_p, cnr,
+                             required, margin, margin >= 0.0))
+    rows.sort(key=itemgetter(0, 1, 2))
+    return SweepTable(records=rows, diagnostics=diagnostics)
 
 
 def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
@@ -179,114 +189,109 @@ def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
                   key=lambda r: (-r.available_margin_dB, r.station_ref))
 
 
-def _float_text(value: float) -> str:
-    return repr(float(value))
-
-
-def _sweep_cells(row: LinkResult) -> list:
-    return [row.station_ref, row.source_label, row.p_percent,
-            row.attenuation_dB, row.cnr_dB, row.required_margin_dB,
-            row.available_margin_dB, row.closes]
-
-
-def _comparison_cells(row: ComparisonRow) -> list:
-    return [row.station_ref, row.baseline_attenuation_dB,
-            row.estimate_attenuation_dB, row.overestimation_percent]
-
-
-def _table_shape(table) -> tuple[list[str], Iterable[Sequence]]:
-    """The header and the row cells of a table, the rows to be iterated
-    once."""
+def _table_shape(table) -> tuple[list[str], list]:
+    """The header and the row cells of a table."""
     if isinstance(table, SweepTable):
-        return SWEEP_COLUMNS, map(_sweep_cells, table.rows)
+        return SWEEP_COLUMNS, table.records
     if isinstance(table, tuple) and len(table) == 2:
-        header, rows = table
-        return list(header), rows
+        return list(table[0]), list(table[1])
     if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
-        return COMPARISON_COLUMNS, map(_comparison_cells, table)
+        return COMPARISON_COLUMNS, list(map(_COMPARISON_CELLS, table))
     if isinstance(table, list) and all(isinstance(r, LinkResult) for r in table):
-        return SWEEP_COLUMNS, map(_sweep_cells, table)
+        return SWEEP_COLUMNS, list(map(_LINK_CELLS, table))
     raise UsageError(f"cannot emit a report for {type(table).__name__}")
-
-
-def _json_text(value) -> str:
-    """value as json.dumps writes it."""
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
 
 
 def _cell_text(value, machine: bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _float_text(value) if machine else f"{value:.4f}"
+        return repr(float(value)) if machine else f"{value:.4f}"
     return str(value)
 
 
+# per format, the text of a cell in an all-str column, in a column of
+# exact finite floats, and in any other column
+_FORMATTERS = {
+    "csv": (str, repr, partial(_cell_text, machine=True)),
+    "json": (encode_basestring_ascii, repr, json.dumps),
+    "aligned-table": (str, "{:.4f}".format, partial(_cell_text, machine=False)),
+}
+_FORMATTERS["table"] = _FORMATTERS["aligned-table"]
+
+
+def _column_texts(column, str_text, float_text, any_text) -> list[str]:
+    """The texts of one column's cells, the formatter chosen once from
+    the types the column holds. A value that repeats is formatted once,
+    unless the column holds a zero (0.0 and -0.0 are one dict key)."""
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        text = str_text
+    elif kinds == {float} and all(map(math.isfinite, column)):
+        text = float_text
+    elif kinds == {bool}:
+        text = {True: "true", False: "false"}.__getitem__
+    else:
+        return list(map(any_text, column))
+    distinct = set(column)
+    if 2 * len(distinct) <= len(column) and 0.0 not in distinct:
+        text = dict(zip(distinct, map(text, distinct))).__getitem__
+    return list(map(text, column))
+
+
 def emit_report(table, format: str = "csv") -> str:
-    """Serialize a SweepTable, a list of LinkResult, or a list of
-    ComparisonRow. Formats: csv, json, aligned-table (alias: table)."""
+    """Serialize a SweepTable, a list of LinkResult or of ComparisonRow, or
+    a (header, rows) pair. Formats: csv, json, aligned-table (alias: table)."""
     header, rows = _table_shape(table)
+    if format not in _FORMATTERS:
+        raise UsageError(f"unknown format {format!r} (choose csv, json, or "
+                         "aligned-table)")
+    if set(map(len, rows)) - {len(header)}:
+        raise UsageError(f"every row must have {len(header)} cells")
+    columns = [_column_texts(column, *_FORMATTERS[format])
+               for column in zip(*rows)] or [[]] * len(header)
+    lines = list(zip(*columns)) if header else [()] * len(rows)
     if format == "csv":
-        import csv as _csv
         out = io.StringIO()
-        writer = _csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for cells in rows:
-            writer.writerow([_cell_text(c, machine=True) for c in cells])
+        writer.writerows(lines)
         return out.getvalue()
     if format == "json":
         # the layout of json.dumps(records, indent=2), one record per row
         template = "{" + ",".join(
             f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
             for k in header) + "\n  }" if header else "{}"
-        records = [template % tuple(map(_json_text, cells)) for cells in rows]
+        records = [template % cells for cells in lines]
         if not records:
             return "[]\n"
         # brackets on the end records, so one join builds the document
         records[0] = "[\n  " + records[0]
         records[-1] += "\n]\n"
         return ",\n  ".join(records)
-    if format in ("aligned-table", "table"):
-        texts = [header] + [[_cell_text(c, machine=False) for c in cells]
-                            for cells in rows]
-        widths = [max(len(t[i]) for t in texts) for i in range(len(header))]
-        lines = []
-        for t in texts:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(t, widths)).rstrip())
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format {format!r} (choose csv, json, or "
-                     "aligned-table)")
+    padded = [list(map(str.ljust, column, repeat(max(map(len, column)))))
+              for column in ([h, *c] for h, c in zip(header, columns))]
+    lines = list(zip(*padded)) if header else [()] * (len(rows) + 1)
+    return "\n".join(["  ".join(cells).rstrip() for cells in lines]) + "\n"
 
 
 def parse_report_csv(text: str) -> tuple[list[str], list[list]]:
     """Re-parse an emit_report csv back to typed cells (round-trip
     counterpart)."""
-    import csv as _csv
-    rows = list(_csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise ValidationError("empty report")
     header, data = rows[0], rows[1:]
-    typed = []
-    for row in data:
-        cells = []
-        for cell in row:
-            if cell in ("true", "false"):
-                cells.append(cell == "true")
-                continue
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        typed.append(cells)
-    return header, typed
+    return header, [list(map(_typed_cell, row)) for row in data]
+
+
+def _typed_cell(cell: str):
+    if cell in ("true", "false"):
+        return cell == "true"
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 @dataclass(frozen=True)
@@ -304,17 +309,13 @@ def sweep_to_plot_curves(table: SweepTable,
     """Group sweep rows into per-(station, source) curves of one field."""
     if value_field not in ("attenuation_dB", "cnr_dB", "available_margin_dB"):
         raise UsageError(f"unknown plot field {value_field!r}")
+    column = SWEEP_COLUMNS.index(value_field)
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for row in table.rows:
-        key = (row.station_ref, row.source_label)
-        grouped.setdefault(key, []).append((row.p_percent,
-                                            getattr(row, value_field)))
-    curves = []
-    for (station, source), points in sorted(grouped.items()):
-        curves.append(PlotCurve(station_ref=station, source_label=source,
-                                value_field=value_field,
-                                points=tuple(sorted(points))))
-    return curves
+    for record in table.records:
+        grouped.setdefault(record[:2], []).append((record[2], record[column]))
+    return [PlotCurve(station_ref=station, source_label=source,
+                      value_field=value_field, points=tuple(sorted(points)))
+            for (station, source), points in sorted(grouped.items())]
 
 
 def emit_plot_data(curves: list[PlotCurve]) -> str:
@@ -325,12 +326,7 @@ def emit_plot_data(curves: list[PlotCurve]) -> str:
     fields = {c.value_field for c in curves}
     if len(fields) > 1:
         raise UsageError(f"curves mix value fields: {', '.join(sorted(fields))}")
-    import csv as _csv
-    out = io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
-    writer.writerow(["station", "source", "p_percent", curves[0].value_field])
-    for curve in curves:
-        for p, value in curve.points:
-            writer.writerow([curve.station_ref, curve.source_label,
-                             _float_text(p), _float_text(value)])
-    return out.getvalue()
+    rows = [[c.station_ref, c.source_label, float(p), float(value)]
+            for c in curves for p, value in c.points]
+    return emit_report((["station", "source", "p_percent",
+                         curves[0].value_field], rows), "csv")

@@ -83,21 +83,14 @@ def vertical_adjustment(L_G_km: float, r001: float, rain_height_km: float,
     degrees and the trigonometric terms in radians.
     """
     e_rad = math.radians(elevation_deg)
-    height = rain_height_km - station_altitude_km
-    if height < 0.0:
-        height = 0.0
+    height = max(rain_height_km - station_altitude_km, 0.0)
     horizontal = L_G_km * r001
-    if horizontal == 0.0:
-        # vertical-path fallback; atan would be ill-defined
-        L_R = height / math.sin(e_rad)
+    # a zero horizontal extent takes the vertical path: zeta is undefined
+    if horizontal != 0.0 and math.atan2(height, horizontal) > e_rad:
+        L_R = horizontal / math.cos(e_rad)
     else:
-        zeta = math.atan2(height, horizontal)
-        if zeta > e_rad:
-            L_R = horizontal / math.cos(e_rad)
-        else:
-            L_R = height / math.sin(e_rad)
-    abs_lat = abs(absolute_latitude_deg)
-    chi = 36.0 - abs_lat if abs_lat < 36.0 else 0.0
+        L_R = height / math.sin(e_rad)
+    chi = max(36.0 - abs(absolute_latitude_deg), 0.0)
     v001 = 1.0 / (1.0 + math.sqrt(math.sin(e_rad)) * (
         31.0 * (1.0 - math.exp(-elevation_deg / (1.0 + chi)))
         * math.sqrt(L_R * gamma_dB_per_km) / frequency_GHz ** 2 - 0.45))
@@ -111,18 +104,36 @@ def reference_attenuation(gamma_dB_per_km: float, effective_path_km: float) -> f
     return gamma_dB_per_km * effective_path_km
 
 
+def _z_below_1(abs_lat: float, elevation_deg: float) -> float:
+    if abs_lat >= 36.0:
+        return 0.0
+    if elevation_deg >= 25.0:
+        return -0.005 * (abs_lat - 36.0)
+    return -0.005 * (abs_lat - 36.0) + 1.8 - 4.25 * math.sin(math.radians(elevation_deg))
+
+
 def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
                   p_percent: float) -> float:
     """The z term of the scaling exponent, per the four-branch rule:
     zero at p >= 1% or |lat| >= 36 deg; -0.005(|lat|-36) at elevations
     of 25 deg and above; the same plus 1.8 - 4.25 sin(e) below."""
     check_p_percent(p_percent)
-    abs_lat = abs(absolute_latitude_deg)
-    if p_percent >= 1.0 or abs_lat >= 36.0:
-        return 0.0
-    if elevation_deg >= 25.0:
-        return -0.005 * (abs_lat - 36.0)
-    return -0.005 * (abs_lat - 36.0) + 1.8 - 4.25 * math.sin(math.radians(elevation_deg))
+    return (0.0 if p_percent >= 1.0
+            else _z_below_1(abs(absolute_latitude_deg), elevation_deg))
+
+
+def _scaled(A001_dB: float, z_below_1: float, z_from_1: float,
+            elevation_deg: float, plan) -> list[tuple[float, float]]:
+    """(p, A_p) over a plan, with z_below_1 where p < 1, else z_from_1;
+    sin(e) and ln A001 are taken once."""
+    if A001_dB == 0.0:
+        return [(p, 0.0) for p in plan]
+    sin_e = math.sin(math.radians(elevation_deg))
+    ln_term = 0.045 * math.log(A001_dB)
+    return [(p, A001_dB * (p / 0.01) ** -(
+        0.655 + 0.033 * math.log(p) - ln_term
+        - (z_below_1 if p < 1.0 else z_from_1) * sin_e * (1.0 - p)))
+        for p in plan]
 
 
 def scale_attenuation(A001_dB: float, p_percent: float, z: float,
@@ -137,44 +148,45 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
     check_p_percent(p_percent)
     if A001_dB < 0.0:
         raise DomainError(f"reference attenuation {A001_dB} dB must be >= 0")
-    if A001_dB == 0.0:
-        return 0.0
-    exponent = -(0.655 + 0.033 * math.log(p_percent) - 0.045 * math.log(A001_dB)
-                 - z * math.sin(math.radians(elevation_deg)) * (1.0 - p_percent))
-    return A001_dB * (p_percent / 0.01) ** exponent
+    return _scaled(A001_dB, z, z, elevation_deg, (p_percent,))[0][1]
+
+
+class PPlan(tuple):
+    """The distinct p of a p list, ascending, each checked once."""
+
+    def __new__(cls, p_list):
+        if not p_list:
+            raise DomainError("p_list must be non-empty")
+        plan = super().__new__(cls, sorted(set(p_list)))
+        for p in plan:
+            check_p_percent(p)
+        return plan
 
 
 def attenuation_curve(station: GroundStation, path: PathGeometry,
                       coefficients: RainCoefficients, r001_rain_rate: float,
                       p_list: list[float]) -> AttenuationCurve:
-    """Run the full chain once for A001, then scale to every requested p.
+    """Run the full chain once for A001, then scale to every requested p
+    (a PPlan is taken as checked).
 
     The returned curve is sorted ascending in p. Monotonicity (A_p
     non-increasing in p) is checked numerically and any violation is
     recorded as a diagnostic, never silently accepted.
     """
-    if not p_list:
-        raise DomainError("p_list must be non-empty")
-    for p in p_list:
-        check_p_percent(p)
-    diagnostics: list[str] = []
+    plan = p_list if isinstance(p_list, PPlan) else PPlan(p_list)
     gamma = specific_attenuation(r001_rain_rate, coefficients).gamma_dB_per_km
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ClampWarning)
         r001 = horizontal_reduction_factor(path.horizontal_projection_km, gamma,
                                            coefficients.frequency_GHz)
-    for w in caught:
-        diagnostics.append(str(w.message))
+    diagnostics = [str(w.message) for w in caught]
     L_R, v001 = vertical_adjustment(
         path.horizontal_projection_km, r001, path.rain_height_km,
         station.altitude_km, path.elevation_deg, gamma,
         coefficients.frequency_GHz, abs(station.latitude_deg))
-    L_E = L_R * v001
-    A001 = reference_attenuation(gamma, L_E)
-    points = []
-    for p in sorted(set(p_list)):
-        z = latitude_term(abs(station.latitude_deg), path.elevation_deg, p)
-        points.append((p, scale_attenuation(A001, p, z, path.elevation_deg)))
+    A001 = reference_attenuation(gamma, L_R * v001)
+    points = _scaled(A001, _z_below_1(abs(station.latitude_deg), path.elevation_deg),
+                     0.0, path.elevation_deg, plan)
     for (p_lo, a_lo), (p_hi, a_hi) in zip(points, points[1:]):
         if a_hi > a_lo:
             diagnostics.append(

@@ -12,6 +12,7 @@ validation error in input data; 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -93,12 +94,8 @@ def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
     """Resolve sources over the scenario's catalog (--catalog wins) and
     sweep them, printing the chain diagnostics."""
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
-    if args.catalog:
-        catalog = _load_catalog(args.catalog)
-    elif scenario.catalog_path:
-        catalog = _load_catalog(os.path.join(base_dir, scenario.catalog_path))
-    else:
-        catalog = _load_catalog(None)
+    path = scenario.catalog_path and os.path.join(base_dir, scenario.catalog_path)
+    catalog = _load_catalog(args.catalog or path or None)
     table = availability_sweep(
         catalog, scenario.params, resolve_sources(sources, catalog, base_dir),
         list(p_list), mode=scenario.mode, k_clear_dB=scenario.k_clear_dB,
@@ -118,6 +115,10 @@ def cmd_stations(args) -> int:
 
 
 def cmd_attenuation(args) -> int:
+    for flag, value in [("--r001", args.r001), ("--freq-ghz", args.freq_ghz),
+                        ("--elevation-deg", args.elevation_deg)]:
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"{flag} {value} must be finite")
     catalog = _load_catalog(args.catalog)
     station = catalog.station(args.station)
     if (args.r001 is None) == (args.series is None):
@@ -265,15 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (UsageError, ConfigError) as exc:
+        except (RainlinkError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except RainlinkError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+            if isinstance(exc, (UsageError, ConfigError)):
+                return EXIT_USAGE
+            return EXIT_DATA if isinstance(exc, RainlinkError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
     (attenuation identically zero downstream) rather than an error.
     Passing satellite_altitude_km also fills in the full slant range.
     """
-    if elevation_deg > 90.0:
+    if not elevation_deg <= 90.0:  # NaN included
         raise DomainError(f"elevation {elevation_deg} deg outside [0, 90]")
     if elevation_deg < MIN_ELEVATION_DEG:
         raise UnsupportedRegimeError(
@@ -119,15 +119,12 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
     h_r = rain_height(station) if rain_height_km is None else rain_height_km
     h_s = station.altitude_km
     e = math.radians(elevation_deg)
-    if h_r <= h_s:
-        l_s = 0.0
-        l_g = 0.0
-    else:
+    l_s = l_g = 0.0
+    if h_r > h_s:
         l_s = (h_r - h_s) / math.sin(e)
         l_g = l_s * math.cos(e)
-    d = None
-    if satellite_altitude_km is not None:
-        d = slant_range(satellite_altitude_km, elevation_deg)
+    d = (None if satellite_altitude_km is None
+         else slant_range(satellite_altitude_km, elevation_deg))
     return PathGeometry(elevation_deg=elevation_deg, rain_height_km=h_r,
                         slant_path_km=l_s, horizontal_projection_km=l_g,
                         slant_range_km=d)

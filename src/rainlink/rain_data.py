@@ -150,6 +150,16 @@ def _close_pairs(stations) -> list[tuple[str, str, float]]:
     return close
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The rows of a CSV text; a csv.Error (an over-long field, say)
+    becomes a ParseError on the line the reader stopped at."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
+
+
 def parse_station_catalog(text: str) -> StationCatalog:
     """Parse a station catalog CSV; altitude_m converts to km internally.
 
@@ -157,8 +167,7 @@ def parse_station_catalog(text: str) -> StationCatalog:
     minimum separation is recorded on the catalog's close_pairs, and one
     SeparationWarning gives their number and the closest pair.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = _csv_rows(text)
     if not rows:
         raise ValidationError("empty catalog")
     if rows[0] != CATALOG_HEADER:
@@ -172,9 +181,7 @@ def parse_station_catalog(text: str) -> StationCatalog:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=idx)
         name = row[0].strip()
         try:
-            lat = float(row[1])
-            lon = float(row[2])
-            alt_m = float(row[3])
+            lat, lon, alt_m = map(float, row[1:])
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
         try:
@@ -268,8 +275,7 @@ def _parse_columns(text: str):
 def _parse_rows(text: str):
     """The series row by row, as (times, rates); raises the error that
     names the first bad line."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = _csv_rows(text)
     if not rows:
         raise ValidationError("empty series")
     if rows[0] != SERIES_HEADER:
@@ -324,7 +330,10 @@ def mean_rain_rate(series: RainSeries) -> float:
     """Arithmetic mean of the sample rates, mm/hr."""
     if not series.rates:
         raise DomainError("series is empty")
-    return math.fsum(series.rates) / len(series.rates)
+    try:
+        return math.fsum(series.rates) / len(series.rates)
+    except OverflowError as exc:
+        raise DomainError("the series rates sum past the float range") from exc
 
 
 def annual_accumulation(mean_rate_mm_per_hr: float) -> float:
@@ -332,7 +341,11 @@ def annual_accumulation(mean_rate_mm_per_hr: float) -> float:
     Julian year."""
     if mean_rate_mm_per_hr < 0.0:
         raise DomainError(f"mean rate {mean_rate_mm_per_hr} must be >= 0")
-    return mean_rate_mm_per_hr * HOURS_PER_YEAR
+    accumulation = mean_rate_mm_per_hr * HOURS_PER_YEAR
+    if accumulation == math.inf:
+        raise DomainError(f"mean rate {mean_rate_mm_per_hr} mm/hr overflows "
+                          "the annual accumulation")
+    return accumulation
 
 
 def chebil_r001(annual_accumulation_mm: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -95,9 +96,7 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
             raise ParseError(f"coefficient file missing section [{section}]")
         sec = parser[section]
         try:
-            a = tuple(float(x) for x in sec["a"].split())
-            b = tuple(float(x) for x in sec["b"].split())
-            c = tuple(float(x) for x in sec["c"].split())
+            a, b, c = (tuple(map(float, sec[k].split())) for k in "abc")
             m = float(sec["m"])
             offset = float(sec["offset"])
             scale = sec["scale"].strip()
@@ -125,14 +124,9 @@ def load_coefficient_table(path: str | None = None) -> CoefficientTable:
     return parse_coefficient_table(text)
 
 
-_DEFAULT_TABLE: CoefficientTable | None = None
-
-
+@functools.cache
 def _default_table() -> CoefficientTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = load_coefficient_table()
-    return _DEFAULT_TABLE
+    return load_coefficient_table()
 
 
 def regression_coefficients(frequency_GHz: float,
@@ -149,12 +143,9 @@ def regression_coefficients(frequency_GHz: float,
             f"[{COEFF_FREQ_MIN_GHZ:g}, {COEFF_FREQ_MAX_GHZ:g}]")
     pol = Polarization(polarization)
     tab = table if table is not None else _default_table()
-    if pol is Polarization.HORIZONTAL:
-        kappa = tab.kappa_h.evaluate(frequency_GHz)
-        alpha = tab.alpha_h.evaluate(frequency_GHz)
-    else:
-        kappa = tab.kappa_v.evaluate(frequency_GHz)
-        alpha = tab.alpha_v.evaluate(frequency_GHz)
+    horizontal = pol is Polarization.HORIZONTAL
+    kappa = (tab.kappa_h if horizontal else tab.kappa_v).evaluate(frequency_GHz)
+    alpha = (tab.alpha_h if horizontal else tab.alpha_v).evaluate(frequency_GHz)
     return RainCoefficients(frequency_GHz=frequency_GHz, polarization=pol,
                             kappa=kappa, alpha=alpha)
 
@@ -164,10 +155,8 @@ def specific_attenuation(rain_rate_mm_per_hr: float,
     """gamma = kappa * R^alpha in dB/km; zero exactly when R is zero."""
     if rain_rate_mm_per_hr < 0.0:
         raise DomainError(f"rain rate {rain_rate_mm_per_hr} mm/hr must be >= 0")
-    if rain_rate_mm_per_hr == 0.0:
-        gamma = 0.0
-    else:
-        gamma = coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha
+    gamma = (0.0 if rain_rate_mm_per_hr == 0.0
+             else coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha)
     return SpecificAttenuation(gamma_dB_per_km=gamma,
                                rain_rate_mm_per_hr=rain_rate_mm_per_hr)
 
@@ -176,10 +165,6 @@ def load_validation_table() -> list[tuple[float, float, float, float, float]]:
     """Packaged sampled-frequency validation rows as
     (frequency, kappa_h, alpha_h, kappa_v, alpha_v) tuples."""
     text = resources.files("rainlink.data").joinpath("p838_validation.csv").read_text(encoding="utf-8")
-    reader = csv.DictReader(text.splitlines())
-    rows = []
-    for rec in reader:
-        rows.append((float(rec["frequency_GHz"]), float(rec["kappa_h"]),
-                     float(rec["alpha_h"]), float(rec["kappa_v"]),
-                     float(rec["alpha_v"])))
-    return rows
+    return [tuple(float(rec[k]) for k in ("frequency_GHz", "kappa_h", "alpha_h",
+                                          "kappa_v", "alpha_v"))
+            for rec in csv.DictReader(text.splitlines())]
