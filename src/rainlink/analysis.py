@@ -74,9 +74,8 @@ class ResolvedSource:
 @dataclass(frozen=True, init=False)
 class SweepTable:
     """Link results over the (station, source, p) cross-product, sorted by
-    station, then source, then p: records holds one tuple per row in
-    SWEEP_COLUMNS order, rows the LinkResults, built on first access (or
-    given). diagnostics carries chain notes."""
+    station, source and p: records, a tuple per row in SWEEP_COLUMNS order;
+    rows, the LinkResults, built on first access; and chain diagnostics."""
 
     records: tuple[tuple, ...]
     diagnostics: tuple[str, ...]
@@ -212,18 +211,17 @@ def _cell_text(value, machine: bool) -> str:
 
 # per format, the text of a cell in an all-str column, in a column of
 # exact finite floats, and in any other column
-_FORMATTERS = {
-    "csv": (str, repr, partial(_cell_text, machine=True)),
-    "json": (encode_basestring_ascii, repr, json.dumps),
-    "aligned-table": (str, "{:.4f}".format, partial(_cell_text, machine=False)),
-}
-_FORMATTERS["table"] = _FORMATTERS["aligned-table"]
+_TABLE_TEXTS = (str, "{:.4f}".format, partial(_cell_text, machine=False))
+_FORMATTERS = {"csv": (str, repr, partial(_cell_text, machine=True)),
+               "json": (encode_basestring_ascii, repr, json.dumps),
+               "aligned-table": _TABLE_TEXTS, "table": _TABLE_TEXTS}
 
 
-def _column_texts(column, str_text, float_text, any_text) -> list[str]:
-    """The texts of one column's cells, the formatter chosen once from
-    the types the column holds. A value that repeats is formatted once,
-    unless the column holds a zero (0.0 and -0.0 are one dict key)."""
+def _column_text(column, str_text, float_text, any_text):
+    """The text of a cell of one column, chosen once from the types the
+    column holds. Where the column's first cells repeat, each distinct
+    value is formatted once; not where the column holds a zero, as 0.0
+    and -0.0 are one dict key."""
     kinds = set(map(type, column))
     if kinds == {str}:
         text = str_text
@@ -232,11 +230,10 @@ def _column_texts(column, str_text, float_text, any_text) -> list[str]:
     elif kinds == {bool}:
         text = {True: "true", False: "false"}.__getitem__
     else:
-        return list(map(any_text, column))
-    distinct = set(column)
-    if 2 * len(distinct) <= len(column) and 0.0 not in distinct:
-        text = dict(zip(distinct, map(text, distinct))).__getitem__
-    return list(map(text, column))
+        return any_text
+    if len(set(column[:64])) <= 32 and 0.0 not in column:
+        text = {value: text(value) for value in set(column)}.__getitem__
+    return text
 
 
 def emit_report(table, format: str = "csv") -> str:
@@ -248,9 +245,11 @@ def emit_report(table, format: str = "csv") -> str:
                          "aligned-table)")
     if set(map(len, rows)) - {len(header)}:
         raise UsageError(f"every row must have {len(header)} cells")
-    columns = [_column_texts(column, *_FORMATTERS[format])
-               for column in zip(*rows)] or [[]] * len(header)
-    lines = list(zip(*columns)) if header else [()] * len(rows)
+    texts = [_column_text(list(map(itemgetter(i), rows)), *_FORMATTERS[format])
+             for i in range(len(header))]
+    # row by row, so that a row's cell texts are freed once it is written
+    columns = [map(itemgetter(i), rows) for i in range(len(header))]
+    lines = zip(*map(map, texts, columns)) if header else [()] * len(rows)
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -269,9 +268,10 @@ def emit_report(table, format: str = "csv") -> str:
         records[0] = "[\n  " + records[0]
         records[-1] += "\n]\n"
         return ",\n  ".join(records)
-    padded = [list(map(str.ljust, column, repeat(max(map(len, column)))))
-              for column in ([h, *c] for h, c in zip(header, columns))]
-    lines = list(zip(*padded)) if header else [()] * (len(rows) + 1)
+    padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
+              for cells in ([h, *map(text, column)]
+                            for h, text, column in zip(header, texts, columns))]
+    lines = zip(*padded) if header else [()] * (len(rows) + 1)
     return "\n".join(["  ".join(cells).rstrip() for cells in lines]) + "\n"
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import random
 
@@ -16,6 +18,7 @@ from rainlink import (ConfigError, DomainError, LinkResult, Polarization,
                       packaged_catalog_text, parse_station_catalog,
                       rain_slant_path, rank_stations, regression_coefficients,
                       sweep_to_plot_curves)
+import rainlink.attenuation as attenuation
 from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
                                parse_report_csv)
 
@@ -256,6 +259,29 @@ class TestSweepOracle:
             s.name: rate for s in catalog().stations})
         self.assert_matches_oracle(catalog(), params, [source], p_list)
 
+    def test_repeated_labels_keep_source_order(self):
+        # library callers may give two sources one label; the sort is stable
+        names = [s.name for s in catalog().stations]
+        sources = [ResolvedSource("dup", r001_by_station=dict.fromkeys(names, r))
+                   for r in (90.0, 20.0)]
+        sources.append(ResolvedSource("dup", attenuation_by_station=dict.fromkeys(
+            names, 3.0)))
+        self.assert_matches_oracle(catalog(), uplink_params(), sources,
+                                   self.P_LIST)
+
+    def test_each_distinct_p_checked_once(self, monkeypatch):
+        checked = []
+        check = attenuation.check_p_percent
+        monkeypatch.setattr(attenuation, "check_p_percent",
+                            lambda p: checked.append(p) or check(p))
+        injected = ResolvedSource("injected", attenuation_by_station={
+            s.name: 1.0 for s in catalog().stations})
+        table = availability_sweep(catalog(), uplink_params(),
+                                   self.r001_sources() + [injected],
+                                   self.P_LIST)
+        assert sorted(checked) == sorted(set(self.P_LIST))
+        assert len(table.records) == 6 * 3 * len(checked)
+
     def test_negative_injected_attenuation_rejected_in_physics(self):
         source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
         with pytest.raises(DomainError):
@@ -384,15 +410,135 @@ CELLS = st.one_of(
                      FloatSub(0.1), FloatSub("inf")]))
 
 
+MIXED_TABLES = st.lists(st.text(), min_size=0, max_size=6, unique=True) \
+    .flatmap(lambda header: st.tuples(
+        st.just(header),
+        st.lists(st.lists(CELLS, min_size=len(header), max_size=len(header)),
+                 max_size=5)))
+
+# cells of one column: one type, with repeats, or a mix where 1, 1.0 and
+# True, or 0.0 and -0.0, compare equal but print apart
+COLUMN_CELLS = st.sampled_from([
+    st.sampled_from(["Abuja", "", "a,b", 'say "hi"', " pad ", "ü", "x\ny"]),
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1e-310, -2.5, 1e300]),
+    st.sampled_from([0.01, 0.36]),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, FloatSub(1.0)]),
+    CELLS])
+
+
+@st.composite
+def column_tables(draw):
+    header = draw(st.lists(st.text(), max_size=5, unique=True))
+    columns = [draw(COLUMN_CELLS) for _ in header]
+    rows = draw(st.integers(0, 12))
+    return header, [[draw(c) for c in columns] for _ in range(rows)]
+
+
+def cell_text(value, machine: bool) -> str:
+    """A csv or aligned-table cell, the rule applied one cell at a time."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value)) if machine else f"{value:.4f}"
+    return str(value)
+
+
+def csv_oracle(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for cells in rows:
+        writer.writerow([cell_text(c, machine=True) for c in cells])
+    return out.getvalue()
+
+
+def table_oracle(header, rows) -> str:
+    texts = [header] + [[cell_text(c, machine=False) for c in cells]
+                        for cells in rows]
+    widths = [max(len(t[i]) for t in texts) for i in range(len(header))]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(t, widths))
+                     .rstrip() for t in texts) + "\n"
+
+
+ORACLES = {"csv": csv_oracle, "json": json_oracle,
+           "aligned-table": table_oracle, "table": table_oracle}
+
+
+class TestColumnRenderer:
+    """emit_report, which formats a column at a time, equals the
+    one-cell-at-a-time oracles of every format byte for byte."""
+
+    @pytest.mark.parametrize("format", ORACLES)
+    @given(table=st.one_of(MIXED_TABLES, column_tables()))
+    def test_tables(self, format, table):
+        header, rows = table
+        assert emit_report((header, rows), format) == ORACLES[format](header,
+                                                                      rows)
+
+    @pytest.mark.parametrize("format", ORACLES)
+    def test_equal_values_that_print_apart(self, format):
+        # a formatted-once value must not stand in for an equal one
+        rows = [[0.0, 1, 1.0, "a", True], [-0.0, 1.0, 1.0, "a", True],
+                [0.0, True, 1.0, "a", False], [-0.0, 1, 1.0, "a", True]] * 3
+        header = ["zero", "one", "float", "str", "bool"]
+        text = emit_report((header, rows), format)
+        assert text == ORACLES[format](header, rows)
+        assert "-0.0" in text and ("True" in text or "true" in text)
+
+    def test_sweep_table_matches_its_rows(self):
+        source = ResolvedSource("ITU", r001_by_station={
+            s.name: 90.0 for s in catalog().stations})
+        table = availability_sweep(catalog(), uplink_params(), [source],
+                                   [0.001, 0.01, 0.5])
+        rows = [dataclasses.astuple(r) for r in table.rows]
+        for format, oracle in ORACLES.items():
+            assert emit_report(table, format) == oracle(SWEEP_COLUMNS, rows)
+
+    @pytest.mark.parametrize("format", ORACLES)
+    def test_ragged_rows_rejected(self, format):
+        with pytest.raises(UsageError, match="2 cells"):
+            emit_report((["a", "b"], [[1.0, 2.0], [3.0]]), format)
+        with pytest.raises(UsageError, match="1 cells"):
+            emit_report((["a"], [[1.0, 2.0]]), format)
+
+
+class TestSweepTable:
+    def sweep(self):
+        sources = [ResolvedSource("ITU", r001_by_station={
+            s.name: 90.0 for s in catalog().stations}),
+            ResolvedSource("GPM", attenuation_by_station={
+                s.name: abs(GPM_ATTEN[s.name]) for s in catalog().stations})]
+        return availability_sweep(catalog(), uplink_params(), sources,
+                                  [0.01, 0.5])
+
+    def test_rows_are_the_records_as_link_results(self):
+        table = self.sweep()
+        assert "rows" not in vars(table)
+        assert table.rows == tuple(LinkResult(*r) for r in table.records)
+        assert table.rows is table.rows
+        assert [dataclasses.astuple(r) for r in table.rows] == \
+            list(table.records)
+
+    def test_built_from_rows(self):
+        table = self.sweep()
+        again = SweepTable(rows=list(table.rows),
+                           diagnostics=table.diagnostics)
+        assert again == table
+        assert again.records == table.records
+        for format in ORACLES:
+            assert emit_report(again, format) == emit_report(table, format)
+        assert SweepTable(rows=()).records == ()
+
+
 class TestJsonRenderer:
     """emit_report's json equals json.dumps(records, indent=2) byte for
     byte, for every table shape."""
 
-    @given(st.lists(st.text(), min_size=0, max_size=6, unique=True)
-           .flatmap(lambda header: st.tuples(
-               st.just(header),
-               st.lists(st.lists(CELLS, min_size=len(header),
-                                 max_size=len(header)), max_size=5))))
+    @given(MIXED_TABLES)
     def test_header_rows_tables(self, table):
         header, rows = table
         assert emit_report((header, rows), "json") == json_oracle(header, rows)

@@ -4,7 +4,10 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import rainlink.attenuation as attenuation
 from rainlink import (ClampWarning, DomainError, GroundStation, Polarization,
                       RainCoefficients, attenuation_curve,
                       horizontal_reduction_factor, latitude_term,
@@ -19,6 +22,25 @@ def coeffs(kappa=0.2043259269252288, alpha=0.9240060204941183, f=28.5):
 
 def abuja():
     return GroundStation("Abuja", 9.010833, 7.271389, 0.348)
+
+
+def scalar_scaled(A001_dB, p, absolute_latitude_deg, elevation_deg):
+    """A_p as latitude_term and scale_attenuation computed it, one p at a
+    time, before the scaling step became one kernel: the reference the
+    kernel must equal bit for bit."""
+    abs_lat = abs(absolute_latitude_deg)
+    if p >= 1.0 or abs_lat >= 36.0:
+        z = 0.0
+    elif elevation_deg >= 25.0:
+        z = -0.005 * (abs_lat - 36.0)
+    else:
+        z = (-0.005 * (abs_lat - 36.0) + 1.8
+             - 4.25 * math.sin(math.radians(elevation_deg)))
+    if A001_dB == 0.0:
+        return 0.0
+    exponent = -(0.655 + 0.033 * math.log(p) - 0.045 * math.log(A001_dB)
+                 - z * math.sin(math.radians(elevation_deg)) * (1.0 - p))
+    return A001_dB * (p / 0.01) ** exponent
 
 
 class TestHorizontalReductionFactor:
@@ -200,6 +222,13 @@ class TestAttenuationCurve:
         with pytest.raises(DomainError):
             attenuation_curve(st, path, coeffs(), 90.0, [])
 
+    def test_plan_is_not_checked_again(self, monkeypatch):
+        plan = attenuation.PPlan([0.5, 0.01, 0.5])
+        monkeypatch.setattr(attenuation, "check_p_percent", None)
+        curve = attenuation_curve(abuja(), rain_slant_path(abuja(), 20.0),
+                                  coeffs(), 90.0, plan)
+        assert [p for p, _ in curve.points] == [0.01, 0.5]
+
     def test_all_points_non_negative(self):
         st = abuja()
         path = rain_slant_path(st, 20.0, 5.0)
@@ -207,3 +236,58 @@ class TestAttenuationCurve:
             curve = attenuation_curve(st, path, coeffs(), r,
                                       [0.001, 0.01, 0.1, 0.5, 1.0])
             assert all(a >= 0.0 for _, a in curve.points)
+
+
+class TestPPlan:
+    def test_distinct_ascending(self):
+        assert attenuation.PPlan([0.5, 0.001, 1.0, 0.5]) == (0.001, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p_list", [[], [0.01, 1.5], [0.0005],
+                                        [0.01, math.nan]])
+    def test_checked(self, p_list):
+        with pytest.raises(DomainError):
+            attenuation.PPlan(p_list)
+
+
+P_POINTS = [0.001, 0.002, 0.01, 0.05, 0.3, 0.999, 1.0]
+
+
+class TestScalingKernel:
+    """A curve's points, and latitude_term with scale_attenuation, equal
+    the one-p-at-a-time scaling by == and by repr."""
+
+    def assert_matches_scalar(self, station, elevation, rate, p_list):
+        curve = attenuation_curve(station, rain_slant_path(station, elevation),
+                                  coeffs(), rate, p_list)
+        a001, lat = curve.reference_A001_dB, station.latitude_deg
+        want = [(p, scalar_scaled(a001, p, lat, elevation))
+                for p in sorted(set(p_list))]
+        chain = [(p, scale_attenuation(a001, p,
+                                       latitude_term(lat, elevation, p),
+                                       elevation))
+                 for p in sorted(set(p_list))]
+        assert list(curve.points) == want == chain
+        assert repr(curve.points) == repr(tuple(want)) == repr(tuple(chain))
+        return curve
+
+    # |lat| = 36 and e = 25 deg are the branch edges of z, p = 1 its
+    # switch to zero, a zero rate or a station above the rain A001 = 0
+    @pytest.mark.parametrize("lat", [0.0, 9.0, -35.999, 36.0, -36.0, 50.0])
+    @pytest.mark.parametrize("elevation", [5.0, 24.999, 25.0, 40.0, 90.0])
+    @pytest.mark.parametrize("rate", [0.0, 42.0, 200.0])
+    def test_branch_edges(self, lat, elevation, rate):
+        curve = self.assert_matches_scalar(
+            GroundStation("s", lat, 0.0, 0.1), elevation, rate, P_POINTS)
+        assert (curve.reference_A001_dB == 0.0) == (rate == 0.0)
+
+    def test_station_above_rain_height(self):
+        curve = self.assert_matches_scalar(
+            GroundStation("High", 40.0, 0.0, 6.0), 20.0, 90.0, P_POINTS)
+        assert curve.reference_A001_dB == 0.0
+
+    @given(lat=st.floats(-90.0, 90.0), elevation=st.floats(5.0, 90.0),
+           rate=st.floats(0.0, 300.0), altitude=st.floats(0.0, 6.0),
+           p_list=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8))
+    def test_random(self, lat, elevation, rate, altitude, p_list):
+        self.assert_matches_scalar(GroundStation("s", lat, 0.0, altitude),
+                                   elevation, rate, p_list)

@@ -188,6 +188,55 @@ class TestAttenuation:
                      "28.5", "--elevation-deg", "20", "--r001", "42"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--r001", "--freq-ghz",
+                                      "--elevation-deg"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_flag_is_usage_error(self, capsys, flag, value):
+        args = {"--freq-ghz": "28.5", "--elevation-deg": "20", "--r001": "42"}
+        args[flag] = value
+        assert main(["attenuation", "--station", "Abuja", "--format", "json",
+                     *(f"{k}={v}" for k, v in args.items())]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} {float(value)} must be finite\n"
+
+    @pytest.mark.parametrize("rates, message", [
+        (["1e308", "1e308"], "the series rates sum past the float range"),
+        (["1e308"], "mean rate 1e+308 mm/hr overflows the annual "
+                    "accumulation")])
+    def test_overflowing_chebil_reduction_is_data_error(self, tmp_path,
+                                                        capsys, rates,
+                                                        message):
+        series = tmp_path / "rain.csv"
+        series.write_text("timestamp,rate_mm_per_hr\n" + "".join(
+            f"2010-01-01T0{i}:00:00Z,{r}\n" for i, r in enumerate(rates)))
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--series",
+                     str(series), "--strategy", "chebil_annual",
+                     "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind", ["series", "catalog"])
+    def test_over_long_csv_field_is_data_error(self, tmp_path, capsys, kind):
+        long_field = '"' + "1" * 140_000 + '"'
+        if kind == "series":
+            text = ("timestamp,rate_mm_per_hr\n2010-01-01T00:00:00Z,1\n"
+                    f"2010-01-01T01:00:00Z,{long_field}\n")
+            args = ["--series", str(tmp_path / "in.csv")]
+        else:
+            text = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                    f"Abuja,9.0,7.3,348\n{long_field},1,2,3\n")
+            args = ["--catalog", str(tmp_path / "in.csv"), "--r001", "42"]
+        (tmp_path / "in.csv").write_text(text)
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", *args]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: line 3: field larger than field limit "
+                       "(131072)\n")
+
 
 class TestLinkBudget:
     def test_reference_cnr_column(self, tmp_path, capsys):

@@ -113,6 +113,11 @@ class TestRainSlantPath:
         with pytest.raises(UnsupportedRegimeError):
             rain_slant_path(station(), 3.0, 5.0)
 
+    def test_nan_elevation_rejected(self):
+        # NaN passes both a > 90 and a < 5 test
+        with pytest.raises(DomainError, match="outside"):
+            rain_slant_path(station(), math.nan, 5.0)
+
     def test_default_rain_height_from_station(self):
         path = rain_slant_path(station(lat=10.0), 20.0)
         assert path.rain_height_km == pytest.approx(5.0)

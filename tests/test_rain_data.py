@@ -32,6 +32,27 @@ def make_series(rates, start=None, step_hours=1.0, cadence=""):
     return RainSeries(station_ref="x", samples=samples, cadence=cadence)
 
 
+class TestCsvError:
+    """A csv.Error from the reader, here a quoted field over the csv
+    module's field size limit, is a ParseError on the line it stopped
+    at."""
+
+    LONG = '"' + "x" * 140_000 + '"'
+
+    def test_catalog(self):
+        with pytest.raises(ParseError, match="field larger") as err:
+            parse_station_catalog(CATALOG + f"{self.LONG},1,2,3\n")
+        assert err.value.line == len(CATALOG.splitlines()) + 1
+
+    def test_series(self):
+        text = ("timestamp,rate_mm_per_hr\n2010-01-01T00:00:00Z,1\n"
+                f"2010-01-01T01:00:00Z,{self.LONG}\n"
+                "2010-01-01T02:00:00Z,1\n")
+        with pytest.raises(ParseError, match="field larger") as err:
+            parse_rain_series(text)
+        assert err.value.line == 3
+
+
 class TestParseStationCatalog:
     def test_altitude_converted_to_km(self):
         catalog = parse_station_catalog(CATALOG)
@@ -515,6 +536,15 @@ class TestReductions:
         assert annual_accumulation(0.0) == 0.0
         assert annual_accumulation(1.0) == 8766.0
         assert abs(annual_accumulation(0.1455) - 1275.453) < 1e-9
+
+    def test_overflow_is_domain_error(self):
+        # finite rates whose sum, or whose year's accumulation, overflows
+        with pytest.raises(DomainError, match="float range"):
+            mean_rain_rate(make_series([1e308, 1e308]))
+        assert mean_rain_rate(make_series([1e308])) == 1e308
+        with pytest.raises(DomainError, match="overflows"):
+            annual_accumulation(1e308)
+        assert annual_accumulation(1e300) == 1e300 * 8766.0
 
     def test_chebil_values(self):
         assert chebil_r001(1.0) == pytest.approx(12.2903)
