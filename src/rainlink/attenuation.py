@@ -122,17 +122,16 @@ def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
             else _z_below_1(abs(absolute_latitude_deg), elevation_deg))
 
 
-def _scaled(A001_dB: float, z_below_1: float, z_from_1: float,
-            elevation_deg: float, plan) -> list[tuple[float, float]]:
-    """(p, A_p) over a plan, with z_below_1 where p < 1, else z_from_1;
-    sin(e) and ln A001 are taken once."""
+def _scaled(A001_dB: float, z: float, elevation_deg: float,
+            plan) -> list[tuple[float, float]]:
+    """(p, A_p) over a plan, sin(e) and ln A001 taken once. z may be the
+    value for p < 1 at p = 1 too: the factor (1 - p) makes it 0 there."""
     if A001_dB == 0.0:
         return [(p, 0.0) for p in plan]
     sin_e = math.sin(math.radians(elevation_deg))
     ln_term = 0.045 * math.log(A001_dB)
     return [(p, A001_dB * (p / 0.01) ** -(
-        0.655 + 0.033 * math.log(p) - ln_term
-        - (z_below_1 if p < 1.0 else z_from_1) * sin_e * (1.0 - p)))
+        0.655 + 0.033 * math.log(p) - ln_term - z * sin_e * (1.0 - p)))
         for p in plan]
 
 
@@ -148,7 +147,7 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
     check_p_percent(p_percent)
     if A001_dB < 0.0:
         raise DomainError(f"reference attenuation {A001_dB} dB must be >= 0")
-    return _scaled(A001_dB, z, z, elevation_deg, (p_percent,))[0][1]
+    return _scaled(A001_dB, z, elevation_deg, (p_percent,))[0][1]
 
 
 class PPlan(tuple):
@@ -186,7 +185,7 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
         coefficients.frequency_GHz, abs(station.latitude_deg))
     A001 = reference_attenuation(gamma, L_R * v001)
     points = _scaled(A001, _z_below_1(abs(station.latitude_deg), path.elevation_deg),
-                     0.0, path.elevation_deg, plan)
+                     path.elevation_deg, plan)
     for (p_lo, a_lo), (p_hi, a_hi) in zip(points, points[1:]):
         if a_hi > a_lo:
             diagnostics.append(

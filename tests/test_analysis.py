@@ -259,6 +259,17 @@ class TestSweepOracle:
             s.name: rate for s in catalog().stations})
         self.assert_matches_oracle(catalog(), params, [source], p_list)
 
+    def test_zero_margin_closes(self):
+        # k_clear - A - required is exactly 0.0 at the first station
+        injected = ResolvedSource("exact", attenuation_by_station={
+            s.name: 0.5 * i for i, s in enumerate(catalog().stations)})
+        params = dataclasses.replace(uplink_params(), required_margin_dB=0.5)
+        table = self.assert_matches_oracle(
+            catalog(), params, [injected], [0.01], mode="calibrated",
+            k_clear_dB=1.0)
+        assert [r.closes for r in table.rows if r.available_margin_dB == 0.0]\
+            == [True]
+
     def test_repeated_labels_keep_source_order(self):
         # library callers may give two sources one label; the sort is stable
         names = [s.name for s in catalog().stations]
