@@ -52,6 +52,7 @@ class ComparisonRow:
 
 _COMPARISON_CELLS = attrgetter(*(f.name for f in fields(ComparisonRow)))
 
+
 @dataclass(frozen=True)
 class ResolvedSource:
     """A rain source reduced to per-station inputs for the sweep.
