@@ -16,9 +16,10 @@ import math
 import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
 from .errors import (CadenceWarning, CoverageWarning, DomainError,
@@ -83,14 +84,16 @@ class RainSeries:
 
 @dataclass(frozen=True)
 class StationCatalog:
-    """Unique-named stations plus the close-pair report computed at parse
-    time (pairs under the recommended minimum separation)."""
+    """Unique-named stations. close_pairs, the pairs under the recommended
+    minimum separation, is built on first access."""
 
     stations: tuple[GroundStation, ...]
-    close_pairs: tuple[tuple[str, str, float], ...] = field(default=())
 
     def __post_init__(self):
-        _check_unique_names(self.stations)
+        counts = Counter(s.name for s in self.stations)
+        dupes = sorted(n for n, c in counts.items() if c > 1)
+        if dupes:
+            raise ValidationError(f"duplicate station names: {', '.join(dupes)}")
 
     def station(self, name: str) -> GroundStation:
         for s in self.stations:
@@ -98,12 +101,18 @@ class StationCatalog:
                 return s
         raise ValidationError(f"unknown station {name!r}")
 
-
-def _check_unique_names(stations) -> None:
-    counts = Counter(s.name for s in stations)
-    dupes = sorted(n for n, c in counts.items() if c > 1)
-    if dupes:
-        raise ValidationError(f"duplicate station names: {', '.join(dupes)}")
+    @cached_property
+    def close_pairs(self) -> tuple[tuple[str, str, float], ...]:
+        """Every pair (a, b, km) under MIN_SEPARATION_KM in the all-pairs
+        loop's order over (i, j > i), km as great_circle_km(a, b) gives it."""
+        lat, lon, cos_lat = _radians(self.stations)
+        names = [s.name for s in self.stations]
+        later = [[] for _ in names]  # later[i]: each j > i close to i
+        for _, i, j in _close_candidates(lat, lon, cos_lat):
+            later[i].append(j)
+        return tuple((names[i], names[j], _haversine_km(
+            lat[i], lon[i], cos_lat[i], lat[j], lon[j], cos_lat[j]))
+            for i, js in enumerate(later) for j in sorted(js))
 
 
 def _haversine_km(lat1: float, lon1: float, cos_lat1: float,
@@ -121,33 +130,53 @@ def great_circle_km(lat1_deg: float, lon1_deg: float,
     return _haversine_km(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2))
 
 
-def _close_pairs(stations) -> list[tuple[str, str, float]]:
-    """Every pair (a, b, km) under MIN_SEPARATION_KM, a before b in
-    catalog order, ordered as the all-pairs loop over (i, j > i) would
-    find them, with the distance great_circle_km(a, b) gives.
-
-    A pair under the minimum is never further apart in latitude than
-    MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM radians (haversine distance
-    is at least R * |dlat|), so only stations in that latitude band of
-    each station are measured. The band is widened by a relative 1e-9
-    so that no rounding can drop a pair.
-    """
+def _radians(stations) -> tuple[list[float], list[float], list[float]]:
     lat = [math.radians(s.latitude_deg) for s in stations]
-    lon = [math.radians(s.longitude_deg) for s in stations]
-    cos_lat = [math.cos(x) for x in lat]
-    order = sorted(range(len(stations)), key=lat.__getitem__)
+    return lat, [math.radians(s.longitude_deg) for s in stations], list(map(math.cos, lat))
+
+
+def _close_candidates(lat, lon, cos_lat):
+    """Yield (s, i, j), i < j, s the haversine's argument, for every pair
+    that great_circle_km puts under MIN_SEPARATION_KM.
+
+    Such a pair is never further apart in latitude than MIN_SEPARATION_KM /
+    MEAN_EARTH_RADIUS_KM radians (the distance is at least R * |dlat|), so
+    each station measures only the later ones in latitude order inside that
+    band, widened by a relative 1e-9. s is compared with sin^2(T / 2R), and
+    within a relative 1e-9 of it the distance itself decides.
+    """
+    order = sorted(range(len(lat)), key=lat.__getitem__)
     sorted_lat = [lat[k] for k in order]
     band = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM * (1.0 + 1e-9)
-    close = []
-    for i, a in enumerate(stations):
-        lo = bisect.bisect_left(sorted_lat, lat[i] - band)
-        hi = bisect.bisect_right(sorted_lat, lat[i] + band)
-        for j in sorted(j for j in order[lo:hi] if j > i):
-            d = _haversine_km(lat[i], lon[i], cos_lat[i],
-                              lat[j], lon[j], cos_lat[j])
-            if d < MIN_SEPARATION_KM:
-                close.append((a.name, stations[j].name, d))
-    return close
+    s_max = math.sin(MIN_SEPARATION_KM / (2.0 * MEAN_EARTH_RADIUS_KM)) ** 2
+    s_in, s_out = s_max * (1.0 - 1e-9), s_max * (1.0 + 1e-9)
+    sin = math.sin
+    for k, a in enumerate(order):
+        lat_a, lon_a, cos_a = lat[a], lon[a], cos_lat[a]
+        for b in order[k + 1:bisect.bisect_right(sorted_lat, lat_a + band, k + 1)]:
+            s = sin((lat[b] - lat_a) / 2.0) ** 2 \
+                + cos_a * cos_lat[b] * sin((lon[b] - lon_a) / 2.0) ** 2
+            if s < s_out:
+                i, j = (a, b) if a < b else (b, a)
+                if s < s_in or _haversine_km(lat[i], lon[i], cos_lat[i], lat[j],
+                                             lon[j], cos_lat[j]) < MIN_SEPARATION_KM:
+                    yield s, i, j
+
+
+def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
+    """The number of pairs under MIN_SEPARATION_KM, and (km, i, j) of the
+    first closest in all-pairs order, as min(close_pairs, key=km) picks it."""
+    lat, lon, cos_lat = _radians(stations)
+    count, best, bound = 0, (math.inf, 0, 0), math.inf
+    for s, i, j in _close_candidates(lat, lon, cos_lat):
+        count += 1
+        # nearly equal s can round to equal km, so each pair within 1e-9 of
+        # the least s so far is measured, and a tie goes to the lower (i, j)
+        if s <= bound:
+            best = min(best, (_haversine_km(lat[i], lon[i], cos_lat[i],
+                                            lat[j], lon[j], cos_lat[j]), i, j))
+            bound = min(bound, s * (1.0 + 1e-9))
+    return count, best
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -163,9 +192,9 @@ def _csv_rows(text: str) -> list[list[str]]:
 def parse_station_catalog(text: str) -> StationCatalog:
     """Parse a station catalog CSV; altitude_m converts to km internally.
 
-    Station names must be unique. Every pair closer than the recommended
-    minimum separation is recorded on the catalog's close_pairs, and one
-    SeparationWarning gives their number and the closest pair.
+    Station names must be unique. One SeparationWarning gives the number
+    of pairs closer than the recommended minimum separation and the
+    closest of them; the catalog's close_pairs lists them on first access.
     """
     rows = _csv_rows(text)
     if not rows:
@@ -192,16 +221,16 @@ def parse_station_catalog(text: str) -> StationCatalog:
             raise ParseError(str(exc), line=idx) from exc
     if not stations:
         raise ValidationError("catalog has no station rows")
-    # before the search, so a repeated name fails without a separation warning
-    _check_unique_names(stations)
-    close = _close_pairs(stations)
-    if close:
-        a, b, d = min(close, key=lambda pair: pair[2])
+    # names are checked first, so a repeated one fails without a separation warning
+    catalog = StationCatalog(stations=tuple(stations))
+    count, (d, i, j) = _close_pair_summary(catalog.stations)
+    if count:
         warnings.warn(
-            f"{len(close)} station pair{'s' if len(close) > 1 else ''} under "
+            f"{count} station pair{'s' if count > 1 else ''} under "
             f"the {MIN_SEPARATION_KM:.0f} km minimum separation; closest: "
-            f"{a} and {b}, {d:.0f} km apart", SeparationWarning, stacklevel=2)
-    return StationCatalog(stations=tuple(stations), close_pairs=tuple(close))
+            f"{stations[i].name} and {stations[j].name}, {d:.0f} km apart",
+            SeparationWarning, stacklevel=2)
+    return catalog
 
 
 def catalog_to_csv(catalog: StationCatalog) -> str:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 import warnings
 
 import pytest
 
+from rainlink import SeparationWarning, StationCatalog, parse_station_catalog
 from rainlink.cli import main
 
 ITU_ATTEN = {"Abuja": 34.1808, "Hartbeesthoek": 49.0126, "Cairo": 31.6560,
@@ -13,6 +15,16 @@ GPM_ATTEN = {"Abuja": 10.3059, "Hartbeesthoek": 22.7947, "Cairo": -13.2802,
              "Longonot": 16.3896, "Port Louis": 0.7753, "Praia": -1.3956}
 ITU_CNR = {"Abuja": -31.1143, "Hartbeesthoek": -45.9461, "Cairo": -28.5895,
            "Longonot": -37.1940, "Port Louis": -24.4891, "Praia": -25.0307}
+
+
+def write_african_catalog(tmp_path, count):
+    rng = random.Random(20231)
+    rows = [f"S{i},{rng.uniform(-34.5, 37.0)!r},{rng.uniform(-17.5, 51.0)!r},0"
+            for i in range(count)]
+    path = tmp_path / "africa.csv"
+    path.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                    + "\n".join(rows) + "\n")
+    return str(path)
 
 
 def write_scenario(tmp_path, **overrides):
@@ -86,6 +98,20 @@ class TestStations:
         assert len(warning_lines) == 1
         assert warning_lines[0].startswith("warning: 4 station pairs ")
         assert "closest: A and B, 100 km apart" in warning_lines[0]
+
+    def test_dense_catalog_warning_matches_the_full_list(self, tmp_path,
+                                                          capsys):
+        # the 1000 African sites of test_dense_african_catalog
+        path = write_african_catalog(tmp_path, 1000)
+        assert main(["stations", "--catalog", path, "--format", "csv"]) == 0
+        _, err = capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SeparationWarning)
+            pairs = parse_station_catalog(open(path).read()).close_pairs
+        a, b, d = min(pairs, key=lambda pair: pair[2])
+        assert err.splitlines() == [
+            f"warning: {len(pairs)} station pairs under the 2000 km minimum "
+            f"separation; closest: {a} and {b}, {d:.0f} km apart"]
 
     def test_close_pair_warns_on_stderr(self, tmp_path, capsys):
         close = tmp_path / "close.csv"
@@ -303,6 +329,21 @@ class TestSweep:
         plot_lines = plot.read_text().splitlines()
         assert plot_lines[0] == "station,source,p_percent,attenuation_dB"
         assert len(plot_lines) == 31
+
+    def test_dense_catalog_never_builds_the_pair_list(self, tmp_path,
+                                                      capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(StationCatalog, "close_pairs",
+                            property(lambda catalog: built.append(catalog)))
+        scenario = write_scenario(
+            tmp_path, sources=[{"label": "ITU", "kind": "r001", "value": 90.0}])
+        catalog = write_african_catalog(tmp_path, 300)
+        assert main(["sweep", "--scenario", scenario, "--catalog", catalog,
+                     "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 301
+        assert "station pairs under" in err
+        assert built == []
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path)

@@ -213,6 +213,80 @@ class TestClosePairSearch:
         assert list(catalog.close_pairs) == \
             brute_force_close_pairs(catalog.stations)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda n: st.lists(POINT_SPEC, min_size=n, max_size=n)))
+    def test_summary_equals_all_pairs_loop(self, specs):
+        catalog = parse_quietly(catalog_text(points_from_specs(specs)))
+        assert "close_pairs" not in vars(catalog)
+        pairs = brute_force_close_pairs(catalog.stations)
+        count, (d, i, j) = rain_data._close_pair_summary(catalog.stations)
+        assert count == len(pairs)
+        if pairs:
+            names = [s.name for s in catalog.stations]
+            assert (names[i], names[j], d) == min(pairs, key=lambda p: p[2])
+
+    def test_summary_at_the_band_edge(self):
+        # latitude gaps a few ulps either side of the threshold land in the
+        # guard band, where the distance, not s, decides
+        points = [(-60.0 + k, 20.0 + k) for k in range(7)]
+        points += [(lat + BAND_DEG * (1.0 + offset), lon) for (lat, lon), offset
+                   in zip(points, (-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9))]
+        catalog = parse_quietly(catalog_text(points))
+        pairs = brute_force_close_pairs(catalog.stations)
+        assert any(abs(d - MIN_SEPARATION_KM) < 1e-6 for _, _, d in pairs)
+        count, (d, i, j) = rain_data._close_pair_summary(catalog.stations)
+        assert count == len(pairs)
+        assert (f"S{i}", f"S{j}", d) == min(pairs, key=lambda p: p[2])
+
+    def test_pairs_exactly_at_the_threshold_are_not_close(self):
+        # each pair's haversine argument is under sin^2(T / 2R), yet its
+        # distance rounds to exactly T, so the all-pairs loop leaves it out
+        points = [(-33.21024038728627, 67.09977562588992),
+                  (-32.935273448056314, 45.60024179369027),
+                  (-4.411664901931715, -46.35185167013438),
+                  (13.114880346291418, -42.28268052941238)]
+        s_max = math.sin(MIN_SEPARATION_KM / (2.0 * MEAN_EARTH_RADIUS_KM)) ** 2
+        for (lat1, lon1), (lat2, lon2) in (points[:2], points[2:]):
+            assert great_circle_km(lat1, lon1, lat2, lon2) == MIN_SEPARATION_KM
+            lat1, lon1, lat2, lon2 = map(math.radians, (lat1, lon1, lat2, lon2))
+            assert math.sin((lat2 - lat1) / 2.0) ** 2 + math.cos(lat1) \
+                * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2 < s_max
+        catalog = parse_quietly(catalog_text(points))
+        assert catalog.close_pairs == ()
+        assert rain_data._close_pair_summary(catalog.stations)[0] == 0
+
+    def test_coincident_tie_goes_to_catalog_order(self):
+        # S1/S2 and S0/S3 both sit 0 km apart; S1/S2 come first in latitude
+        # order, S0/S3 first in the all-pairs loop
+        text = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                "S0,20,5,0\nS1,-30,7,0\nS2,-30,7,0\nS3,20,5,0\n")
+        with pytest.warns(SeparationWarning,
+                          match="^2 station pairs .*closest: S0 and S3, 0 km"):
+            catalog = parse_station_catalog(text)
+        assert rain_data._close_pair_summary(catalog.stations) == (2, (0.0, 0, 3))
+        assert list(catalog.close_pairs) == [("S0", "S3", 0.0), ("S1", "S2", 0.0)]
+
+    def test_equal_km_tie_with_unequal_s_goes_to_catalog_order(self):
+        # S2/S3 is measured first (lower latitude) and has the smaller
+        # haversine argument, but both pairs round to the same km
+        points = [(30.0, 10.0), (30.3, 10.4),
+                  (-28.099898743575054, 12.878161692789071),
+                  (-28.55572768004343, 12.927104256046798)]
+        catalog = parse_quietly(catalog_text(points))
+        pairs = brute_force_close_pairs(catalog.stations)
+        assert [p[:2] for p in pairs] == [("S0", "S1"), ("S2", "S3")]
+        assert pairs[0][2] == pairs[1][2]
+        assert rain_data._close_pair_summary(catalog.stations) == \
+            (2, (pairs[0][2], 0, 1))
+
+    def test_close_pairs_built_on_first_access(self):
+        catalog = parse_quietly(catalog_text([(0.0, 0.0), (0.9, 0.0)]))
+        assert "close_pairs" not in vars(catalog)
+        pairs = catalog.close_pairs
+        assert vars(catalog)["close_pairs"] is pairs
+        assert catalog.close_pairs is pairs
+
     def test_one_summary_warning(self):
         text = ("name,latitude_deg,longitude_deg,altitude_m\n"
                 "A,0.0,0.0,0\nB,0.9,0.0,0\nC,5,5,0\nD,60,0,0\n")
