@@ -105,9 +105,9 @@ class TestStations:
         path = write_african_catalog(tmp_path, 1000)
         assert main(["stations", "--catalog", path, "--format", "csv"]) == 0
         _, err = capsys.readouterr()
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", SeparationWarning)
-            pairs = parse_station_catalog(open(path).read()).close_pairs
+            pairs = parse_station_catalog(fh.read()).close_pairs
         a, b, d = min(pairs, key=lambda pair: pair[2])
         assert err.splitlines() == [
             f"warning: {len(pairs)} station pairs under the 2000 km minimum "

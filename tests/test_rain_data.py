@@ -218,7 +218,6 @@ class TestClosePairSearch:
         lambda n: st.lists(POINT_SPEC, min_size=n, max_size=n)))
     def test_summary_equals_all_pairs_loop(self, specs):
         catalog = parse_quietly(catalog_text(points_from_specs(specs)))
-        assert "close_pairs" not in vars(catalog)
         pairs = brute_force_close_pairs(catalog.stations)
         count, (d, i, j) = rain_data._close_pair_summary(catalog.stations)
         assert count == len(pairs)
