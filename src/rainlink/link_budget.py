@@ -16,10 +16,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-from .constants import (BOLTZMANN_J_PER_K, COEFF_FREQ_MAX_GHZ,
-                        COEFF_FREQ_MIN_GHZ, HOURS_PER_YEAR)
+from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR
 from .errors import ConfigError, DomainError
 from .geometry import free_space_path_loss, slant_range
+from .rain_physics import check_frequency
 
 
 class CnrMode(str, Enum):
@@ -161,10 +161,7 @@ def band_scenario(params: TransmissionParams,
     """Copy of params at a different carrier frequency; every other field
     is preserved verbatim. Downstream FSPL and rain coefficients follow
     the new frequency automatically."""
-    if not COEFF_FREQ_MIN_GHZ <= new_frequency_GHz <= COEFF_FREQ_MAX_GHZ:
-        raise DomainError(
-            f"frequency {new_frequency_GHz} GHz outside coefficient validity "
-            f"[{COEFF_FREQ_MIN_GHZ:g}, {COEFF_FREQ_MAX_GHZ:g}]")
+    check_frequency(new_frequency_GHz)
     return replace(params, frequency_GHz=new_frequency_GHz)
 
 

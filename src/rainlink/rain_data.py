@@ -108,18 +108,18 @@ class StationCatalog:
         lat, lon, cos_lat = _radians(self.stations)
         names = [s.name for s in self.stations]
         later = [[] for _ in names]  # later[i]: each j > i close to i
-        for _, i, j in _close_candidates(lat, lon, cos_lat):
-            later[i].append(j)
-        return tuple((names[i], names[j], _haversine_km(
-            lat[i], lon[i], cos_lat[i], lat[j], lon[j], cos_lat[j]))
-            for i, js in enumerate(later) for j in sorted(js))
+        for a, ids, ranges, near in _close_windows(lat, lon, cos_lat):
+            for b in [ids[q % len(ids)] for r in ranges for q in r] + near:
+                later[min(a, b)].append(max(a, b))
+        return tuple((names[i], names[j], _haversine_km(lat, lon, cos_lat, i, j))
+                     for i, js in enumerate(later) for j in sorted(js))
 
 
-def _haversine_km(lat1: float, lon1: float, cos_lat1: float,
-                  lat2: float, lon2: float, cos_lat2: float) -> float:
-    # radians in, with cos(lat) passed so a caller can compute it once
-    s = math.sin((lat2 - lat1) / 2.0) ** 2 \
-        + cos_lat1 * cos_lat2 * math.sin((lon2 - lon1) / 2.0) ** 2
+def _haversine_km(lat, lon, cos_lat, a: int, b: int) -> float:
+    # stations a and b of radian columns with cos(lat), in catalog order as great_circle_km
+    i, j = (a, b) if a < b else (b, a)
+    s = math.sin((lat[j] - lat[i]) / 2.0) ** 2 \
+        + cos_lat[i] * cos_lat[j] * math.sin((lon[j] - lon[i]) / 2.0) ** 2
     return 2.0 * MEAN_EARTH_RADIUS_KM * math.asin(math.sqrt(s))
 
 
@@ -127,7 +127,7 @@ def great_circle_km(lat1_deg: float, lon1_deg: float,
                     lat2_deg: float, lon2_deg: float) -> float:
     """Haversine great-circle distance in km on a mean-radius sphere."""
     lat1, lon1, lat2, lon2 = map(math.radians, (lat1_deg, lon1_deg, lat2_deg, lon2_deg))
-    return _haversine_km(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2))
+    return _haversine_km([lat1, lat2], [lon1, lon2], [math.cos(lat1), math.cos(lat2)], 0, 1)
 
 
 def _radians(stations) -> tuple[list[float], list[float], list[float]]:
@@ -135,47 +135,88 @@ def _radians(stations) -> tuple[list[float], list[float], list[float]]:
     return lat, [math.radians(s.longitude_deg) for s in stations], list(map(math.cos, lat))
 
 
-def _close_candidates(lat, lon, cos_lat):
-    """Yield (s, i, j), i < j, s the haversine's argument, for every pair
-    that great_circle_km puts under MIN_SEPARATION_KM.
+# Close pairs come from latitude strips THETA / 4 high, THETA the angle at the
+# minimum separation. Caps shrunk or widened by 1e-6 (far beyond rounding) bound
+# the longitudes certainly and maybe close; the haversine argument s = (1 - u_a .
+# u_b) / 2 (u: unit vectors) decides the latter, and within 1e-9 of it km does.
+_THETA = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM
+_REACH = _THETA * (1.0 + 1e-6)
+_COS_IN, _COS_OUT = math.cos(_THETA * (1.0 - 1e-6)), math.cos(_REACH)
+_S_IN, _S_OUT = (math.sin(_THETA / 2.0) ** 2 * (1.0 + d) for d in (-1e-9, 1e-9))
 
-    Such a pair is never further apart in latitude than MIN_SEPARATION_KM /
-    MEAN_EARTH_RADIUS_KM radians (the distance is at least R * |dlat|), so
-    each station measures only the later ones in latitude order inside that
-    band, widened by a relative 1e-9. s is compared with sin^2(T / 2R), and
-    within a relative 1e-9 of it the distance itself decides.
-    """
-    order = sorted(range(len(lat)), key=lat.__getitem__)
-    sorted_lat = [lat[k] for k in order]
-    band = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM * (1.0 + 1e-9)
-    s_max = math.sin(MIN_SEPARATION_KM / (2.0 * MEAN_EARTH_RADIUS_KM)) ** 2
-    s_in, s_out = s_max * (1.0 - 1e-9), s_max * (1.0 + 1e-9)
-    sin = math.sin
-    for k, a in enumerate(order):
-        lat_a, lon_a, cos_a = lat[a], lon[a], cos_lat[a]
-        for b in order[k + 1:bisect.bisect_right(sorted_lat, lat_a + band, k + 1)]:
-            s = sin((lat[b] - lat_a) / 2.0) ** 2 \
-                + cos_a * cos_lat[b] * sin((lon[b] - lon_a) / 2.0) ** 2
-            if s < s_out:
-                i, j = (a, b) if a < b else (b, a)
-                if s < s_in or _haversine_km(lat[i], lon[i], cos_lat[i], lat[j],
-                                             lon[j], cos_lat[j]) < MIN_SEPARATION_KM:
-                    yield s, i, j
+
+def _half_width(cos_cap, sin_a, cos_a, sin_p, cos_p):
+    # longitude half-width at latitude p of the cap about a: pi all, -1 none
+    x = (cos_cap - sin_a * sin_p) / (cos_a * cos_p)
+    return math.pi if x <= -1.0 else math.acos(x) if x < 1.0 else -1.0
+
+
+def _window(lons, c, w):
+    # positions [L, H), modulo n, of the sorted lons within w of c, across +-pi; H - L <= n
+    wraps_low, wraps_high = c - w < -math.pi, c + w > math.pi
+    low = bisect.bisect_left(lons, c - w + wraps_low * 2.0 * math.pi) - wraps_low * len(lons)
+    high = bisect.bisect_right(lons, c + w - wraps_high * 2.0 * math.pi) + wraps_high * len(lons)
+    return low, min(high, low + len(lons))
+
+
+def _close_windows(lat, lon, cos_lat):
+    """Yield (a, ids, ranges, near) for each station a and each strip within
+    reach, from a's own up: ids[q % len(ids)] for q in ranges are certainly
+    close to a, near the others that are; in a's own strip only later ones."""
+    buckets, strips, sin, cos = {}, [], math.sin, math.cos
+    ux, uy = [c * cos(x) for c, x in zip(cos_lat, lon)], [c * sin(x) for c, x in zip(cos_lat, lon)]
+    uz = list(map(sin, lat))
+    for k in sorted(range(len(lat)), key=lon.__getitem__):  # ids by longitude
+        buckets.setdefault(math.floor(lat[k] / (_THETA / 4.0)), []).append(k)
+    for _, ids in sorted(buckets.items()):
+        lo, hi = min(lat[k] for k in ids), max(lat[k] for k in ids)
+        strips.append((lo, hi, sin(lo), cos(lo), sin(hi), cos(hi), ids, [lon[k] for k in ids]))
+    for k, (*_, own_ids, _) in enumerate(strips):
+        for p, a in enumerate(own_ids):
+            phi, c, cos_a, sin_a, xa, ya = lat[a], lon[a], cos_lat[a], uz[a], ux[a], uy[a]
+            # widest at sin(phi*) = sin(phi) / cos(radius), or at a pole it holds
+            phi_star = math.asin(sin_a / _COS_OUT) if abs(sin_a) < _COS_OUT else 2.0
+            for lo, hi, sin_lo, cos_lo, sin_hi, cos_hi, ids, lons in strips[k:]:
+                if lo - phi > _REACH:
+                    break
+                w_in = min(_half_width(_COS_IN, sin_a, cos_a, sin_lo, cos_lo),
+                           _half_width(_COS_IN, sin_a, cos_a, sin_hi, cos_hi))
+                w_out = math.asin(min(1.0, sin(_REACH) / cos_a)) if lo <= phi_star <= hi else max(
+                    _half_width(_COS_OUT, sin_a, cos_a, sin_lo, cos_lo),
+                    _half_width(_COS_OUT, sin_a, cos_a, sin_hi, cos_hi))
+                n, (low, high) = len(ids), _window(lons, c, w_out)
+                in_low, in_high = _window(lons, c, w_in) if w_in >= 0.0 else (low, low)
+                rest = range(in_high, in_low + n) if high - low == n else \
+                    [*range(low, in_low), *range(in_high, high)]
+                own = ids is own_ids  # a is at p in both windows, later members at q < 0, p < q < n
+                ranges = (range(min(in_low, 0), 0), range(p + 1, min(in_high, n))) if own \
+                    else (range(in_low, in_high),)
+                maybe = (ids[q % n] for q in rest if not own or q < 0 or p < q < n)
+                yield a, ids, ranges, [
+                    b for b in maybe if (s := (1.0 - xa * ux[b] - ya * uy[b] - sin_a * uz[b]) / 2.0)
+                    < _S_IN or s < _S_OUT and _haversine_km(lat, lon, cos_lat, a, b) < MIN_SEPARATION_KM]
 
 
 def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
     """The number of pairs under MIN_SEPARATION_KM, and (km, i, j) of the
     first closest in all-pairs order, as min(close_pairs, key=km) picks it."""
     lat, lon, cos_lat = _radians(stations)
-    count, best, bound = 0, (math.inf, 0, 0), math.inf
-    for s, i, j in _close_candidates(lat, lon, cos_lat):
-        count += 1
-        # nearly equal s can round to equal km, so each pair within 1e-9 of
-        # the least s so far is measured, and a tie goes to the lower (i, j)
-        if s <= bound:
-            best = min(best, (_haversine_km(lat[i], lon[i], cos_lat[i],
-                                            lat[j], lon[j], cos_lat[j]), i, j))
-            bound = min(bound, s * (1.0 + 1e-9))
+    count = sum(sum(map(len, r)) + len(near) for _, _, r, near in _close_windows(lat, lon, cos_lat))
+    # a sweep by latitude whose band shrinks with the least s so far; nearly
+    # equal s can round to equal km, so each close pair within 1e-9 of that
+    # s is measured, and a tie goes to the lower (i, j)
+    order = sorted(range(len(lat)), key=lat.__getitem__)
+    best, bound, band, sin = (math.inf, 0, 0), _S_OUT, _REACH, math.sin
+    for k, a in enumerate(order):
+        lat_a, lon_a, cos_a = lat[a], lon[a], cos_lat[a]
+        for m in range(k + 1, len(order)):
+            if lat[b := order[m]] - lat_a > band:
+                break
+            s = sin((lat[b] - lat_a) / 2.0) ** 2 + cos_a * cos_lat[b] * sin((lon[b] - lon_a) / 2.0) ** 2
+            if s <= bound and (km := _haversine_km(lat, lon, cos_lat, a, b)) < MIN_SEPARATION_KM:
+                best = min(best, (km, min(a, b), max(a, b)))
+                bound = min(bound, s * (1.0 + 1e-9))
+                band = 2.0 * math.asin(math.sqrt(bound)) * (1.0 + 1e-9)
     return count, best
 
 
@@ -282,9 +323,11 @@ def _parse_columns(text: str):
     if body.endswith("\n"):
         body = body[:-1]
     lines = body.split("\n")
-    # as many commas as lines, and a comma in every line: one per line
-    if body.count(",") != len(lines) or not all(
-            map(operator.contains, lines, [","] * len(lines))):
+    # as many commas as lines, one in each; and no line over the csv field
+    # size limit, which would leave a block [k, k + half) with no newline
+    half = csv.field_size_limit() // 2 or 1
+    if body.count(",") != len(lines) or not all(map(operator.contains, lines, [","] * len(lines))) \
+            or any(body.find("\n", k, k + half) < 0 for k in range(0, len(body) - half + 1, half)):
         return None
     del lines  # freed before the cells are built, to keep the peak down
     cells = body.replace("\n", ",").split(",")

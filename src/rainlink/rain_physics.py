@@ -129,6 +129,14 @@ def _default_table() -> CoefficientTable:
     return load_coefficient_table()
 
 
+def check_frequency(frequency_GHz: float) -> None:
+    """Raise DomainError unless the frequency is in the regression's range."""
+    if not COEFF_FREQ_MIN_GHZ <= frequency_GHz <= COEFF_FREQ_MAX_GHZ:
+        raise DomainError(
+            f"frequency {frequency_GHz} GHz outside coefficient validity "
+            f"[{COEFF_FREQ_MIN_GHZ:g}, {COEFF_FREQ_MAX_GHZ:g}]")
+
+
 def regression_coefficients(frequency_GHz: float,
                             polarization: Polarization | str = Polarization.VERTICAL,
                             table: CoefficientTable | None = None) -> RainCoefficients:
@@ -137,10 +145,7 @@ def regression_coefficients(frequency_GHz: float,
     The regression is evaluated directly; no interpolation between
     sampled frequencies.
     """
-    if not COEFF_FREQ_MIN_GHZ <= frequency_GHz <= COEFF_FREQ_MAX_GHZ:
-        raise DomainError(
-            f"frequency {frequency_GHz} GHz outside coefficient validity "
-            f"[{COEFF_FREQ_MIN_GHZ:g}, {COEFF_FREQ_MAX_GHZ:g}]")
+    check_frequency(frequency_GHz)
     pol = Polarization(polarization)
     tab = table if table is not None else _default_table()
     horizontal = pol is Polarization.HORIZONTAL

@@ -264,6 +264,22 @@ class TestAttenuation:
                        "(131072)\n")
 
 
+    @pytest.mark.parametrize("zone", ["Z", ""])
+    def test_over_long_plain_rate_is_data_error(self, tmp_path, capsys, zone):
+        # a plain, unquoted rate over the csv field size limit is refused
+        # alike whether the stamps are UTC (the bulk parse) or naive
+        (tmp_path / "in.csv").write_text(
+            f"timestamp,rate_mm_per_hr\n2010-01-01T00:00:00{zone},1\n"
+            f"2010-01-01T01:00:00{zone},0.{'0' * 139_990}1\n")
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--series",
+                     str(tmp_path / "in.csv")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: line 3: field larger than field limit "
+                       "(131072)\n")
+
+
 class TestLinkBudget:
     def test_reference_cnr_column(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path,

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rainlink import (CnrMode, ConfigError, DomainError, TransmissionParams,
                       available_margin, band_scenario, carrier_to_noise,
                       evaluate_link, free_space_path_loss, link_closes,
-                      noise_power, parse_scenario, slant_range,
-                      unavailability_duration)
+                      noise_power, parse_scenario, regression_coefficients,
+                      slant_range, unavailability_duration)
 from rainlink.link_budget import link_budget
 
 
@@ -170,6 +170,15 @@ class TestBandScenario:
     def test_validity_floor(self):
         with pytest.raises(DomainError):
             band_scenario(uplink_params(), 0.5)
+
+    @pytest.mark.parametrize("freq", [0.5, 1000.5, math.nan])
+    def test_same_frequency_check_as_the_coefficients(self, freq):
+        message = (f"^frequency {freq} GHz outside coefficient validity "
+                   r"\[1, 1000\]$")
+        with pytest.raises(DomainError, match=message):
+            band_scenario(uplink_params(), freq)
+        with pytest.raises(DomainError, match=message):
+            regression_coefficients(freq)
 
     def test_fspl_difference_drives_cnr(self):
         ka = carrier_to_noise(uplink_params(), 5.0)

@@ -310,6 +310,130 @@ class TestClosePairSearch:
         assert record == []
 
 
+# the latitude strips of the close-pair search are a quarter of this angle
+THETA = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM
+
+
+def assert_matches_all_pairs(points):
+    """The count, the closest pair and close_pairs all equal the all-pairs
+    loop's; returns its pairs."""
+    catalog = parse_quietly(catalog_text(points))
+    pairs = brute_force_close_pairs(catalog.stations)
+    count, (d, i, j) = rain_data._close_pair_summary(catalog.stations)
+    assert count == len(pairs)
+    if pairs:
+        assert (f"S{i}", f"S{j}", d) == min(pairs, key=lambda p: p[2])
+    assert list(catalog.close_pairs) == pairs
+    return pairs
+
+
+def rim_longitude(lat_a, lat_b):
+    """The longitude offset, degrees, at which latitude lat_b meets the
+    circle of radius THETA about a station at lat_a."""
+    pa, pb = math.radians(lat_a), math.radians(lat_b)
+    return math.degrees(math.acos((math.cos(THETA) - math.sin(pa) * math.sin(pb))
+                                  / (math.cos(pa) * math.cos(pb))))
+
+
+class TestClosePairStrips:
+    def test_stations_on_strip_edges(self):
+        points = []
+        for k in range(-5, 6):
+            edge = math.degrees(k * THETA / 4.0)
+            for n, lat in enumerate((math.nextafter(edge, -90.0), edge,
+                                     math.nextafter(edge, 90.0))):
+                points.append((lat, 3.0 * k + 0.7 * n))
+                points.append((lat, 3.0 * k + 0.7 * n + 17.5))
+        pairs = assert_matches_all_pairs(points)
+        assert len(pairs) > 300
+
+    def test_strip_with_one_station(self):
+        # the station at 0 degrees is alone in its strip, partners above and
+        # below, up to four strips away
+        points = [(0.0, 20.0), (-17.9, 20.0), (-9.0, 24.0), (8.0, 27.0),
+                  (17.95, 20.0), (17.0, 25.0), (30.0, 20.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert {("S0", f"S{k}") for k in range(1, 6)} <= \
+            {(a, b) for a, b, _ in pairs}
+
+    def test_rim_of_the_cap_is_decided_by_distance(self):
+        # partners a few ulps either side of the circle of radius THETA; some
+        # land at exactly 2000 km or more though inside the circle as computed
+        points = []
+        for lat_a, lat_b in ((10.0, 18.0), (-20.0, -12.5), (30.0, 35.0)):
+            points.append((lat_a, 10.0))
+            w = rim_longitude(lat_a, lat_b)
+            points += [(lat_b, 10.0 + w * (1.0 + k * 1e-15)) for k in range(-3, 4)]
+        catalog = parse_quietly(catalog_text(points))
+        kms = [great_circle_km(a.latitude_deg, a.longitude_deg,
+                               b.latitude_deg, b.longitude_deg)
+               for a in catalog.stations for b in catalog.stations]
+        assert any(d == MIN_SEPARATION_KM or 0.0 < d - MIN_SEPARATION_KM < 1e-9
+                   for d in kms)
+        assert assert_matches_all_pairs(points)
+
+    def test_widest_parallel_inside_a_strip(self):
+        # a partner near the widest point of the cap, at sin(phi*) =
+        # sin(lat) / cos(THETA), between two members of its strip
+        points = []
+        for lat_a in (10.0, 40.0):
+            star = math.degrees(math.asin(math.sin(math.radians(lat_a))
+                                          / math.cos(THETA)))
+            widest = math.degrees(math.asin(math.sin(THETA)
+                                            / math.cos(math.radians(lat_a))))
+            points += [(lat_a, 0.0), (star - 1.5, 120.0), (star + 1.5, 120.0),
+                       (star, widest * (1.0 - 1e-6))]
+        pairs = assert_matches_all_pairs(points)
+        assert {("S0", "S3"), ("S4", "S7")} <= {(a, b) for a, b, _ in pairs}
+
+    def test_cap_holding_a_pole(self):
+        # from 80 degrees the cap covers the pole: partners at 89.9 degrees
+        # on other meridians, and at 85 degrees across the pole
+        points = [(80.0, 0.0)] + [(89.9, lon) for lon in (-135.0, -90.0, 45.0, 180.0)]
+        points += [(85.0, 180.0), (75.0, 180.0), (-80.0, 10.0), (-89.9, -170.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert {("S0", "S4"), ("S0", "S5"), ("S7", "S8")} <= \
+            {(a, b) for a, b, _ in pairs}
+        assert ("S0", "S6") not in {(a, b) for a, b, _ in pairs}
+
+    def test_windows_of_pi_or_more(self):
+        # near a pole whole parallels sit inside each cap: every pair of the
+        # ring is close, opposite meridians and the antimeridian included
+        points = [(88.0, lon) for lon in (-180.0, -90.0, 0.0, 90.0, 180.0)]
+        points += [(89.99, 45.0), (84.0, -45.0), (-86.0, 180.0), (-86.0, 0.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert ("S1", "S3") in {(a, b) for a, b, _ in pairs}
+        assert ("S7", "S8") in {(a, b) for a, b, _ in pairs}
+
+    def test_window_across_the_antimeridian(self):
+        # each station's only partners sit on the other side of +-180
+        points = [(0.0, 179.0), (2.0, -178.0), (-3.0, -170.0), (10.0, -175.0),
+                  (-40.0, -179.5), (-43.0, 175.0), (-35.0, 165.0),
+                  (60.0, 20.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert {(a, b) for a, b, _ in pairs} == {
+            ("S0", "S1"), ("S0", "S2"), ("S0", "S3"), ("S1", "S2"),
+            ("S1", "S3"), ("S2", "S3"), ("S4", "S5"), ("S4", "S6"),
+            ("S5", "S6")}
+
+    def test_coincident_stations_in_several_strips(self):
+        # 0 km pairs in three strips; the tie goes to the first in catalog
+        # order, which is not the first in latitude
+        edge = math.degrees(2 * THETA / 4.0)
+        points = [(edge, 5.0), (-30.0, 7.0), (-30.0, 7.0), (edge, 5.0),
+                  (50.0, -60.0), (50.0, -60.0), (edge, 5.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert [p for p in pairs if p[2] == 0.0] == [
+            ("S0", "S3", 0.0), ("S0", "S6", 0.0), ("S1", "S2", 0.0),
+            ("S3", "S6", 0.0), ("S4", "S5", 0.0)]
+
+    def test_dense_african_catalog_of_1500_sites(self):
+        rng = random.Random(20232)
+        points = [(rng.uniform(-34.5, 37.0), rng.uniform(-17.5, 51.0))
+                  for _ in range(1500)]
+        assert len(assert_matches_all_pairs(points)) > 180000
+
+
 class TestGreatCircle:
     def test_known_distance(self):
         # one degree of latitude on the mean-radius sphere
@@ -672,7 +796,8 @@ class TestResolveR001:
     def test_empirical_on_monthly_cadence_warns(self):
         series = make_series([0.1, 0.2, 0.3, 0.4] * 30, step_hours=730.5,
                              cadence="monthly")
-        with pytest.warns(CadenceWarning):
+        with pytest.warns(CadenceWarning), pytest.warns(
+                CoverageWarning, match="'TRMM': 120 samples are too few"):
             value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE, "TRMM")
         assert value == 0.4
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -9,10 +10,11 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 import rainlink.scenario
-from rainlink import (ConfigError, Polarization, SourceDescriptor,
-                      SourceKind, Strategy, availability_sweep,
-                      compare_sources, emit_report, packaged_catalog_text,
-                      parse_scenario, parse_station_catalog, resolve_sources)
+from rainlink import (ConfigError, CoverageWarning, Polarization,
+                      SourceDescriptor, SourceKind, Strategy,
+                      availability_sweep, compare_sources, emit_report,
+                      packaged_catalog_text, parse_scenario,
+                      parse_station_catalog, resolve_sources)
 from rainlink.cli import main
 
 PHYSICS = {"frequency_GHz": 28.5, "bandwidth_Hz": 2.1e9, "eirp_dBW": 75.9,
@@ -55,8 +57,9 @@ class TestResolveSources:
         sources = [series_source("chebil", Strategy.CHEBIL_ANNUAL, paths),
                    series_source("empirical", Strategy.EMPIRICAL_EXCEEDANCE,
                                  paths)]
-        alone = [resolve_sources([s], catalog(), str(tmp_path))[0]
-                 for s in sources]
+        with pytest.warns(CoverageWarning, match="'empirical': 400 samples"):
+            alone = [resolve_sources([s], catalog(), str(tmp_path))[0]
+                     for s in sources]
         parsed = []
         real = rainlink.scenario.parse_rain_series
 
@@ -65,7 +68,8 @@ class TestResolveSources:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rainlink.scenario, "parse_rain_series", counting)
-        together = resolve_sources(sources, catalog(), str(tmp_path))
+        with pytest.warns(CoverageWarning, match="'empirical': 400 samples"):
+            together = resolve_sources(sources, catalog(), str(tmp_path))
         assert sorted(parsed) == sorted(s.name for s in catalog().stations)
         assert together == alone
         assert together[0].r001_by_station != together[1].r001_by_station
@@ -225,8 +229,11 @@ class TestCompareIsOneSweep:
         p_value = scenario.p_list[0] if p is None else float(p)
 
         def sweep_alone(label):
-            [resolved] = resolve_sources([scenario.source(label)], catalog(),
-                                         str(tmp_path))
+            # 400 samples are too few for the 0.01 % rank: R001 is the maximum
+            with pytest.warns(CoverageWarning, match="'empirical': 400") \
+                    if label == "empirical" else contextlib.nullcontext():
+                [resolved] = resolve_sources([scenario.source(label)],
+                                             catalog(), str(tmp_path))
             return list(availability_sweep(
                 catalog(), scenario.params, [resolved], [p_value],
                 mode=scenario.mode, polarization=scenario.polarization).rows)
