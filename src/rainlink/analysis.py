@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
-from itertools import repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
@@ -237,9 +237,15 @@ def _column_text(column, str_text, float_text, any_text):
     return text
 
 
-def emit_report(table, format: str = "csv") -> str:
-    """Serialize a SweepTable, a list of LinkResult or of ComparisonRow, or
-    a (header, rows) pair. Formats: csv, json, aligned-table (alias: table)."""
+# data rows per chunk of a csv or json report. Each csv chunk has a fresh
+# buffer: a reused StringIO keeps the widest character size it has held.
+_CHUNK_ROWS = 1024
+
+
+def _report_chunks(table, format: str):
+    """The report text of a table, checked before the first chunk is made:
+    csv and json in chunks of at most _CHUNK_ROWS rows, and the aligned
+    table, which needs every cell for its column widths, as one chunk."""
     header, rows = _table_shape(table)
     if format not in _FORMATTERS:
         raise UsageError(f"unknown format {format!r} (choose csv, json, or "
@@ -250,30 +256,44 @@ def emit_report(table, format: str = "csv") -> str:
              for i in range(len(header))]
     # row by row, so that a row's cell texts are freed once it is written
     columns = [map(itemgetter(i), rows) for i in range(len(header))]
-    lines = zip(*map(map, texts, columns)) if header else [()] * len(rows)
+    lines = zip(*map(map, texts, columns)) if header else repeat((), len(rows))
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(lines)
-        return out.getvalue()
-    if format == "json":
+        for start in range(0, len(rows) or 1, _CHUNK_ROWS):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows(chain(
+                () if start else [header], islice(lines, _CHUNK_ROWS)))
+            yield out.getvalue()
+    elif format == "json":
         # the layout of json.dumps(records, indent=2), one record per row
         template = "{" + ",".join(
             f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
             for k in header) + "\n  }" if header else "{}"
-        records = [template % cells for cells in lines]
-        if not records:
-            return "[]\n"
-        # brackets on the end records, so one join builds the document
-        records[0] = "[\n  " + records[0]
-        records[-1] += "\n]\n"
-        return ",\n  ".join(records)
-    padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
-              for cells in ([h, *map(text, column)]
-                            for h, text, column in zip(header, texts, columns))]
-    lines = zip(*padded) if header else [()] * (len(rows) + 1)
-    return "\n".join(["  ".join(cells).rstrip() for cells in lines]) + "\n"
+        records = map(template.__mod__, lines)
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            end = "\n]\n" if start + _CHUNK_ROWS >= len(rows) else ""
+            yield (",\n  " if start else "[\n  ") + ",\n  ".join(
+                islice(records, _CHUNK_ROWS)) + end
+        if not rows:
+            yield "[]\n"
+    else:
+        padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
+                  for cells in ([h, *map(text, column)] for h, text, column
+                                in zip(header, texts, columns))]
+        lines = zip(*padded) if header else [()] * (len(rows) + 1)
+        yield "\n".join(["  ".join(cells).rstrip() for cells in lines]) + "\n"
+
+
+def emit_report(table, format: str = "csv") -> str:
+    """Serialize a SweepTable, a list of LinkResult or of ComparisonRow, or
+    a (header, rows) pair. Formats: csv, json, aligned-table (alias: table)."""
+    return "".join(_report_chunks(table, format))
+
+
+def write_report(table, format: str, out, head="", tail="") -> None:
+    """Write emit_report's text to the text stream out chunk by chunk,
+    between head and tail, once the table has passed its checks."""
+    chunks = _report_chunks(table, format)
+    out.writelines(chain((head, next(chunks)), chunks, (tail,)))
 
 
 def parse_report_csv(text: str) -> tuple[list[str], list[list]]:
@@ -319,9 +339,9 @@ def sweep_to_plot_curves(table: SweepTable,
             for (station, source), points in sorted(grouped.items())]
 
 
-def emit_plot_data(curves: list[PlotCurve]) -> str:
-    """Long-format CSV (station,source,p_percent,<field>) usable by any
-    plotting tool; values carry full precision."""
+def plot_data_table(curves: list[PlotCurve]) -> tuple[list[str], list[list]]:
+    """Long-format plot data (station,source,p_percent,<field>) as a
+    (header, rows) table; values carry full precision."""
     if not curves:
         raise ValidationError("no curves to emit")
     fields = {c.value_field for c in curves}
@@ -329,5 +349,9 @@ def emit_plot_data(curves: list[PlotCurve]) -> str:
         raise UsageError(f"curves mix value fields: {', '.join(sorted(fields))}")
     rows = [[c.station_ref, c.source_label, float(p), float(value)]
             for c in curves for p, value in c.points]
-    return emit_report((["station", "source", "p_percent",
-                         curves[0].value_field], rows), "csv")
+    return ["station", "source", "p_percent", curves[0].value_field], rows
+
+
+def emit_plot_data(curves: list[PlotCurve]) -> str:
+    """plot_data_table as csv, usable by any plotting tool."""
+    return emit_report(plot_data_table(curves), "csv")

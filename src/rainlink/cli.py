@@ -21,13 +21,13 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import (SweepTable, availability_sweep, compare_sources,
-                       emit_plot_data, emit_report, sweep_to_plot_curves)
+                       plot_data_table, sweep_to_plot_curves, write_report)
 from .attenuation import attenuation_curve
 from .constants import P_MAX_PERCENT, P_MIN_PERCENT
 from .errors import ConfigError, DuplicateWarning, RainlinkError, UsageError
 from .geometry import rain_slant_path
 from .rain_data import (StationCatalog, Strategy, packaged_catalog_text,
-                        parse_rain_series, parse_station_catalog,
+                        parse_rain_series, parse_station_catalog, read_text,
                         resolve_r001)
 from .rain_physics import Polarization, regression_coefficients
 from .scenario import (Scenario, SourceDescriptor, parse_scenario,
@@ -43,13 +43,8 @@ CURVE_COLUMNS = ["station", "source", "r001_mm_per_hr", "p_percent",
                  "attenuation_dB"]
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_catalog(path: str | None) -> StationCatalog:
-    text = packaged_catalog_text() if path is None else _read_text(path)
+    text = packaged_catalog_text() if path is None else read_text(path)
     return parse_station_catalog(text)
 
 
@@ -78,15 +73,13 @@ def _stamp_text() -> str:
     return f"rainlink {__version__} {now}"
 
 
-def _emit(report: str, format: str, stamp: bool) -> None:
-    if stamp:
-        if format == "json":
-            sys.stdout.write(f'{{"meta": "{_stamp_text()}", "report":\n')
-            sys.stdout.write(report)
-            sys.stdout.write("}\n")
-            return
-        sys.stdout.write(f"# {_stamp_text()}\n")
-    sys.stdout.write(report)
+def _emit(table, format: str, stamp: bool) -> None:
+    head = tail = ""
+    if stamp and format == "json":
+        head, tail = f'{{"meta": "{_stamp_text()}", "report":\n', "}\n"
+    elif stamp:
+        head = f"# {_stamp_text()}\n"
+    write_report(table, format, sys.stdout, head, tail)
 
 
 def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
@@ -109,8 +102,7 @@ def cmd_stations(args) -> int:
     catalog = _load_catalog(args.catalog)
     rows = [[s.name, s.latitude_deg, s.longitude_deg, s.altitude_km * 1000.0]
             for s in catalog.stations]
-    _emit(emit_report((STATION_COLUMNS, rows), args.format), args.format,
-          args.stamp)
+    _emit((STATION_COLUMNS, rows), args.format, args.stamp)
     return EXIT_OK
 
 
@@ -130,7 +122,7 @@ def cmd_attenuation(args) -> int:
             raise UsageError(f"--r001 {r001} must be >= 0")
     else:
         label = args.label or os.path.basename(args.series)
-        series = parse_rain_series(_read_text(args.series),
+        series = parse_rain_series(read_text(args.series),
                                    station_ref=station.name)
         r001 = resolve_r001(series, args.strategy, label)
     p_list = _parse_p_list(args.p)
@@ -141,26 +133,25 @@ def cmd_attenuation(args) -> int:
         print(f"diagnostic: {note}", file=sys.stderr)
     rows = [[station.name, label, curve.r001_mm_per_hr, p, a]
             for p, a in curve.points]
-    _emit(emit_report((CURVE_COLUMNS, rows), args.format), args.format,
-          args.stamp)
+    _emit((CURVE_COLUMNS, rows), args.format, args.stamp)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     """sweep, and linkbudget, which is a sweep at the scenario's p_list."""
     p_list = _parse_p_list(args.p) if args.p else None
-    scenario = parse_scenario(_read_text(args.scenario))
+    scenario = parse_scenario(read_text(args.scenario, ConfigError))
     table = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
-    _emit(emit_report(table, args.format), args.format, args.stamp)
+    _emit(table, args.format, args.stamp)
     if args.plot_data:
-        curves = sweep_to_plot_curves(table, args.plot_field)
+        plot = plot_data_table(sweep_to_plot_curves(table, args.plot_field))
         with open(args.plot_data, "w", encoding="utf-8") as fh:
-            fh.write(emit_plot_data(curves))
+            write_report(plot, "csv", fh)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    scenario = parse_scenario(_read_text(args.scenario))
+    scenario = parse_scenario(read_text(args.scenario, ConfigError))
     try:
         baseline = scenario.source(args.baseline)
         estimate = scenario.source(args.estimate)
@@ -172,7 +163,7 @@ def cmd_compare(args) -> int:
     rows = {d.label: [r for r in table.rows if r.source_label == d.label]
             for d in chosen}
     comparison = compare_sources(rows[baseline.label], rows[estimate.label])
-    _emit(emit_report(comparison, args.format), args.format, args.stamp)
+    _emit(comparison, args.format, args.stamp)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from .constants import MIN_ELEVATION_DEG, P_MAX_PERCENT, P_MIN_PERCENT
 from .errors import ConfigError, DomainError
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import (StationCatalog, Strategy, parse_rain_series,
-                        resolve_r001)
+                        read_text, resolve_r001)
 from .rain_physics import Polarization
 
 
@@ -215,8 +215,7 @@ def resolve_sources(sources: Sequence[SourceDescriptor],
             path = os.path.normpath(os.path.join(base_dir, source.paths[name]))
             readers.setdefault(path, []).append(source)
         for path, group in readers.items():
-            with open(path, "r", encoding="utf-8") as fh:
-                series = parse_rain_series(fh.read(), station_ref=name)
+            series = parse_rain_series(read_text(path), station_ref=name)
             for source in group:
                 rates[source.label][name] = resolve_r001(
                     series, source.strategy, source.label)

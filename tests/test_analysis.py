@@ -18,9 +18,10 @@ from rainlink import (ConfigError, DomainError, LinkResult, Polarization,
                       packaged_catalog_text, parse_station_catalog,
                       rain_slant_path, rank_stations, regression_coefficients,
                       sweep_to_plot_curves)
+import rainlink.analysis as analysis
 import rainlink.attenuation as attenuation
 from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
-                               parse_report_csv)
+                               parse_report_csv, plot_data_table, write_report)
 
 
 def uplink_params():
@@ -517,6 +518,80 @@ class TestColumnRenderer:
             emit_report((["a"], [[1.0, 2.0]]), format)
 
 
+CHUNK = analysis._CHUNK_ROWS
+
+
+def rows_in(format, chunk) -> int:
+    """The data rows a chunk of a ["name", "p", "ok"] report holds."""
+    if format == "csv":
+        return chunk.count("\n")
+    return chunk.count('"name": ')
+
+
+class WriteRecorder(io.StringIO):
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+class TestReportChunks:
+    """emit_report is the join of the report's chunks, csv and json chunks
+    hold at most CHUNK rows each, and write_report writes the chunks."""
+
+    @pytest.mark.parametrize("format", ORACLES)
+    @given(table=MIXED_TABLES)
+    def test_mixed_tables(self, format, table):
+        header, rows = table
+        chunks = list(analysis._report_chunks((header, rows), format))
+        assert "".join(chunks) == emit_report((header, rows), format) \
+            == ORACLES[format](header, rows)
+
+    @pytest.mark.parametrize("format", ORACLES)
+    @pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                       2 * CHUNK + 1])
+    def test_row_counts(self, format, count):
+        header = ["name", "p", "ok"]
+        rows = [[f"S{i % 7}", i / 3.0, i % 2 == 0] for i in range(count)]
+        chunks = list(analysis._report_chunks((header, rows), format))
+        assert "".join(chunks) == emit_report((header, rows), format) \
+            == ORACLES[format](header, rows)
+        if format in ("csv", "json"):
+            assert len(chunks) == max(1, -(-count // CHUNK))
+            held = [rows_in(format, chunk) for chunk in chunks]
+            assert sum(held) == count + (format == "csv")
+            assert max(held) <= CHUNK + (format == "csv")
+        else:
+            assert len(chunks) == 1
+
+    @pytest.mark.parametrize("format", ["csv", "json", "table"])
+    def test_head_and_tail_frame_the_chunks(self, format):
+        table = (["name", "p", "ok"],
+                 [[f"S{i}", i / 3.0, True] for i in range(CHUNK + 5)])
+        out = WriteRecorder()
+        write_report(table, format, out, "<head>", "<tail>")
+        assert out.getvalue() == \
+            "<head>" + emit_report(table, format) + "<tail>"
+        assert out.writes[0] == "<head>" and out.writes[-1] == "<tail>"
+        assert len(out.writes) == (3 if format == "table" else 4)
+
+    @pytest.mark.parametrize("table, format", [
+        ((["a", "b"], [[1.0, 2.0], [3.0]]), "csv"),
+        ((["a", "b"], [[1.0, 2.0]] * (2 * CHUNK) + [[3.0]]), "json"),
+        ((["a"], [[1.0]]), "xml"),
+        (object(), "csv")])
+    def test_rejected_table_writes_nothing(self, table, format):
+        out = WriteRecorder()
+        with pytest.raises(UsageError):
+            write_report(table, format, out, "<head>", "<tail>")
+        assert out.writes == []
+
+
 class TestSweepTable:
     def sweep(self):
         sources = [ResolvedSource("ITU", r001_by_station={
@@ -633,3 +708,9 @@ class TestEmitPlotData:
                  + sweep_to_plot_curves(table, "cnr_dB"))
         with pytest.raises(UsageError):
             emit_plot_data(mixed)
+
+    def test_table_is_what_emit_plot_data_writes(self):
+        curves = sweep_to_plot_curves(self.sweep_table(), "cnr_dB")
+        header, rows = plot_data_table(curves)
+        assert header == ["station", "source", "p_percent", "cnr_dB"]
+        assert emit_plot_data(curves) == csv_oracle(header, rows)

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from rainlink import SeparationWarning, StationCatalog, parse_station_catalog
-from rainlink.cli import main
+import rainlink
+import rainlink.analysis as analysis
+from rainlink import (SeparationWarning, StationCatalog, UsageError,
+                      parse_station_catalog)
+from rainlink.cli import _emit, main
+from test_analysis import WriteRecorder
 
 ITU_ATTEN = {"Abuja": 34.1808, "Hartbeesthoek": 49.0126, "Cairo": 31.6560,
              "Longonot": 40.2605, "Port Louis": 27.5556, "Praia": 28.0972}
@@ -474,3 +483,129 @@ class TestOutputModes:
         capsys.readouterr()
         assert warnings.filters == filters
         assert warnings.showwarning is showwarning
+
+
+# 6 stations x 5000 p = 30k sweep rows
+MANY_P = [0.001 + i * 0.999 / 4999 for i in range(5000)]
+
+
+class TestChunkedReports:
+    @pytest.mark.parametrize("format, row_mark", [("csv", "\n"),
+                                                  ("json", '"station": ')])
+    def test_no_write_holds_more_than_one_chunk(self, tmp_path, capsys,
+                                                monkeypatch, format, row_mark):
+        scenario = write_scenario(tmp_path, p_list=MANY_P, sources=[
+            {"label": "ITU", "kind": "attenuation", "values": ITU_ATTEN}])
+        out = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sweep", "--scenario", scenario, "--format", format]) == 0
+        capsys.readouterr()
+        rows = [text.count(row_mark) for text in out.writes]
+        assert sum(rows) == 30000 + (format == "csv")
+        assert max(rows) <= analysis._CHUNK_ROWS + (format == "csv")
+        assert len(out.writes) >= 30000 // analysis._CHUNK_ROWS
+        if format == "json":
+            assert len(json.loads(out.getvalue())) == 30000
+
+    def test_json_stamp_wraps_the_chunks(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, p_list=MANY_P[:500])
+        assert main(["sweep", "--scenario", scenario, "--format", "json",
+                     "--stamp"]) == 0
+        out, _ = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["meta"].startswith("rainlink ")
+        assert len(doc["report"]) == 6 * 2 * 500
+
+    @pytest.mark.parametrize("table, format", [
+        ((["a", "b"], [[1.0, 2.0]] * 3000 + [[3.0]]), "csv"),
+        ((["a", "b"], [[1.0, 2.0]] * 3000 + [[3.0]]), "json"),
+        ((["a"], [[1.0]]), "xml")])
+    def test_rejected_table_writes_nothing_with_stamp(self, capsys, table,
+                                                      format):
+        with pytest.raises(UsageError):
+            _emit(table, format, stamp=True)
+        assert capsys.readouterr().out == ""
+
+    def test_plot_data_file(self, tmp_path, capsys):
+        # 6 stations x 300 p: more rows than one chunk
+        scenario = write_scenario(
+            tmp_path, sources=[{"label": "ITU", "kind": "r001", "value": 90.0}])
+        plot = tmp_path / "plot.csv"
+        p_list = ",".join(map(repr, MANY_P[::5][:300]))
+        assert main(["sweep", "--scenario", scenario, "--p", p_list,
+                     "--plot-data", str(plot), "--plot-field", "cnr_dB",
+                     "--format", "csv"]) == 0
+        out, _ = capsys.readouterr()
+        rows = sorted((r[0], r[1], float(r[2]), float(r[4]))
+                      for r in list(csv.reader(io.StringIO(out)))[1:])
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["station", "source", "p_percent", "cnr_dB"])
+        writer.writerows((s, src, repr(p), repr(v)) for s, src, p, v in rows)
+        assert len(rows) == 1800
+        assert plot.read_bytes() == want.getvalue().encode()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_that_closes_early_gets_an_io_error(self, tmp_path,
+                                                       unbuffered):
+        scenario = write_scenario(tmp_path, p_list=MANY_P, sources=[
+            {"label": "ITU", "kind": "attenuation", "values": ITU_ATTEN}])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(rainlink.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+                [sys.executable, "-m", "rainlink.cli", "sweep", "--scenario",
+                 scenario, "--format", "json"], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 4
+        assert err.splitlines().count("error: [Errno 32] Broken pipe") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is a typed error naming the file and the
+    byte offset, never a traceback."""
+
+    def test_catalog(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(b"name,latitude_deg,longitude_deg,altitude_m\n"
+                            b"Z\xfcrich,47.4,8.5,400\n")
+        assert main(["stations", "--catalog", str(catalog)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {catalog}: not UTF-8 at byte 44\n"
+
+    def test_scenario(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(b'{"label": "\xff"}')
+        assert main(["sweep", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {scenario}: not UTF-8 at byte 11\n"
+
+    def test_series(self, tmp_path, capsys):
+        series = tmp_path / "rain.csv"
+        series.write_bytes(b"timestamp,rate_mm_per_hr\n"
+                           b"2010-01-01T00:00:00Z,1\xa0\n")
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--series",
+                     str(series)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {series}: not UTF-8 at byte 47\n"
+
+    def test_series_named_in_a_scenario(self, tmp_path, capsys):
+        series = tmp_path / "rain.csv"
+        series.write_bytes(b"timestamp,rate_mm_per_hr\n\xc3(\n")
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                           "Abuja,9.0,7.3,348\n")
+        scenario = write_scenario(tmp_path, sources=[
+            {"label": "S", "kind": "series", "paths": {"Abuja": "rain.csv"}}])
+        assert main(["sweep", "--scenario", scenario, "--catalog",
+                     str(catalog)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {series}: not UTF-8 at byte 25\n"
