@@ -97,7 +97,10 @@ def overestimation_percentage(baseline_dB: float, estimate_dB: float) -> float:
     if baseline_dB <= 0.0:
         raise DomainError(f"undefined comparison: baseline {baseline_dB} dB "
                           "must be > 0")
-    return (baseline_dB - estimate_dB) / baseline_dB * 100.0
+    percent = (baseline_dB - estimate_dB) / baseline_dB * 100.0
+    if not math.isfinite(percent):
+        raise DomainError(f"overestimation of baseline {baseline_dB} dB overflows")
+    return percent
 
 
 def compare_sources(baseline_results: list[LinkResult],

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .constants import P_MAX_PERCENT, P_MIN_PERCENT
+from .constants import check
 from .errors import ClampWarning, DomainError
 from .geometry import GroundStation, PathGeometry
 from .rain_physics import RainCoefficients, specific_attenuation
@@ -39,9 +39,19 @@ class AttenuationCurve:
 
 def check_p_percent(p_percent: float) -> None:
     """Raise DomainError unless p is in the exceedance-scaling range."""
-    if not P_MIN_PERCENT <= p_percent <= P_MAX_PERCENT:
-        raise DomainError(
-            f"exceedance percentage {p_percent} outside [{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
+    check("p_percent", p_percent, "exceedance percentage")
+
+
+def _reduction_factor(L_G_km: float, gamma_dB_per_km: float,
+                      frequency_GHz: float) -> tuple[float, str]:
+    """r001 at most 1, and the note that it was clamped to 1 ("" if not)."""
+    if L_G_km == 0.0:
+        return 1.0, ""
+    r001 = 1.0 / (1.0 + 0.78 * math.sqrt(L_G_km * gamma_dB_per_km / frequency_GHz)
+                  - 0.38 * (1.0 - math.exp(-2.0 * L_G_km)))
+    if r001 > 1.0:
+        return 1.0, f"horizontal reduction factor {r001:.4f} clamped to 1.0"
+    return r001, ""
 
 
 def horizontal_reduction_factor(L_G_km: float, gamma_dB_per_km: float,
@@ -56,17 +66,10 @@ def horizontal_reduction_factor(L_G_km: float, gamma_dB_per_km: float,
         raise DomainError(f"horizontal projection {L_G_km} km must be >= 0")
     if gamma_dB_per_km < 0.0:
         raise DomainError(f"specific attenuation {gamma_dB_per_km} dB/km must be >= 0")
-    if frequency_GHz < 1.0:
-        raise DomainError(f"frequency {frequency_GHz} GHz must be >= 1")
-    if L_G_km == 0.0:
-        return 1.0
-    denom = 1.0 + 0.78 * math.sqrt(L_G_km * gamma_dB_per_km / frequency_GHz) \
-        - 0.38 * (1.0 - math.exp(-2.0 * L_G_km))
-    r001 = 1.0 / denom
-    if r001 > 1.0:
-        warnings.warn(f"horizontal reduction factor {r001:.4f} clamped to 1.0",
-                      ClampWarning, stacklevel=2)
-        return 1.0
+    check("frequency_GHz", frequency_GHz, "frequency")
+    r001, clamped = _reduction_factor(L_G_km, gamma_dB_per_km, frequency_GHz)
+    if clamped:
+        warnings.warn(clamped, ClampWarning, stacklevel=2)
     return r001
 
 
@@ -174,11 +177,9 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
     """
     plan = p_list if isinstance(p_list, PPlan) else PPlan(p_list)
     gamma = specific_attenuation(r001_rain_rate, coefficients).gamma_dB_per_km
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ClampWarning)
-        r001 = horizontal_reduction_factor(path.horizontal_projection_km, gamma,
-                                           coefficients.frequency_GHz)
-    diagnostics = [str(w.message) for w in caught]
+    r001, clamped = _reduction_factor(path.horizontal_projection_km, gamma,
+                                      coefficients.frequency_GHz)
+    diagnostics = [clamped] if clamped else []
     L_R, v001 = vertical_adjustment(
         path.horizontal_projection_km, r001, path.rain_height_km,
         station.altitude_km, path.elevation_deg, gamma,

@@ -23,8 +23,9 @@ from . import __version__
 from .analysis import (SweepTable, availability_sweep, compare_sources,
                        plot_data_table, sweep_to_plot_curves, write_report)
 from .attenuation import attenuation_curve
-from .constants import P_MAX_PERCENT, P_MIN_PERCENT
-from .errors import ConfigError, DuplicateWarning, RainlinkError, UsageError
+from .constants import check
+from .errors import (ConfigError, DomainError, DuplicateWarning, RainlinkError,
+                     UsageError)
 from .geometry import rain_slant_path
 from .rain_data import (StationCatalog, Strategy, packaged_catalog_text,
                         parse_rain_series, parse_station_catalog, read_text,
@@ -48,15 +49,19 @@ def _load_catalog(path: str | None) -> StationCatalog:
     return parse_station_catalog(text)
 
 
-def _check_p(p: float) -> float:
-    if not P_MIN_PERCENT <= p <= P_MAX_PERCENT:
-        raise UsageError(f"--p {p:g} outside [{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
-    return p
+def _flag(quantity: str, value: float, flag: str) -> float:
+    """A flag's value if it lies in the domain of quantity, else a UsageError."""
+    try:
+        return check(quantity, value, flag)
+    except DomainError as exc:
+        raise UsageError(str(exc) if math.isfinite(value)
+                         else f"{flag} {value} must be finite") from exc
 
 
 def _parse_p_list(text: str) -> list[float]:
     try:
-        values = [_check_p(float(x)) for x in text.split(",") if x.strip()]
+        values = [_flag("p_percent", float(x), "--p")
+                  for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --p list {text!r}: {exc}") from exc
     if not values:
@@ -107,19 +112,15 @@ def cmd_stations(args) -> int:
 
 
 def cmd_attenuation(args) -> int:
-    for flag, value in [("--r001", args.r001), ("--freq-ghz", args.freq_ghz),
-                        ("--elevation-deg", args.elevation_deg)]:
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"{flag} {value} must be finite")
+    _flag("frequency_GHz", args.freq_ghz, "--freq-ghz")
+    _flag("elevation_deg", args.elevation_deg, "--elevation-deg")
     catalog = _load_catalog(args.catalog)
     station = catalog.station(args.station)
     if (args.r001 is None) == (args.series is None):
         raise UsageError("exactly one of --r001 or --series is required")
     if args.r001 is not None:
         label = args.label or "direct"
-        r001 = args.r001
-        if r001 < 0.0:
-            raise UsageError(f"--r001 {r001} must be >= 0")
+        r001 = _flag("rain_rate_mm_per_hr", args.r001, "--r001")
     else:
         label = args.label or os.path.basename(args.series)
         series = parse_rain_series(read_text(args.series),
@@ -157,7 +158,8 @@ def cmd_compare(args) -> int:
         estimate = scenario.source(args.estimate)
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    p = scenario.p_list[0] if args.p_value is None else _check_p(args.p_value)
+    p = (scenario.p_list[0] if args.p_value is None
+         else _flag("p_percent", args.p_value, "--p"))
     chosen = [baseline] if baseline is estimate else [baseline, estimate]
     table = _sweep(args, scenario, chosen, [p])
     rows = {d.label: [r for r in table.rows if r.source_label == d.label]

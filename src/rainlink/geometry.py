@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import EARTH_RADIUS_KM, MIN_ELEVATION_DEG
+from .constants import EARTH_RADIUS_KM, MIN_ELEVATION_DEG, check
 from .errors import DomainError, UnsupportedRegimeError
 
 
@@ -31,14 +31,11 @@ class GroundStation:
     def __post_init__(self):
         if not self.name:
             raise DomainError("station name must be non-empty")
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise DomainError(f"latitude {self.latitude_deg} outside [-90, 90]")
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise DomainError(f"longitude {self.longitude_deg} outside [-180, 180]")
-        if not math.isfinite(self.altitude_km):
-            raise DomainError(f"altitude {self.altitude_km} km must be finite")
-        if self.altitude_km < 0.0:
-            raise DomainError(f"altitude {self.altitude_km} km must be >= 0")
+        check("latitude_deg", self.latitude_deg, "latitude")
+        check("longitude_deg", self.longitude_deg, "longitude")
+        check("altitude_km", self.altitude_km, "altitude")
+        if self.rain_height_override_km is not None:
+            check("altitude_km", self.rain_height_override_km, "rain height")
 
 
 @dataclass(frozen=True)
@@ -66,10 +63,8 @@ def slant_range(satellite_altitude_km: float, elevation_deg: float,
     d = sqrt((Re+h)^2 - Re^2 cos^2(e)) - Re sin(e), strictly decreasing
     in elevation.
     """
-    if satellite_altitude_km <= 0.0:
-        raise DomainError(f"satellite altitude {satellite_altitude_km} km must be > 0")
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise DomainError(f"elevation {elevation_deg} deg outside [0, 90]")
+    check("satellite_altitude_km", satellite_altitude_km, "satellite altitude")
+    check("elevation_deg", elevation_deg, "elevation")
     re = earth_radius_km
     e = math.radians(elevation_deg)
     return math.sqrt((re + satellite_altitude_km) ** 2 - (re * math.cos(e)) ** 2) - re * math.sin(e)
@@ -77,8 +72,7 @@ def slant_range(satellite_altitude_km: float, elevation_deg: float,
 
 def free_space_path_loss(frequency_GHz: float, distance_km: float) -> float:
     """FSPL in dB: 92.45 + 20 log10(f_GHz) + 20 log10(d_km)."""
-    if frequency_GHz <= 0.0:
-        raise DomainError(f"frequency {frequency_GHz} GHz must be > 0")
+    check("frequency_GHz", frequency_GHz, "frequency")
     if distance_km <= 0.0:
         raise DomainError(f"distance {distance_km} km must be > 0")
     return 92.45 + 20.0 * math.log10(frequency_GHz) + 20.0 * math.log10(distance_km)
@@ -110,13 +104,13 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
     (attenuation identically zero downstream) rather than an error.
     Passing satellite_altitude_km also fills in the full slant range.
     """
-    if not elevation_deg <= 90.0:  # NaN included
-        raise DomainError(f"elevation {elevation_deg} deg outside [0, 90]")
+    check("elevation_deg", elevation_deg, "elevation")
     if elevation_deg < MIN_ELEVATION_DEG:
         raise UnsupportedRegimeError(
             f"elevation {elevation_deg} deg below {MIN_ELEVATION_DEG} deg; "
             "the low-elevation prediction branch is not implemented")
-    h_r = rain_height(station) if rain_height_km is None else rain_height_km
+    h_r = (rain_height(station) if rain_height_km is None
+           else check("altitude_km", rain_height_km, "rain height"))
     h_s = station.altitude_km
     e = math.radians(elevation_deg)
     l_s = l_g = 0.0

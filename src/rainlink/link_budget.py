@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
-from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR
+from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR, check
 from .errors import ConfigError, DomainError
 from .geometry import free_space_path_loss, slant_range
 from .rain_physics import check_frequency
@@ -45,19 +45,8 @@ class TransmissionParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise DomainError(f"{f.name} must be finite, got {value!r}")
-        if not 0.0 <= self.elevation_deg <= 90.0:
-            raise DomainError(f"elevation_deg {self.elevation_deg} outside "
-                              "[0, 90]")
-        for name in ("frequency_GHz", "bandwidth_Hz", "system_temperature_K",
-                     "satellite_altitude_km"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be > 0")
-        if self.required_margin_dB < 0.0:
-            raise DomainError("required_margin_dB must be >= 0")
-        if self.other_losses_dB < 0.0:
-            raise DomainError("other_losses_dB must be >= 0")
+            if value is not None:
+                check(f.name, value, f.name)
 
 
 @dataclass(frozen=True)
@@ -76,10 +65,8 @@ class LinkResult:
 
 def noise_power(system_temperature_K: float, bandwidth_Hz: float) -> float:
     """Thermal noise power 10 log10(kTB) in dBW."""
-    if system_temperature_K <= 0.0:
-        raise DomainError(f"temperature {system_temperature_K} K must be > 0")
-    if bandwidth_Hz <= 0.0:
-        raise DomainError(f"bandwidth {bandwidth_Hz} Hz must be > 0")
+    check("system_temperature_K", system_temperature_K, "temperature")
+    check("bandwidth_Hz", bandwidth_Hz, "bandwidth")
     return 10.0 * math.log10(BOLTZMANN_J_PER_K * system_temperature_K * bandwidth_Hz)
 
 

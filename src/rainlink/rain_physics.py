@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .constants import COEFF_FREQ_MAX_GHZ, COEFF_FREQ_MIN_GHZ
+from .constants import DOMAINS, check
 from .errors import DomainError, ParseError
+from .rain_data import read_text
 
 
 class Polarization(str, Enum):
@@ -116,12 +117,10 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
 def load_coefficient_table(path: str | None = None) -> CoefficientTable:
     """Load the regression constants, from the packaged data file by
     default or from an override path."""
-    if path is None:
-        text = resources.files("rainlink.data").joinpath("p838_coefficients.txt").read_text(encoding="utf-8")
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_coefficient_table(text)
+    if path is not None:
+        return parse_coefficient_table(read_text(path))
+    return parse_coefficient_table(resources.files("rainlink.data").joinpath(
+        "p838_coefficients.txt").read_text(encoding="utf-8"))
 
 
 @functools.cache
@@ -131,10 +130,10 @@ def _default_table() -> CoefficientTable:
 
 def check_frequency(frequency_GHz: float) -> None:
     """Raise DomainError unless the frequency is in the regression's range."""
-    if not COEFF_FREQ_MIN_GHZ <= frequency_GHz <= COEFF_FREQ_MAX_GHZ:
-        raise DomainError(
-            f"frequency {frequency_GHz} GHz outside coefficient validity "
-            f"[{COEFF_FREQ_MIN_GHZ:g}, {COEFF_FREQ_MAX_GHZ:g}]")
+    low, high, unit = DOMAINS["frequency_GHz"]
+    if not low <= frequency_GHz <= high:
+        raise DomainError(f"frequency {frequency_GHz} {unit} outside "
+                          f"coefficient validity [{low:g}, {high:g}]")
 
 
 def regression_coefficients(frequency_GHz: float,
@@ -158,8 +157,7 @@ def regression_coefficients(frequency_GHz: float,
 def specific_attenuation(rain_rate_mm_per_hr: float,
                          coefficients: RainCoefficients) -> SpecificAttenuation:
     """gamma = kappa * R^alpha in dB/km; zero exactly when R is zero."""
-    if rain_rate_mm_per_hr < 0.0:
-        raise DomainError(f"rain rate {rain_rate_mm_per_hr} mm/hr must be >= 0")
+    check("rain_rate_mm_per_hr", rain_rate_mm_per_hr, "rain rate")
     gamma = (0.0 if rain_rate_mm_per_hr == 0.0
              else coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha)
     return SpecificAttenuation(gamma_dB_per_km=gamma,

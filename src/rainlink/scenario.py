@@ -5,15 +5,14 @@ per-station inputs of a sweep."""
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 from .analysis import ResolvedSource
-from .constants import MIN_ELEVATION_DEG, P_MAX_PERCENT, P_MIN_PERCENT
-from .errors import ConfigError, DomainError
+from .constants import MIN_ELEVATION_DEG, check
+from .errors import ConfigError
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import (StationCatalog, Strategy, parse_rain_series,
                         read_text, resolve_r001)
@@ -66,10 +65,7 @@ class Scenario:
         raise ConfigError(f"unknown source label {label!r} (known: {known})")
 
 
-_PARAM_FIELDS = ("frequency_GHz", "bandwidth_Hz", "eirp_dBW", "elevation_deg",
-                 "receiver_gain_dBi", "system_temperature_K",
-                 "required_margin_dB", "satellite_altitude_km")
-_OPTIONAL_PARAM_FIELDS = ("other_losses_dB", "antenna_diameter_m")
+_PARAMS = fields(TransmissionParams)  # each a scenario field of that name
 # the descriptor fields each kind needs, at least one of them set
 _KIND_FIELDS = {SourceKind.R001: ("value", "values"),
                 SourceKind.SERIES: ("paths",),
@@ -86,16 +82,12 @@ def _choice(enum: type[Enum], value, where: str):
                           f"got {value!r}") from exc
 
 
-def _number(value, where: str) -> float:
-    """value as a finite float, or a ConfigError naming where it came
-    from."""
+def _number(value, where: str, quantity: str) -> float:
+    """value as a float in quantity's domain, or a ConfigError naming where."""
     try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
+        return check(quantity, float(value), "value")
+    except (TypeError, ValueError) as exc:  # a DomainError is a ValueError
         raise ConfigError(f"{where}: {exc}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    return number
 
 
 def _mapping(raw: dict, name: str, where: str) -> dict | None:
@@ -117,30 +109,23 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
-    missing = [f for f in _PARAM_FIELDS if f not in doc]
+    missing = [f.name for f in _PARAMS
+               if f.default is MISSING and f.name not in doc]
     if missing:
         raise ConfigError(f"scenario missing fields: {', '.join(missing)}")
-    kwargs = {name: _number(doc[name], f"field {name}")
-              for name in _PARAM_FIELDS + _OPTIONAL_PARAM_FIELDS
-              if name in doc}
-    try:
-        params = TransmissionParams(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = TransmissionParams(**{
+        f.name: _number(doc[f.name], f"field {f.name}", f.name)
+        for f in _PARAMS if f.name in doc})
     mode = _choice(CnrMode, doc.get("mode", "physics"), "field mode")
     k_clear = doc.get("k_clear_dB")
     if k_clear is not None:
-        k_clear = _number(k_clear, "field k_clear_dB")
+        k_clear = _number(k_clear, "field k_clear_dB", "k_clear_dB")
     if mode is CnrMode.CALIBRATED and k_clear is None:
         raise ConfigError("field k_clear_dB: required in calibrated mode")
     p_raw = doc.get("p_list", [0.01])
     if not isinstance(p_raw, list) or not p_raw:
         raise ConfigError("field p_list: must be a non-empty list")
-    p_list = tuple(_number(p, "field p_list") for p in p_raw)
-    for p in p_list:
-        if not P_MIN_PERCENT <= p <= P_MAX_PERCENT:
-            raise ConfigError(f"field p_list: {p} outside "
-                              f"[{P_MIN_PERCENT}, {P_MAX_PERCENT}]")
+    p_list = tuple(_number(p, "field p_list", "p_percent") for p in p_raw)
     catalog_path = doc.get("catalog")
     if catalog_path is not None and not isinstance(catalog_path, str):
         raise ConfigError(f"field catalog: must be a path string, "
@@ -158,12 +143,15 @@ def parse_scenario(text: str) -> Scenario:
         where = f"sources[{i}] ({label})"
         values = _mapping(raw, "values", where)
         paths = _mapping(raw, "paths", where)
+        kind = _choice(SourceKind, raw.get("kind"), f"{where}: field kind")
+        quantity = ("attenuation_dB" if kind is SourceKind.ATTENUATION
+                    else "rain_rate_mm_per_hr")
         desc = SourceDescriptor(
-            label=label,
-            kind=_choice(SourceKind, raw.get("kind"), f"{where}: field kind"),
-            value=_number(raw["value"], f"{where}: field value")
+            label=label, kind=kind,
+            value=_number(raw["value"], f"{where}: field value", quantity)
             if "value" in raw else None,
-            values={str(k): _number(v, f"{where}: field values[{k!r}]")
+            values={str(k): _number(v, f"{where}: field values[{k!r}]",
+                                    quantity)
                     for k, v in values.items()}
             if values is not None else None,
             paths={str(k): str(v) for k, v in paths.items()}

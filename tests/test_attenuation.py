@@ -216,6 +216,17 @@ class TestAttenuationCurve:
         curve = attenuation_curve(st, path, coeffs(), 0.0, [0.01])
         assert any("clamped" in d for d in curve.diagnostics)
 
+    def test_clamp_noted_without_touching_warning_filters(self, monkeypatch):
+        # catch_warnings rewrites the process-wide filter list on entry
+        def refuse(*args, **kwargs):
+            raise AssertionError("attenuation_curve entered catch_warnings")
+        monkeypatch.setattr(warnings, "catch_warnings", refuse)
+        st = abuja()
+        path = rain_slant_path(st, 20.0, 5.0)
+        curve = attenuation_curve(st, path, coeffs(), 0.0, [0.01])
+        assert curve.diagnostics == (
+            "horizontal reduction factor 1.6129 clamped to 1.0",)
+
     def test_empty_p_list_rejected(self):
         st = abuja()
         path = rain_slant_path(st, 20.0, 5.0)

@@ -609,3 +609,67 @@ class TestNonUtf8Input:
                      str(catalog)]) == 3
         assert capsys.readouterr().err == \
             f"error: {series}: not UTF-8 at byte 25\n"
+
+
+PHYSICS = {"mode": "physics", "k_clear_dB": None, "p_list": [0.01, 0.1],
+           "sources": [{"label": "ITU", "kind": "r001", "value": 90.0}]}
+
+
+def anchors(value: float) -> list[dict]:
+    return [{"label": "ITU", "kind": "attenuation",
+             "values": {name: value for name in ITU_ATTEN}}]
+
+
+class TestLiveDefects:
+    """Scenarios and flags that printed a non-finite report, ran with an
+    absurd input or ended in a traceback, and now end in one line of
+    error, because every input is checked against its domain."""
+
+    @pytest.mark.parametrize("override, field", [
+        # csv printed inf, json Infinity
+        ({"eirp_dBW": 1e308, "receiver_gain_dBi": 1e308}, "field eirp_dBW"),
+        ({"eirp_dBW": -1e308, "required_margin_dB": 1e308},
+         "field eirp_dBW"),
+        ({"mode": "calibrated", "k_clear_dB": 1e308,
+          "sources": anchors(-1e308)}, "field k_clear_dB"),
+        ({"mode": "calibrated", "k_clear_dB": 3.0,
+          "sources": anchors(-1e308)}, "field values['Abuja']"),
+        # tracebacks
+        ({"bandwidth_Hz": 1e-320}, "field bandwidth_Hz"),
+        ({"system_temperature_K": 1e-320}, "field system_temperature_K"),
+        ({"satellite_altitude_km": 1e308}, "field satellite_altitude_km"),
+        # ran with an absurd rain rate
+        ({"sources": [{"label": "ITU", "kind": "r001", "value": 1e300}]},
+         "field value"),
+        # data errors (exit 3) at sweep time
+        ({"frequency_GHz": 0.5}, "field frequency_GHz"),
+        ({"sources": [{"label": "ITU", "kind": "r001", "value": -5}]},
+         "field value"),
+    ])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_scenario_value_is_one_line_usage_error(self, tmp_path, capsys,
+                                                    override, field, format):
+        scenario = write_scenario(tmp_path, **dict(PHYSICS, **override))
+        assert main(["sweep", "--scenario", scenario,
+                     "--format", format]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "outside the finite domain" in err
+
+    def test_r001_flag_is_bounded(self, capsys):
+        assert main(["attenuation", "--station", "Abuja", "--freq-ghz",
+                     "28.5", "--elevation-deg", "20", "--r001", "1e300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: --r001 1e+300 mm/hr outside the finite domain "
+                       "[0, 2000]\n")
+
+    def test_overflowing_comparison_is_data_error(self, tmp_path, capsys):
+        sources = anchors(5e-324) + [dict(anchors(1000.0)[0], label="big")]
+        scenario = write_scenario(tmp_path, sources=sources)
+        assert main(["compare", "--scenario", scenario, "--baseline", "ITU",
+                     "--estimate", "big", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: overestimation of baseline 5e-324 dB overflows\n"

@@ -115,6 +115,13 @@ class TestCoefficientTable:
         c = regression_coefficients(28.5, "vertical", table=table)
         assert abs(c.kappa - regression_coefficients(28.5, "vertical").kappa) < 1e-15
 
+    def test_override_path_not_utf8(self, tmp_path):
+        p = tmp_path / "coeffs.txt"
+        p.write_bytes(b"x\xff")
+        with pytest.raises(ParseError) as err:
+            load_coefficient_table(str(p))
+        assert str(err.value) == f"{p}: not UTF-8 at byte 1"
+
     def test_missing_section_rejected(self):
         with pytest.raises(ParseError):
             parse_coefficient_table("[kappa_horizontal]\nscale = log10\n"
