@@ -19,7 +19,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
 from .attenuation import PPlan, attenuation_curve
-from .errors import DomainError, UsageError, ValidationError
+from .constants import check
+from .errors import DomainError, Record, UsageError, ValidationError
 from .geometry import rain_slant_path
 from .link_budget import CnrMode, LinkResult, TransmissionParams, link_budget
 from .rain_data import StationCatalog
@@ -53,8 +54,7 @@ class ComparisonRow:
 _COMPARISON_CELLS = attrgetter(*(f.name for f in fields(ComparisonRow)))
 
 
-@dataclass(frozen=True)
-class ResolvedSource:
+class ResolvedSource(Record):
     """A rain source reduced to per-station inputs for the sweep.
 
     Exactly one of r001_by_station (rain rates fed through the prediction
@@ -70,10 +70,12 @@ class ResolvedSource:
         if (self.r001_by_station is None) == (self.attenuation_by_station is None):
             raise ValidationError(f"source {self.label!r}: exactly one of "
                                   "r001_by_station/attenuation_by_station required")
+        for station, value in (self.attenuation_by_station or {}).items():
+            check("attenuation_dB", value,
+                  f"source {self.label!r} station {station!r}: attenuation")
 
 
-@dataclass(frozen=True, init=False)
-class SweepTable:
+class SweepTable(Record):
     """Link results over the (station, source, p) cross-product, sorted by
     station, source and p: records, a tuple per row in SWEEP_COLUMNS order;
     rows, the LinkResults, built on first access; and chain diagnostics."""
@@ -82,9 +84,8 @@ class SweepTable:
     diagnostics: tuple[str, ...]
 
     def __init__(self, rows=(), diagnostics=(), *, records=None):
-        object.__setattr__(self, "records", tuple(
-            map(_LINK_CELLS, rows) if records is None else records))
-        object.__setattr__(self, "diagnostics", tuple(diagnostics))
+        super().__init__(tuple(map(_LINK_CELLS, rows) if records is None else records),
+                         tuple(diagnostics))
 
     @cached_property
     def rows(self) -> tuple[LinkResult, ...]:
@@ -176,7 +177,9 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                 margin = cnr - required
                 rows.append((station.name, source.label, p, a_p, cnr,
                              required, margin, margin >= 0.0))
-    rows.sort(key=itemgetter(0, 1, 2))
+    # by station, source and p: stable sorts on single cells need no key tuples
+    for column in (2, 1, 0):
+        rows.sort(key=itemgetter(column))
     return SweepTable(records=rows, diagnostics=diagnostics)
 
 
@@ -318,8 +321,7 @@ def _typed_cell(cell: str):
         return cell
 
 
-@dataclass(frozen=True)
-class PlotCurve:
+class PlotCurve(Record):
     """One plottable series: a value versus exceedance percentage."""
 
     station_ref: str
@@ -337,8 +339,7 @@ def sweep_to_plot_curves(table: SweepTable,
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
     for record in table.records:
         grouped.setdefault(record[:2], []).append((record[2], record[column]))
-    return [PlotCurve(station_ref=station, source_label=source,
-                      value_field=value_field, points=tuple(sorted(points)))
+    return [PlotCurve(station, source, value_field, tuple(sorted(points)))
             for (station, source), points in sorted(grouped.items())]
 
 

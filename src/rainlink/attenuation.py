@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .constants import check
-from .errors import ClampWarning, DomainError
+from .errors import ClampWarning, DomainError, Record, _set
 from .geometry import GroundStation, PathGeometry
-from .rain_physics import RainCoefficients, specific_attenuation
+from .rain_physics import RainCoefficients, _gamma
 
 
-@dataclass(frozen=True)
-class AttenuationCurve:
+class AttenuationCurve(Record):
     """Predicted attenuation A_p versus exceedance percentage p.
 
     points is sorted ascending in p. diagnostics carries human-readable
@@ -34,7 +32,14 @@ class AttenuationCurve:
     reference_A001_dB: float
     r001_mm_per_hr: float
     points: tuple[tuple[float, float], ...]
-    diagnostics: tuple[str, ...] = field(default=())
+    diagnostics: tuple[str, ...] = ()
+
+    def __init__(self, reference_A001_dB, r001_mm_per_hr, points, diagnostics=()):
+        # Record.__init__ written out: a sweep builds one per station and source
+        _set(self, "reference_A001_dB", reference_A001_dB)
+        _set(self, "r001_mm_per_hr", r001_mm_per_hr)
+        _set(self, "points", points)
+        _set(self, "diagnostics", diagnostics)
 
 
 def check_p_percent(p_percent: float) -> None:
@@ -176,7 +181,7 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
     recorded as a diagnostic, never silently accepted.
     """
     plan = p_list if isinstance(p_list, PPlan) else PPlan(p_list)
-    gamma = specific_attenuation(r001_rain_rate, coefficients).gamma_dB_per_km
+    gamma = _gamma(r001_rain_rate, coefficients)
     r001, clamped = _reduction_factor(path.horizontal_projection_km, gamma,
                                       coefficients.frequency_GHz)
     diagnostics = [clamped] if clamped else []
@@ -192,5 +197,4 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
             diagnostics.append(
                 f"monotonicity violation: A({p_hi:g}%) = {a_hi:.4f} dB exceeds "
                 f"A({p_lo:g}%) = {a_lo:.4f} dB")
-    return AttenuationCurve(reference_A001_dB=A001, r001_mm_per_hr=r001_rain_rate,
-                            points=tuple(points), diagnostics=tuple(diagnostics))
+    return AttenuationCurve(A001, r001_rain_rate, tuple(points), tuple(diagnostics))

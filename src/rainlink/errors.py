@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package.
+"""Exception and warning types shared across the package, and the base
+of its immutable records.
 
 The hierarchy keeps three concerns separate so the CLI can map them to
 stable exit codes: bad values fed to the math (DomainError), bad input
@@ -7,6 +8,58 @@ documents (ParseError / ValidationError), and bad run configuration
 """
 
 from __future__ import annotations
+
+# sets an attribute past Record.__setattr__; the records' __init__ use it
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record with a frozen dataclass's init, equality (within
+    one class), hash and repr, and no generated code. Its fields are the
+    subclass's annotations, their defaults its class attributes of those
+    names. TransmissionParams, LinkResult and ComparisonRow stay dataclasses,
+    for dataclasses.replace, fields and astuple."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: value for name, value in cls.__dict__.items() if name in cls._fields}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) \
+                or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; got {len(args)} "
+                            f"positional and {', '.join(kwargs) or 'no'} keyword arguments")
+        # one at a time, in field order, so that instances share their dict keys
+        for name in fields:
+            _set(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields once they are set; nothing to check here."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RainlinkError(Exception):

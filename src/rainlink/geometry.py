@@ -7,14 +7,12 @@ All operations are pure functions; none mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import EARTH_RADIUS_KM, MIN_ELEVATION_DEG, check
-from .errors import DomainError, UnsupportedRegimeError
+from .errors import DomainError, Record, UnsupportedRegimeError, _set
 
 
-@dataclass(frozen=True)
-class GroundStation:
+class GroundStation(Record):
     """A named candidate site.
 
     Latitude is signed, north positive; longitude signed, east positive.
@@ -28,18 +26,21 @@ class GroundStation:
     altitude_km: float
     rain_height_override_km: float | None = None
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name, latitude_deg, longitude_deg, altitude_km,
+                 rain_height_override_km=None):
+        if not name:
             raise DomainError("station name must be non-empty")
-        check("latitude_deg", self.latitude_deg, "latitude")
-        check("longitude_deg", self.longitude_deg, "longitude")
-        check("altitude_km", self.altitude_km, "altitude")
-        if self.rain_height_override_km is not None:
-            check("altitude_km", self.rain_height_override_km, "rain height")
+        # Record.__init__ written out: a catalog builds one per row
+        _set(self, "name", name)
+        _set(self, "latitude_deg", check("latitude_deg", latitude_deg, "latitude"))
+        _set(self, "longitude_deg", check("longitude_deg", longitude_deg, "longitude"))
+        _set(self, "altitude_km", check("altitude_km", altitude_km, "altitude"))
+        _set(self, "rain_height_override_km", rain_height_override_km
+             if rain_height_override_km is None
+             else check("altitude_km", rain_height_override_km, "rain height"))
 
 
-@dataclass(frozen=True)
-class PathGeometry:
+class PathGeometry(Record):
     """Geometry of one station-to-satellite rain path.
 
     slant_path_km is L_s, the path from the station up to the rain height;
@@ -53,6 +54,15 @@ class PathGeometry:
     slant_path_km: float
     horizontal_projection_km: float
     slant_range_km: float | None = None
+
+    def __init__(self, elevation_deg, rain_height_km, slant_path_km,
+                 horizontal_projection_km, slant_range_km=None):
+        # Record.__init__ written out: a sweep builds one per station
+        _set(self, "elevation_deg", elevation_deg)
+        _set(self, "rain_height_km", rain_height_km)
+        _set(self, "slant_path_km", slant_path_km)
+        _set(self, "horizontal_projection_km", horizontal_projection_km)
+        _set(self, "slant_range_km", slant_range_km)
 
 
 def slant_range(satellite_altitude_km: float, elevation_deg: float,
@@ -119,6 +129,4 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
         l_g = l_s * math.cos(e)
     d = (None if satellite_altitude_km is None
          else slant_range(satellite_altitude_km, elevation_deg))
-    return PathGeometry(elevation_deg=elevation_deg, rain_height_km=h_r,
-                        slant_path_km=l_s, horizontal_projection_km=l_g,
-                        slant_range_km=d)
+    return PathGeometry(elevation_deg, h_r, l_s, l_g, d)

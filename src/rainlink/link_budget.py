@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR, check
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, Record
 from .geometry import free_space_path_loss, slant_range
 from .rain_physics import check_frequency
 
@@ -84,6 +84,8 @@ def link_budget(params: TransmissionParams,
     can be injected as-is.
     """
     mode = CnrMode(mode)
+    if k_clear_dB is not None:
+        check("k_clear_dB", k_clear_dB, "k_clear_dB")
     if mode is CnrMode.CALIBRATED:
         if k_clear_dB is None:
             raise ConfigError("calibrated mode requires k_clear_dB")
@@ -119,8 +121,7 @@ def link_closes(available_margin_dB: float) -> bool:
     return available_margin_dB >= 0.0
 
 
-@dataclass(frozen=True)
-class UnavailabilityDuration:
+class UnavailabilityDuration(Record):
     """p percent of an average year, in convenient units."""
 
     p_percent: float
@@ -139,8 +140,7 @@ def unavailability_duration(p_percent: float) -> UnavailabilityDuration:
     """Convert an exceedance percentage to time per average year."""
     if not 0.0 < p_percent < 100.0:
         raise DomainError(f"percentage {p_percent} outside (0, 100)")
-    return UnavailabilityDuration(p_percent=p_percent,
-                                  hours=p_percent / 100.0 * HOURS_PER_YEAR)
+    return UnavailabilityDuration(p_percent, p_percent / 100.0 * HOURS_PER_YEAR)
 
 
 def band_scenario(params: TransmissionParams,

@@ -16,14 +16,13 @@ import math
 import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
 from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError,
-                     RainlinkError, SeparationWarning, ValidationError)
+                     RainlinkError, Record, SeparationWarning, ValidationError)
 from .geometry import GroundStation
 
 CATALOG_HEADER = ["name", "latitude_deg", "longitude_deg", "altitude_m"]
@@ -44,8 +43,7 @@ class Strategy(str, Enum):
     EMPIRICAL_EXCEEDANCE = "empirical_exceedance"
 
 
-@dataclass(frozen=True, init=False)
-class RainSeries:
+class RainSeries(Record):
     """An ordered precipitation series for one station, held as a times
     column and a rates column of equal length.
 
@@ -66,10 +64,7 @@ class RainSeries:
             rates = [r for _, r in samples]
         if len(times) != len(rates):
             raise DomainError(f"{len(times)} times but {len(rates)} rates")
-        object.__setattr__(self, "station_ref", station_ref)
-        object.__setattr__(self, "times", tuple(times))
-        object.__setattr__(self, "rates", tuple(rates))
-        object.__setattr__(self, "cadence", cadence)
+        super().__init__(station_ref, tuple(times), tuple(rates), cadence)
 
     @property
     def samples(self) -> tuple[tuple[datetime, float], ...]:
@@ -82,8 +77,7 @@ class RainSeries:
         return span.total_seconds() / 3600.0 / (len(self.times) - 1)
 
 
-@dataclass(frozen=True)
-class StationCatalog:
+class StationCatalog(Record):
     """Unique-named stations. close_pairs, the pairs under the recommended
     minimum separation, is built on first access."""
 
@@ -255,9 +249,7 @@ def parse_station_catalog(text: str) -> StationCatalog:
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
         try:
-            stations.append(GroundStation(name=name, latitude_deg=lat,
-                                          longitude_deg=lon,
-                                          altitude_km=alt_m / 1000.0))
+            stations.append(GroundStation(name, lat, lon, alt_m / 1000.0))
         except DomainError as exc:
             raise ParseError(str(exc), line=idx) from exc
     if not stations:
@@ -338,7 +330,7 @@ def _parse_columns(text: str):
         return None
     # min() skips a NaN that is not first, so finiteness is checked apart
     if not (all(map(math.isfinite, rates)) and min(rates) >= 0.0
-            and all(t.tzinfo is timezone.utc for t in times)
+            and set(map(operator.attrgetter("tzinfo"), times)) == {timezone.utc}
             and all(map(operator.lt, times, times[1:]))):
         return None
     return times, rates

@@ -13,12 +13,11 @@ import configparser
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
 from .constants import DOMAINS, check
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, Record
 from .rain_data import read_text
 
 
@@ -27,8 +26,7 @@ class Polarization(str, Enum):
     VERTICAL = "vertical"
 
 
-@dataclass(frozen=True)
-class RainCoefficients:
+class RainCoefficients(Record):
     """Power-law coefficients kappa and alpha at one frequency and
     polarization."""
 
@@ -38,16 +36,14 @@ class RainCoefficients:
     alpha: float
 
 
-@dataclass(frozen=True)
-class SpecificAttenuation:
+class SpecificAttenuation(Record):
     """Specific attenuation gamma in dB/km at one rain rate."""
 
     gamma_dB_per_km: float
     rain_rate_mm_per_hr: float
 
 
-@dataclass(frozen=True)
-class _Regression:
+class _Regression(Record):
     """One coefficient's Gaussian-sum regression in log10(frequency)."""
 
     a: tuple[float, ...]
@@ -65,8 +61,7 @@ class _Regression:
         return 10.0 ** total if self.log_scale else total
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """The four regressions (kappa/alpha x horizontal/vertical)."""
 
     kappa_h: _Regression
@@ -75,12 +70,8 @@ class CoefficientTable:
     alpha_v: _Regression
 
 
-_SECTION_FIELDS = {
-    "kappa_horizontal": "kappa_h",
-    "kappa_vertical": "kappa_v",
-    "alpha_horizontal": "alpha_h",
-    "alpha_vertical": "alpha_v",
-}
+# the file's sections, in CoefficientTable's field order
+_SECTIONS = ("kappa_horizontal", "kappa_vertical", "alpha_horizontal", "alpha_vertical")
 
 
 def parse_coefficient_table(text: str) -> CoefficientTable:
@@ -91,8 +82,8 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"bad coefficient file: {exc}") from exc
-    regressions = {}
-    for section, field in _SECTION_FIELDS.items():
+    regressions = []
+    for section in _SECTIONS:
         if not parser.has_section(section):
             raise ParseError(f"coefficient file missing section [{section}]")
         sec = parser[section]
@@ -109,9 +100,8 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
             raise ParseError(f"section [{section}]: scale must be log10 or linear")
         if any(x == 0.0 for x in c):
             raise ParseError(f"section [{section}]: c terms must be non-zero")
-        regressions[field] = _Regression(a=a, b=b, c=c, m=m, offset=offset,
-                                         log_scale=(scale == "log10"))
-    return CoefficientTable(**regressions)
+        regressions.append(_Regression(a, b, c, m, offset, scale == "log10"))
+    return CoefficientTable(*regressions)
 
 
 def load_coefficient_table(path: str | None = None) -> CoefficientTable:
@@ -150,18 +140,20 @@ def regression_coefficients(frequency_GHz: float,
     horizontal = pol is Polarization.HORIZONTAL
     kappa = (tab.kappa_h if horizontal else tab.kappa_v).evaluate(frequency_GHz)
     alpha = (tab.alpha_h if horizontal else tab.alpha_v).evaluate(frequency_GHz)
-    return RainCoefficients(frequency_GHz=frequency_GHz, polarization=pol,
-                            kappa=kappa, alpha=alpha)
+    return RainCoefficients(frequency_GHz, pol, kappa, alpha)
+
+
+def _gamma(rain_rate_mm_per_hr: float, coefficients: RainCoefficients) -> float:
+    """gamma = kappa * R^alpha in dB/km for a checked rain rate."""
+    check("rain_rate_mm_per_hr", rain_rate_mm_per_hr, "rain rate")
+    return (0.0 if rain_rate_mm_per_hr == 0.0
+            else coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha)
 
 
 def specific_attenuation(rain_rate_mm_per_hr: float,
                          coefficients: RainCoefficients) -> SpecificAttenuation:
     """gamma = kappa * R^alpha in dB/km; zero exactly when R is zero."""
-    check("rain_rate_mm_per_hr", rain_rate_mm_per_hr, "rain rate")
-    gamma = (0.0 if rain_rate_mm_per_hr == 0.0
-             else coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha)
-    return SpecificAttenuation(gamma_dB_per_km=gamma,
-                               rain_rate_mm_per_hr=rain_rate_mm_per_hr)
+    return SpecificAttenuation(_gamma(rain_rate_mm_per_hr, coefficients), rain_rate_mm_per_hr)
 
 
 def load_validation_table() -> list[tuple[float, float, float, float, float]]:

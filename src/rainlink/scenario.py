@@ -7,12 +7,12 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from enum import Enum
 
 from .analysis import ResolvedSource
 from .constants import MIN_ELEVATION_DEG, check
-from .errors import ConfigError
+from .errors import ConfigError, Record
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import (StationCatalog, Strategy, parse_rain_series,
                         read_text, resolve_r001)
@@ -25,8 +25,7 @@ class SourceKind(str, Enum):
     ATTENUATION = "attenuation"
 
 
-@dataclass(frozen=True)
-class SourceDescriptor:
+class SourceDescriptor(Record):
     """One rain source named in a scenario.
 
     kind selects what the descriptor carries: r001 a direct rain rate
@@ -45,8 +44,7 @@ class SourceDescriptor:
     strategy: Strategy = Strategy.CHEBIL_ANNUAL
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A reproducible run configuration."""
 
     params: TransmissionParams

@@ -5,14 +5,16 @@ import dataclasses
 import io
 import json
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rainlink import (ConfigError, DomainError, LinkResult, Polarization,
-                      ResolvedSource, SweepTable, TransmissionParams,
-                      UsageError, ValidationError, attenuation_curve,
+from rainlink import (ConfigError, DomainError, GroundStation, LinkResult,
+                      Polarization, ResolvedSource, StationCatalog, SweepTable,
+                      TransmissionParams, UsageError, ValidationError,
+                      attenuation_curve,
                       availability_sweep, compare_sources, emit_plot_data,
                       emit_report, evaluate_link, overestimation_percentage,
                       packaged_catalog_text, parse_station_catalog,
@@ -281,6 +283,29 @@ class TestSweepOracle:
         self.assert_matches_oracle(catalog(), uplink_params(), sources,
                                    self.P_LIST)
 
+    def test_order_equals_the_tuple_key_sort(self):
+        # a catalog out of name order and repeated labels: the rows as they
+        # are built, one (station, source) block at a time, then sorted with
+        # the (station, source, p) key tuple
+        rng = random.Random(12)
+        names = rng.sample([f"S{i:03d}" for i in range(1000)], 40)
+        cat = StationCatalog(tuple(
+            GroundStation(name, rng.uniform(-35.0, 35.0),
+                          rng.uniform(-20.0, 50.0), rng.uniform(0.0, 2.0))
+            for name in names))
+        sources = [ResolvedSource(label, r001_by_station={
+            n: rng.uniform(0.0, 150.0) for n in names})
+            for label in ("b", "a", "b")]
+        sources.append(ResolvedSource("a", attenuation_by_station=dict.fromkeys(
+            names, 3.0)))
+        built = [record for station in cat.stations for source in sources
+                 for record in availability_sweep(
+                     StationCatalog((station,)), uplink_params(), [source],
+                     self.P_LIST).records]
+        table = availability_sweep(cat, uplink_params(), sources, self.P_LIST)
+        assert names != sorted(names)
+        assert table.records == tuple(sorted(built, key=itemgetter(0, 1, 2)))
+
     def test_each_distinct_p_checked_once(self, monkeypatch):
         checked = []
         check = attenuation.check_p_percent
@@ -298,6 +323,17 @@ class TestSweepOracle:
         source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
         with pytest.raises(DomainError):
             availability_sweep(catalog(), uplink_params(), [source], [0.01])
+
+    def test_library_anchors_and_k_clear_are_bounded(self):
+        # a library caller's anchors and k_clear_dB meet the scenario's
+        # domains; unchecked, these gave cnr_dB Infinity
+        with pytest.raises(DomainError, match="source 'GPM' station 'Abuja'"):
+            ResolvedSource("GPM", attenuation_by_station=dict.fromkeys(
+                ITU_ATTEN, -1e308))
+        source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
+        with pytest.raises(DomainError, match="k_clear_dB"):
+            availability_sweep(catalog(), uplink_params(), [source], [0.01],
+                               mode="calibrated", k_clear_dB=1e308)
 
     def test_calibrated_requires_k_clear(self):
         source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)

@@ -110,6 +110,12 @@ class TestLinkBudget:
         cnr_of = link_budget(uplink_params(), "calibrated", k_clear_dB=3.0665)
         assert cnr_of(-13.2802) == 3.0665 - -13.2802
 
+    @pytest.mark.parametrize("mode", ["calibrated", "physics"])
+    @pytest.mark.parametrize("k_clear", [1e308, -1000.5, math.nan, math.inf])
+    def test_k_clear_outside_its_domain(self, mode, k_clear):
+        with pytest.raises(DomainError, match="k_clear_dB"):
+            link_budget(uplink_params(), mode, k_clear_dB=k_clear)
+
 
 class TestMarginAndClosure:
     def test_reference_rows(self):

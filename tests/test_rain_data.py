@@ -704,6 +704,15 @@ class TestBulkParse:
         offsets = text.replace("Z,", "+00:00,").rstrip("\n")
         assert parse_rain_series(offsets, station_ref="x") == series
 
+    def test_every_utc_spelling_gives_one_series(self):
+        text = series_to_csv(make_series([0.0, 1.5, 0.25, 4.0]))
+        spelled = [text.replace("Z,", offset + ",") for offset in UTC_OFFSETS]
+        assert all(rain_data._parse_columns(t) is not None for t in spelled)
+        series = [parse_rain_series(t, station_ref="x") for t in spelled]
+        assert series[0] == series[1] == series[2] == make_series(
+            [0.0, 1.5, 0.25, 4.0])
+        assert {t.tzinfo for s in series for t in s.times} == {timezone.utc}
+
     @pytest.mark.parametrize("suffix", ["", "+02:00"])
     def test_non_utc_series_decline_before_the_columns(self, monkeypatch,
                                                        suffix):

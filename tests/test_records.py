@@ -1,0 +1,242 @@
+"""The package's immutable records: construction, defaults, equality, hash,
+repr and immutability, each as the frozen dataclass with the same fields
+gives them."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import importlib
+import inspect
+import pickle
+import pkgutil
+from datetime import datetime, timezone
+from typing import NamedTuple
+
+import pytest
+
+import rainlink
+from rainlink import (AttenuationCurve, CnrMode, CoefficientTable, DomainError,
+                      GroundStation, LinkResult, PathGeometry, PlotCurve,
+                      Polarization, RainCoefficients, RainSeries,
+                      ResolvedSource, Scenario, SourceDescriptor, SourceKind,
+                      SpecificAttenuation, StationCatalog, Strategy,
+                      SweepTable, TransmissionParams, UnavailabilityDuration,
+                      ValidationError)
+from rainlink.rain_physics import _Regression
+
+T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+T1 = datetime(2020, 1, 1, 1, tzinfo=timezone.utc)
+REG = _Regression((1.0, 2.0), (0.5, 1.5), (0.3, 0.4), 0.1, -0.2, True)
+REG_LINEAR = _Regression((1.0,), (0.5,), (0.3,), 0.1, -0.2, False)
+PARAMS = TransmissionParams(28.5, 2.1e9, 75.9, 20.0, 31.8, 868.4, 0.36, 1200.0)
+DESC = SourceDescriptor("ITU", SourceKind.R001, 90.0)
+ROW = ("Abuja", "ITU", 0.01, 34.2, 12.0, 0.36, 11.64, True)
+
+
+class Case(NamedTuple):
+    """values: every field in order, the defaulted ones at their defaults;
+    other: values that differ in one field; defaults: each defaulted field
+    and the dataclass's default."""
+    cls: type
+    values: tuple
+    other: tuple
+    defaults: dict
+
+
+CASES = [
+    Case(GroundStation, ("Abuja", 9.06, 7.49, 0.536, None),
+         ("Abuja", 9.06, 7.49, 0.536, 4.0), {"rain_height_override_km": None}),
+    Case(PathGeometry, (20.0, 5.0, 13.0, 12.2, None),
+         (20.0, 5.0, 13.0, 12.2, 3000.0), {"slant_range_km": None}),
+    Case(RainCoefficients, (28.5, Polarization.VERTICAL, 0.2, 0.95),
+         (28.5, Polarization.HORIZONTAL, 0.2, 0.95), {}),
+    Case(SpecificAttenuation, (3.0, 50.0), (3.0, 50.5), {}),
+    Case(_Regression, (REG.a, REG.b, REG.c, 0.1, -0.2, True),
+         (REG.a, REG.b, REG.c, 0.1, -0.2, False), {}),
+    Case(CoefficientTable, (REG, REG_LINEAR, REG, REG_LINEAR),
+         (REG, REG, REG, REG_LINEAR), {}),
+    Case(AttenuationCurve, (12.0, 50.0, ((0.01, 12.0), (0.1, 4.0)), ()),
+         (12.0, 50.0, ((0.01, 12.0),), ()), {"diagnostics": ()}),
+    Case(ResolvedSource, ("ITU", {"Abuja": 90.0}, None),
+         ("ITU", {"Abuja": 91.0}, None),
+         {"r001_by_station": None, "attenuation_by_station": None}),
+    Case(SweepTable, ((ROW,), ("Abuja/ITU: note",)), ((ROW,), ()), {}),
+    Case(PlotCurve, ("Abuja", "ITU", "attenuation_dB", ((0.01, 34.2),)),
+         ("Abuja", "ITU", "cnr_dB", ((0.01, 34.2),)), {}),
+    Case(UnavailabilityDuration, (0.01, 0.8766), (0.1, 0.8766), {}),
+    Case(RainSeries, ("x", (T0, T1), (0.0, 2.5), ""),
+         ("x", (T0, T1), (0.0, 2.5), "hourly"),
+         {"times": (), "rates": (), "cadence": ""}),
+    Case(StationCatalog, ((GroundStation("Abuja", 9.06, 7.49, 0.536),),),
+         ((GroundStation("Cairo", 30.0, 31.2, 0.0),),), {}),
+    Case(SourceDescriptor,
+         ("ITU", SourceKind.R001, 90.0, None, None, Strategy.CHEBIL_ANNUAL),
+         ("ITU", SourceKind.R001, 90.0, None, None,
+          Strategy.EMPIRICAL_EXCEEDANCE),
+         {"value": None, "values": None, "paths": None,
+          "strategy": Strategy.CHEBIL_ANNUAL}),
+    Case(Scenario, (PARAMS, CnrMode.PHYSICS, None, None, (DESC,), (0.01,),
+                    Polarization.VERTICAL),
+         (PARAMS, CnrMode.PHYSICS, None, "c.csv", (DESC,), (0.01,),
+          Polarization.VERTICAL), {"polarization": Polarization.VERTICAL}),
+]
+IDS = [case.cls.__name__ for case in CASES]
+
+
+def field_names(cls) -> list[str]:
+    return list(cls.__annotations__)
+
+
+def keywords(case: Case) -> dict:
+    return dict(zip(field_names(case.cls), case.values))
+
+
+def positional(case: Case, values):
+    """The record built from values by position; SweepTable's positional
+    form takes LinkResults, as its dataclass's own __init__ did."""
+    if case.cls is SweepTable:
+        return SweepTable([LinkResult(*row) for row in values[0]], values[1])
+    return case.cls(*values)
+
+
+def oracle(case: Case):
+    """The frozen dataclass with the record's name, fields and defaults."""
+    specs = [(name, object, dataclasses.field(default=case.defaults[name]))
+             if name in case.defaults else (name, object)
+             for name in field_names(case.cls)]
+    return dataclasses.make_dataclass(case.cls.__name__, specs, frozen=True)
+
+
+def hashable(values) -> bool:
+    try:
+        hash(values)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+class TestRecord:
+    def test_positional_and_keyword(self, case):
+        by_position = positional(case, case.values)
+        by_keyword = case.cls(**keywords(case))
+        for record in (by_position, by_keyword):
+            assert tuple(getattr(record, name) for name in
+                         field_names(case.cls)) == case.values
+        assert by_position == by_keyword
+
+    def test_defaults(self, case):
+        given = {name: value for name, value in keywords(case).items()
+                 if name not in case.defaults or value != case.defaults[name]}
+        record = case.cls(**given)
+        assert record == case.cls(**keywords(case))
+        expected = oracle(case)(**given)
+        for name in case.defaults.keys() - given.keys():
+            assert getattr(record, name) == getattr(expected, name) \
+                == case.defaults[name]
+
+    def test_missing_and_unknown_arguments(self, case):
+        if case.cls is not SweepTable:  # SweepTable() is the empty table
+            with pytest.raises(TypeError):
+                case.cls()
+        with pytest.raises(TypeError):
+            case.cls(**keywords(case), unknown_field=1)
+        with pytest.raises(TypeError):
+            case.cls(*case.values, *case.values)
+
+    def test_equality(self, case):
+        record = case.cls(**keywords(case))
+        assert record == case.cls(**keywords(case))
+        assert not record != case.cls(**keywords(case))
+        assert record != case.cls(**dict(zip(field_names(case.cls),
+                                             case.other)))
+        # never equal to another class with the same fields, nor a tuple
+        twin = oracle(case)(*case.values)
+        assert record.__eq__(twin) is NotImplemented
+        assert record != twin and twin != record
+        assert record != case.values
+
+    def test_hash(self, case):
+        record = case.cls(**keywords(case))
+        if hashable(case.values):
+            assert hash(record) == hash(case.cls(**keywords(case)))
+            assert hash(record) == hash(oracle(case)(*case.values))
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_repr(self, case):
+        assert repr(case.cls(**keywords(case))) == repr(
+            oracle(case)(*case.values))
+
+    def test_immutable(self, case):
+        record = case.cls(**keywords(case))
+        for name in [*field_names(case.cls), "new_attribute"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == case.cls(**keywords(case))
+
+    def test_copy_and_pickle(self, case):
+        record = case.cls(**keywords(case))
+        for again in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(again) is case.cls and again == record
+
+
+class TestRepr:
+    def test_text_as_the_dataclass_printed(self):
+        assert repr(GroundStation("Abuja", 9.06, 7.49, 0.536)) == (
+            "GroundStation(name='Abuja', latitude_deg=9.06, longitude_deg=7.49, "
+            "altitude_km=0.536, rain_height_override_km=None)")
+        assert repr(SpecificAttenuation(3.0, 50.0)) == (
+            "SpecificAttenuation(gamma_dB_per_km=3.0, rain_rate_mm_per_hr=50.0)")
+        assert repr(DESC) == (
+            "SourceDescriptor(label='ITU', kind=<SourceKind.R001: 'r001'>, "
+            "value=90.0, values=None, paths=None, "
+            "strategy=<Strategy.CHEBIL_ANNUAL: 'chebil_annual'>)")
+
+
+class TestValidation:
+    """The checks a record makes when it is built still raise."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"name": ""}, {"latitude_deg": 91.0}, {"longitude_deg": float("nan")},
+        {"altitude_km": -0.1}, {"rain_height_override_km": 10.0}])
+    def test_ground_station(self, kwargs):
+        with pytest.raises(DomainError):
+            GroundStation(**{"name": "A", "latitude_deg": 0.0,
+                             "longitude_deg": 0.0, "altitude_km": 0.0,
+                             **kwargs})
+
+    def test_resolved_source_needs_exactly_one_map(self):
+        with pytest.raises(ValidationError):
+            ResolvedSource("x")
+        with pytest.raises(ValidationError):
+            ResolvedSource("x", {"A": 1.0}, {"A": 1.0})
+
+    def test_resolved_source_anchor_domain(self):
+        with pytest.raises(DomainError, match="source 'GPM' station 'Cairo'"):
+            ResolvedSource("GPM", attenuation_by_station={"Abuja": 1.0,
+                                                          "Cairo": -1e308})
+
+    def test_duplicate_station_names(self):
+        station = GroundStation("A", 0.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="duplicate station names: A"):
+            StationCatalog((station, station))
+
+    def test_series_columns_of_unequal_length(self):
+        with pytest.raises(DomainError):
+            RainSeries("x", (T0,), ())
+
+
+def test_only_the_documented_records_are_dataclasses():
+    found = set()
+    for module in pkgutil.iter_modules(rainlink.__path__, "rainlink."):
+        for name, obj in vars(importlib.import_module(module.name)).items():
+            if inspect.isclass(obj) and obj.__module__.startswith("rainlink") \
+                    and hasattr(obj, "__dataclass_fields__"):
+                found.add(obj.__name__)
+    assert found == {"TransmissionParams", "LinkResult", "ComparisonRow"}
