@@ -78,14 +78,16 @@ class ResolvedSource(Record):
 class SweepTable(Record):
     """Link results over the (station, source, p) cross-product, sorted by
     station, source and p: records, a tuple per row in SWEEP_COLUMNS order;
-    rows, the LinkResults, built on first access; and chain diagnostics."""
+    rows, the LinkResults, built on first access; and chain diagnostics.
+    Built from rows, each a LinkResult or a record tuple, or from records=."""
 
     records: tuple[tuple, ...]
     diagnostics: tuple[str, ...]
 
     def __init__(self, rows=(), diagnostics=(), *, records=None):
-        super().__init__(tuple(map(_LINK_CELLS, rows) if records is None else records),
-                         tuple(diagnostics))
+        if records is None:
+            records = [row if isinstance(row, tuple) else _LINK_CELLS(row) for row in rows]
+        super().__init__(tuple(records), tuple(diagnostics))
 
     @cached_property
     def rows(self) -> tuple[LinkResult, ...]:

@@ -16,7 +16,7 @@ import math
 import warnings
 
 from .constants import check
-from .errors import ClampWarning, DomainError, Record, _set
+from .errors import ClampWarning, DomainError, Record
 from .geometry import GroundStation, PathGeometry
 from .rain_physics import RainCoefficients, _gamma
 
@@ -33,13 +33,6 @@ class AttenuationCurve(Record):
     r001_mm_per_hr: float
     points: tuple[tuple[float, float], ...]
     diagnostics: tuple[str, ...] = ()
-
-    def __init__(self, reference_A001_dB, r001_mm_per_hr, points, diagnostics=()):
-        # Record.__init__ written out: a sweep builds one per station and source
-        _set(self, "reference_A001_dB", reference_A001_dB)
-        _set(self, "r001_mm_per_hr", r001_mm_per_hr)
-        _set(self, "points", points)
-        _set(self, "diagnostics", diagnostics)
 
 
 def check_p_percent(p_percent: float) -> None:

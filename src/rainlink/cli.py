@@ -27,9 +27,9 @@ from .constants import check
 from .errors import (ConfigError, DomainError, DuplicateWarning, RainlinkError,
                      UsageError)
 from .geometry import rain_slant_path
-from .rain_data import (StationCatalog, Strategy, packaged_catalog_text,
-                        parse_rain_series, parse_station_catalog, read_text,
-                        resolve_r001)
+from .rain_data import (CATALOG_HEADER, StationCatalog, Strategy,
+                        packaged_catalog_text, parse_rain_series,
+                        parse_station_catalog, read_text, resolve_r001)
 from .rain_physics import Polarization, regression_coefficients
 from .scenario import (Scenario, SourceDescriptor, parse_scenario,
                        resolve_sources)
@@ -39,7 +39,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-STATION_COLUMNS = ["name", "latitude_deg", "longitude_deg", "altitude_m"]
 CURVE_COLUMNS = ["station", "source", "r001_mm_per_hr", "p_percent",
                  "attenuation_dB"]
 
@@ -107,7 +106,7 @@ def cmd_stations(args) -> int:
     catalog = _load_catalog(args.catalog)
     rows = [[s.name, s.latitude_deg, s.longitude_deg, s.altitude_km * 1000.0]
             for s in catalog.stations]
-    _emit((STATION_COLUMNS, rows), args.format, args.stamp)
+    _emit((CATALOG_HEADER, rows), args.format, args.stamp)
     return EXIT_OK
 
 
@@ -153,11 +152,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
-    try:
-        baseline = scenario.source(args.baseline)
-        estimate = scenario.source(args.estimate)
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    baseline = scenario.source(args.baseline)
+    estimate = scenario.source(args.estimate)
     p = (scenario.p_list[0] if args.p_value is None
          else _flag("p_percent", args.p_value, "--p"))
     chosen = [baseline] if baseline is estimate else [baseline, estimate]

@@ -9,7 +9,7 @@ documents (ParseError / ValidationError), and bad run configuration
 
 from __future__ import annotations
 
-# sets an attribute past Record.__setattr__; the records' __init__ use it
+# sets an attribute past Record.__setattr__
 _set = object.__setattr__
 
 
@@ -27,14 +27,17 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) \
-                or len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; got {len(args)} "
-                            f"positional and {', '.join(kwargs) or 'no'} keyword arguments")
+        if kwargs or len(args) != len(fields):  # else every field is given by position
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]) \
+                    or len(values) != len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}; got "
+                                f"{len(args)} positional and {', '.join(kwargs) or 'no'} "
+                                "keyword arguments")
+            args = map(values.__getitem__, fields)
         # one at a time, in field order, so that instances share their dict keys
-        for name in fields:
-            _set(self, name, values[name])
+        for name, value in zip(fields, args):
+            _set(self, name, value)
         self.__post_init__()
 
     def __post_init__(self):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .constants import EARTH_RADIUS_KM, MIN_ELEVATION_DEG, check
-from .errors import DomainError, Record, UnsupportedRegimeError, _set
+from .errors import DomainError, Record, UnsupportedRegimeError
 
 
 class GroundStation(Record):
@@ -26,18 +26,14 @@ class GroundStation(Record):
     altitude_km: float
     rain_height_override_km: float | None = None
 
-    def __init__(self, name, latitude_deg, longitude_deg, altitude_km,
-                 rain_height_override_km=None):
-        if not name:
+    def __post_init__(self):
+        if not self.name:
             raise DomainError("station name must be non-empty")
-        # Record.__init__ written out: a catalog builds one per row
-        _set(self, "name", name)
-        _set(self, "latitude_deg", check("latitude_deg", latitude_deg, "latitude"))
-        _set(self, "longitude_deg", check("longitude_deg", longitude_deg, "longitude"))
-        _set(self, "altitude_km", check("altitude_km", altitude_km, "altitude"))
-        _set(self, "rain_height_override_km", rain_height_override_km
-             if rain_height_override_km is None
-             else check("altitude_km", rain_height_override_km, "rain height"))
+        check("latitude_deg", self.latitude_deg, "latitude")
+        check("longitude_deg", self.longitude_deg, "longitude")
+        check("altitude_km", self.altitude_km, "altitude")
+        if self.rain_height_override_km is not None:
+            check("altitude_km", self.rain_height_override_km, "rain height")
 
 
 class PathGeometry(Record):
@@ -55,18 +51,8 @@ class PathGeometry(Record):
     horizontal_projection_km: float
     slant_range_km: float | None = None
 
-    def __init__(self, elevation_deg, rain_height_km, slant_path_km,
-                 horizontal_projection_km, slant_range_km=None):
-        # Record.__init__ written out: a sweep builds one per station
-        _set(self, "elevation_deg", elevation_deg)
-        _set(self, "rain_height_km", rain_height_km)
-        _set(self, "slant_path_km", slant_path_km)
-        _set(self, "horizontal_projection_km", horizontal_projection_km)
-        _set(self, "slant_range_km", slant_range_km)
 
-
-def slant_range(satellite_altitude_km: float, elevation_deg: float,
-                earth_radius_km: float = EARTH_RADIUS_KM) -> float:
+def slant_range(satellite_altitude_km: float, elevation_deg: float) -> float:
     """Station-to-satellite distance in km for a satellite at the given
     altitude seen at the given elevation angle.
 
@@ -75,7 +61,7 @@ def slant_range(satellite_altitude_km: float, elevation_deg: float,
     """
     check("satellite_altitude_km", satellite_altitude_km, "satellite altitude")
     check("elevation_deg", elevation_deg, "elevation")
-    re = earth_radius_km
+    re = EARTH_RADIUS_KM
     e = math.radians(elevation_deg)
     return math.sqrt((re + satellite_altitude_km) ** 2 - (re * math.cos(e)) ** 2) - re * math.sin(e)
 

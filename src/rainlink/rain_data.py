@@ -249,7 +249,8 @@ def parse_station_catalog(text: str) -> StationCatalog:
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
         try:
-            stations.append(GroundStation(name, lat, lon, alt_m / 1000.0))
+            # every field by position, Record's fast path: one per row
+            stations.append(GroundStation(name, lat, lon, alt_m / 1000.0, None))
         except DomainError as exc:
             raise ParseError(str(exc), line=idx) from exc
     if not stations:

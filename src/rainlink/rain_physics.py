@@ -100,6 +100,8 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
             raise ParseError(f"section [{section}]: scale must be log10 or linear")
         if any(x == 0.0 for x in c):
             raise ParseError(f"section [{section}]: c terms must be non-zero")
+        if not all(map(math.isfinite, (*a, *b, *c, m, offset))):
+            raise ParseError(f"section [{section}]: constants must be finite")
         regressions.append(_Regression(a, b, c, m, offset, scale == "log10"))
     return CoefficientTable(*regressions)
 

@@ -655,6 +655,14 @@ class TestSweepTable:
             assert emit_report(again, format) == emit_report(table, format)
         assert SweepTable(rows=()).records == ()
 
+    def test_built_from_its_repr_fields_by_position(self):
+        table = self.sweep()
+        again = SweepTable(table.records, table.diagnostics)
+        assert again == table
+        assert again.rows == table.rows
+        assert SweepTable([*table.rows[:1], *table.records[1:]],
+                          table.diagnostics) == table
+
 
 class TestJsonRenderer:
     """emit_report's json equals json.dumps(records, indent=2) byte for

@@ -41,6 +41,11 @@ class TestSlantRange:
         with pytest.raises(DomainError):
             slant_range(1200.0, -0.1)
 
+    def test_earth_radius_is_not_an_input(self):
+        # the radius is a constant: no domain in DOMAINS bounds it
+        with pytest.raises(TypeError):
+            slant_range(1200.0, 20.0, earth_radius_km=float("nan"))
+
 
 class TestFreeSpacePathLoss:
     def test_reference_geometry(self):

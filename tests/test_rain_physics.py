@@ -136,6 +136,25 @@ class TestCoefficientTable:
         with pytest.raises(ParseError):
             parse_coefficient_table(text)
 
+    @pytest.mark.parametrize("field", ["a", "b", "c", "m", "offset"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_rejected(self, field, value):
+        # such a constant would reach a json report as NaN, which is not JSON
+        def table(**given):
+            text = ""
+            for section in ("kappa_horizontal", "kappa_vertical",
+                            "alpha_horizontal", "alpha_vertical"):
+                lines = {"a": "1", "b": "1", "c": "1", "m": "0", "offset": "0",
+                         **(given if section == "alpha_vertical" else {})}
+                text += f"[{section}]\nscale = linear\n" + "".join(
+                    f"{key} = {number}\n" for key, number in lines.items())
+            return text
+
+        parse_coefficient_table(table(**{field: "2"}))
+        with pytest.raises(ParseError, match=r"section \[alpha_vertical\]: "
+                           "constants must be finite"):
+            parse_coefficient_table(table(**{field: value}))
+
     def test_bad_scale_rejected(self):
         text = ""
         for section in ("kappa_horizontal", "kappa_vertical",

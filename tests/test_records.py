@@ -23,6 +23,7 @@ from rainlink import (AttenuationCurve, CnrMode, CoefficientTable, DomainError,
                       SpecificAttenuation, StationCatalog, Strategy,
                       SweepTable, TransmissionParams, UnavailabilityDuration,
                       ValidationError)
+from rainlink.errors import Record
 from rainlink.rain_physics import _Regression
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -240,3 +241,15 @@ def test_only_the_documented_records_are_dataclasses():
                     and hasattr(obj, "__dataclass_fields__"):
                 found.add(obj.__name__)
     assert found == {"TransmissionParams", "LinkResult", "ComparisonRow"}
+
+
+def test_only_the_converting_records_define_init():
+    # every other record is built by Record.__init__ from its annotations;
+    # these two convert what they are given (rows= and samples=)
+    found = set()
+    for module in pkgutil.iter_modules(rainlink.__path__, "rainlink."):
+        for obj in vars(importlib.import_module(module.name)).values():
+            if inspect.isclass(obj) and issubclass(obj, Record) \
+                    and obj is not Record and "__init__" in vars(obj):
+                found.add(obj.__name__)
+    assert found == {"SweepTable", "RainSeries"}
