@@ -24,11 +24,12 @@ from .errors import DomainError, Record, UsageError, ValidationError
 from .geometry import rain_slant_path
 from .link_budget import CnrMode, LinkResult, TransmissionParams, link_budget
 from .rain_data import StationCatalog
-from .rain_physics import (CoefficientTable, Polarization,
-                           regression_coefficients)
+from .rain_physics import Polarization, regression_coefficients
 
 SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
                  "required_margin_dB", "available_margin_dB", "closes"]
+# the sweep columns that sweep_to_plot_curves can plot against p
+PLOT_FIELDS = ("attenuation_dB", "cnr_dB", "available_margin_dB")
 COMPARISON_COLUMNS = ["station", "baseline_attenuation_dB",
                       "estimate_attenuation_dB", "overestimation_percent"]
 # a LinkResult's fields, in SWEEP_COLUMNS order, as a tuple
@@ -137,8 +138,7 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                        sources: list[ResolvedSource], p_list: list[float],
                        mode: CnrMode | str = CnrMode.PHYSICS,
                        k_clear_dB: float | None = None,
-                       polarization: Polarization | str = Polarization.VERTICAL,
-                       coefficient_table: CoefficientTable | None = None) -> SweepTable:
+                       polarization: Polarization | str = Polarization.VERTICAL) -> SweepTable:
     """Evaluate the full (station, source, p) cross-product through the
     attenuation chain (for rain-rate sources) and the link budget."""
     if not catalog.stations:
@@ -147,8 +147,7 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
         raise ValidationError("p_list is empty")
     if not sources:
         raise ValidationError("no sources given")
-    coeffs = regression_coefficients(params.frequency_GHz, polarization,
-                                     table=coefficient_table)
+    coeffs = regression_coefficients(params.frequency_GHz, polarization)
     cnr_of = link_budget(params, mode, k_clear_dB)
     required = params.required_margin_dB
     plan = PPlan(p_list)
@@ -335,7 +334,7 @@ class PlotCurve(Record):
 def sweep_to_plot_curves(table: SweepTable,
                          value_field: str = "attenuation_dB") -> list[PlotCurve]:
     """Group sweep rows into per-(station, source) curves of one field."""
-    if value_field not in ("attenuation_dB", "cnr_dB", "available_margin_dB"):
+    if value_field not in PLOT_FIELDS:
         raise UsageError(f"unknown plot field {value_field!r}")
     column = SWEEP_COLUMNS.index(value_field)
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}

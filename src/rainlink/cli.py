@@ -20,8 +20,9 @@ from collections.abc import Sequence
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import (SweepTable, availability_sweep, compare_sources,
-                       plot_data_table, sweep_to_plot_curves, write_report)
+from .analysis import (PLOT_FIELDS, SweepTable, availability_sweep,
+                       compare_sources, plot_data_table, sweep_to_plot_curves,
+                       write_report)
 from .attenuation import attenuation_curve
 from .constants import check
 from .errors import (ConfigError, DomainError, DuplicateWarning, RainlinkError,
@@ -65,11 +66,10 @@ def _parse_p_list(text: str) -> list[float]:
         raise UsageError(f"bad --p list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"bad --p list {text!r}: no values")
-    deduped = sorted(set(values))
-    if len(deduped) != len(values):
+    if len(set(values)) != len(values):
         warnings.warn("duplicate p values collapsed", DuplicateWarning,
                       stacklevel=2)
-    return deduped
+    return values
 
 
 def _stamp_text() -> str:
@@ -223,10 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="comma list of exceedance percentages "
                    "(default: scenario p_list)")
     p.add_argument("--plot-data", help="also write long-format plot CSV here")
-    p.add_argument("--plot-field", choices=["attenuation_dB", "cnr_dB",
-                                            "available_margin_dB"],
-                   default="attenuation_dB",
-                   help="field for --plot-data (default attenuation_dB)")
+    p.add_argument("--plot-field", choices=PLOT_FIELDS, default=PLOT_FIELDS[0],
+                   help="field for --plot-data (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -35,6 +35,9 @@ DOMAINS = {
     "altitude_km": (0.0, 9.0, "km"),  # sea level to above Everest, 8.85 km
     # above the one-minute record: 31.2 mm, Unionville MD, 1956 (1,872 mm/hr)
     "rain_rate_mm_per_hr": (0.0, 2000.0, "mm/hr"),
+    # P.838-3 over 1-1000 GHz gives kappa 2.59e-5 to 1.648, alpha 0.625 to 1.705
+    "kappa": (1e-5, 10.0, "dB/km"),  # gamma at 1 mm/hr
+    "alpha": (0.5, 2.0, "(exponent)"),
     # decibel levels: 10^-100 to 10^100 in power, beyond any real link
     "attenuation_dB": (-1000.0, 1000.0, "dB"),
     "k_clear_dB": (-1000.0, 1000.0, "dB"),

@@ -47,9 +47,9 @@ class RainSeries(Record):
     """An ordered precipitation series for one station, held as a times
     column and a rates column of equal length.
 
-    cadence is a human-readable label ("monthly", "30-minute"); when not
-    declared it is inferred from the mean sample spacing. The series can
-    also be built from samples=, a sequence of (time, rate) pairs.
+    cadence is a declared label ("monthly", "30-minute") or "", never
+    inferred: resolve_r001 reads mean_spacing_hours() itself. The series
+    can also be built from samples=, a sequence of (time, rate) pairs.
     """
 
     station_ref: str
@@ -244,14 +244,11 @@ def parse_station_catalog(text: str) -> StationCatalog:
         if len(row) != 4:
             raise ParseError(f"expected 4 fields, got {len(row)}", line=idx)
         name = row[0].strip()
-        try:
+        try:  # a bad number, or a DomainError, which is a ValueError
             lat, lon, alt_m = map(float, row[1:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=idx) from exc
-        try:
             # every field by position, Record's fast path: one per row
             stations.append(GroundStation(name, lat, lon, alt_m / 1000.0, None))
-        except DomainError as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
     if not stations:
         raise ValidationError("catalog has no station rows")

@@ -56,9 +56,12 @@ class _Regression(Record):
     def evaluate(self, frequency_GHz: float) -> float:
         lf = math.log10(frequency_GHz)
         total = self.m * lf + self.offset
-        for a_j, b_j, c_j in zip(self.a, self.b, self.c):
-            total += a_j * math.exp(-(((lf - b_j) / c_j) ** 2))
-        return 10.0 ** total if self.log_scale else total
+        try:
+            for a_j, b_j, c_j in zip(self.a, self.b, self.c):
+                total += a_j * math.exp(-(((lf - b_j) / c_j) ** 2))
+            return 10.0 ** total if self.log_scale else total
+        except OverflowError:
+            return math.inf  # outside every coefficient's domain
 
 
 class CoefficientTable(Record):
@@ -142,7 +145,9 @@ def regression_coefficients(frequency_GHz: float,
     horizontal = pol is Polarization.HORIZONTAL
     kappa = (tab.kappa_h if horizontal else tab.kappa_v).evaluate(frequency_GHz)
     alpha = (tab.alpha_h if horizontal else tab.alpha_v).evaluate(frequency_GHz)
-    return RainCoefficients(frequency_GHz, pol, kappa, alpha)
+    at = f"({frequency_GHz} GHz, {pol.value})"
+    return RainCoefficients(frequency_GHz, pol, check("kappa", kappa, "kappa" + at),
+                            check("alpha", alpha, "alpha" + at))
 
 
 def _gamma(rain_rate_mm_per_hr: float, coefficients: RainCoefficients) -> float:

@@ -99,6 +99,21 @@ class TestCompareSources:
             compare_sources(results_from(ITU_ATTEN), results_from(short))
         assert "Praia" in str(err.value)
 
+    @pytest.mark.parametrize("side", ["baseline", "estimate"])
+    def test_repeated_station_rejected(self, side):
+        twice = results_from(ITU_ATTEN) + results_from({"Abuja": 1.0})
+        sides = {"baseline": results_from(ITU_ATTEN), "estimate": results_from(ITU_ATTEN),
+                 side: twice}
+        with pytest.raises(ValidationError, match=f"^{side} results repeat a station$"):
+            compare_sources(sides["baseline"], sides["estimate"])
+
+    def test_station_missing_from_baseline_named(self):
+        short = dict(ITU_ATTEN)
+        del short["Praia"], short["Cairo"]
+        with pytest.raises(ValidationError, match="^station sets differ; "
+                           "missing from baseline: Cairo, Praia$"):
+            compare_sources(results_from(short), results_from(ITU_ATTEN))
+
     def test_baseline_order_preserved(self):
         rows = compare_sources(results_from(ITU_ATTEN),
                                results_from(GPM_ATTEN, label="GPM"))
@@ -118,6 +133,11 @@ class TestAvailabilitySweep:
         assert len(table.rows) == 1
         assert table.rows[0].station_ref == "Abuja"
         assert cat.station("Abuja").name == "Abuja"
+
+    def test_empty_catalog_rejected(self):
+        with pytest.raises(ValidationError, match="^catalog is empty$"):
+            availability_sweep(StationCatalog(()), uplink_params(),
+                               [ResolvedSource("ITU", r001_by_station={})], [0.01])
 
     def test_cross_product_cardinality(self):
         source = ResolvedSource("ITU", r001_by_station={
@@ -382,6 +402,10 @@ class TestEmitReport:
             s.name: 90.0 for s in catalog().stations})
         return availability_sweep(catalog(), uplink_params(), [source],
                                   [0.01, 0.5])
+
+    def test_empty_text_has_no_report(self):
+        with pytest.raises(ValidationError, match="^empty report$"):
+            parse_report_csv("")
 
     def test_empty_table_csv_header_only(self):
         text = emit_report(SweepTable(rows=()), "csv")
@@ -741,6 +765,10 @@ class TestEmitPlotData:
                                       "available_margin_dB")
         text = emit_plot_data(curves)
         assert text.splitlines()[0].endswith("available_margin_dB")
+
+    def test_unknown_plot_field_rejected(self):
+        with pytest.raises(UsageError, match="^unknown plot field 'p_percent'$"):
+            sweep_to_plot_curves(self.sweep_table(), "p_percent")
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

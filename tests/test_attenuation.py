@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from rainlink import (ClampWarning, DomainError, GroundStation, Polarization,
                       horizontal_reduction_factor, latitude_term,
                       rain_slant_path, reference_attenuation,
                       scale_attenuation, vertical_adjustment)
+from rainlink.constants import DOMAINS
 
 
 def coeffs(kappa=0.2043259269252288, alpha=0.9240060204941183, f=28.5):
@@ -116,6 +118,10 @@ class TestReferenceAttenuation:
     def test_product(self):
         assert abs(reference_attenuation(14.0, 6.33) - 88.62) < 1e-9
 
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            reference_attenuation(-1.0, 1.0)
+
     def test_bilinear(self):
         base = reference_attenuation(3.7, 2.9)
         assert abs(reference_attenuation(7.4, 2.9) - 2.0 * base) < 1e-12
@@ -165,6 +171,19 @@ class TestScaleAttenuation:
 
 
 class TestAttenuationCurve:
+    def test_finite_at_the_coefficient_domain_corners(self):
+        # kappa and alpha at their bounds, with the other inputs at theirs
+        corners = itertools.product(
+            DOMAINS["kappa"][:2], DOMAINS["alpha"][:2], DOMAINS["frequency_GHz"][:2],
+            (5.0, 90.0), (0.0, 89.9), DOMAINS["altitude_km"][:2],
+            DOMAINS["rain_rate_mm_per_hr"][:2])
+        for kappa, alpha, f, elevation, latitude, altitude, rate in corners:
+            st = GroundStation("S", latitude, 0.0, altitude)
+            curve = attenuation_curve(st, rain_slant_path(st, elevation),
+                                      coeffs(kappa, alpha, f), rate,
+                                      list(DOMAINS["p_percent"][:2]))
+            assert all(math.isfinite(a) and a >= 0.0 for _, a in curve.points)
+
     def test_single_point_equals_reference(self):
         st = abuja()
         path = rain_slant_path(st, 20.0, 5.0)

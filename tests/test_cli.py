@@ -673,3 +673,66 @@ class TestLiveDefects:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: overestimation of baseline 5e-324 dB overflows\n"
+
+
+class TestFlags:
+    ATTENUATION = ["attenuation", "--station", "Abuja", "--freq-ghz", "28.5",
+                   "--elevation-deg", "20", "--r001", "42", "--format", "csv"]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("a,b", "could not convert string to float: 'a'"), (",", "no values")])
+    @pytest.mark.parametrize("command", ["sweep", "attenuation"])
+    def test_bad_p_list_is_usage_error(self, tmp_path, capsys, command, text,
+                                       reason):
+        args = (self.ATTENUATION if command == "attenuation"
+                else ["sweep", "--scenario", write_scenario(tmp_path)])
+        assert main(args + ["--p", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad --p list {text!r}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "attenuation"])
+    def test_repeated_unsorted_p_is_the_sorted_plan(self, tmp_path, capsys,
+                                                    command):
+        args = (self.ATTENUATION if command == "attenuation"
+                else ["sweep", "--scenario", write_scenario(tmp_path, sources=[
+                    {"label": "ITU", "kind": "r001", "value": 90.0}]),
+                      "--format", "csv"])
+        assert main(args + ["--p", "0.01,0.1,0.001"]) == 0
+        sorted_out, sorted_err = capsys.readouterr()
+        assert main(args + ["--p", "0.1,0.01,0.001,0.1,0.01"]) == 0
+        out, err = capsys.readouterr()
+        assert out == sorted_out
+        assert err == sorted_err + "warning: duplicate p values collapsed\n"
+
+    def test_label_names_the_source(self, capsys):
+        assert main(self.ATTENUATION + ["--label", "gauge 7"]) == 0
+        out, _ = capsys.readouterr()
+        assert [line.split(",")[1] for line in out.splitlines()] == [
+            "source", "gauge 7"]
+
+    @pytest.mark.parametrize("field", analysis.PLOT_FIELDS)
+    def test_every_plot_field(self, tmp_path, capsys, field):
+        scenario = write_scenario(tmp_path)
+        plot = tmp_path / "plot.csv"
+        assert main(["sweep", "--scenario", scenario, "--plot-data", str(plot),
+                     "--plot-field", field, "--format", "csv"]) == 0
+        out, _ = capsys.readouterr()
+        column = out.splitlines()[0].split(",").index(field)
+        assert [line.split(",")[-1] for line in plot.read_text().splitlines()] \
+            == [line.split(",")[column] for line in out.splitlines()]
+
+    def test_unknown_plot_field_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--scenario", write_scenario(tmp_path),
+                  "--plot-field", "p_percent"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'p_percent'" in capsys.readouterr().err
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(rainlink.__file__)))
+        done = subprocess.run([sys.executable, "-m", "rainlink.cli", "--version"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"rainlink {rainlink.__version__}\n", "")

@@ -111,6 +111,10 @@ class TestParseStationCatalog:
             parse_station_catalog(text)
         assert err.value.line == 4
 
+    def test_blank_line_skipped(self):
+        text = CATALOG.replace("\nCairo", "\n\nCairo")
+        assert parse_station_catalog(text) == parse_station_catalog(CATALOG)
+
     def test_round_trip(self):
         catalog = parse_station_catalog(packaged_catalog_text())
         text = catalog_to_csv(catalog)
@@ -757,6 +761,20 @@ class TestReductions:
             annual_accumulation(1e308)
         assert annual_accumulation(1e300) == 1e300 * 8766.0
 
+    def test_empty_series_has_no_mean(self):
+        with pytest.raises(DomainError, match="series is empty"):
+            mean_rain_rate(RainSeries("x"))
+
+    def test_negative_mean_rate_or_accumulation_rejected(self):
+        with pytest.raises(DomainError, match="mean rate -1.0 must be >= 0"):
+            annual_accumulation(-1.0)
+        with pytest.raises(DomainError, match="accumulation -1.0 must be >= 0"):
+            chebil_r001(-1.0)
+
+    def test_one_sample_has_no_spacing(self):
+        assert make_series([3.0]).mean_spacing_hours() == 0.0
+        assert make_series([3.0, 1.0], step_hours=0.5).mean_spacing_hours() == 0.5
+
     def test_chebil_values(self):
         assert chebil_r001(1.0) == pytest.approx(12.2903)
         assert chebil_r001(0.0) == 0.0
@@ -792,6 +810,10 @@ class TestEmpiricalExceedance:
                   for p in [0.01, 0.1, 1.0, 10.0, 50.0, 99.0]]
         for lo, hi in zip(values, values[1:]):
             assert hi <= lo
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(DomainError, match="series is empty"):
+            empirical_exceedance_rate(RainSeries("x"), 0.01)
 
     def test_p_bounds(self):
         series = make_series([1.0, 2.0])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import math
 import random
+import re
+from importlib import resources
 
 import pytest
 
@@ -8,6 +11,7 @@ from rainlink import (DomainError, ParseError, Polarization,
                       RainCoefficients, load_coefficient_table,
                       load_validation_table, parse_coefficient_table,
                       regression_coefficients, specific_attenuation)
+from rainlink.constants import DOMAINS
 
 
 def coeffs(kappa, alpha):
@@ -163,3 +167,73 @@ class TestCoefficientTable:
                      "m = 0\noffset = 0\n")
         with pytest.raises(ParseError):
             parse_coefficient_table(text)
+
+
+PACKAGED = resources.files("rainlink.data").joinpath(
+    "p838_coefficients.txt").read_text(encoding="utf-8")
+
+
+def packaged_with(section, key, value):
+    """The packaged coefficient file with key set to value in section."""
+    text, count = re.subn(rf"(\[{section}\][^\[]*?\n{key} = )[^\n]*",
+                          lambda m: m.group(1) + value, PACKAGED, count=1)
+    assert count == 1
+    return text
+
+
+class TestCoefficientFileErrors:
+    def test_no_section_header(self):
+        with pytest.raises(ParseError, match="bad coefficient file"):
+            parse_coefficient_table("scale = log10\n")
+
+    def test_missing_key(self):
+        text = PACKAGED.replace("offset = 0.71147\n", "", 1)
+        with pytest.raises(ParseError,
+                           match=r"^section \[kappa_horizontal\]: 'offset'$"):
+            parse_coefficient_table(text)
+
+    def test_non_numeric_constant(self):
+        with pytest.raises(ParseError, match=r"^section \[alpha_horizontal\]: "
+                           "could not convert string to float: 'abc'$"):
+            parse_coefficient_table(packaged_with("alpha_horizontal", "m", "abc"))
+
+    def test_zero_c(self):
+        text = packaged_with("alpha_vertical", "c",
+                             "-0.76284 0.0 0.26809 0.116226 0.116479")
+        with pytest.raises(ParseError, match=r"^section \[alpha_vertical\]: "
+                           "c terms must be non-zero$"):
+            parse_coefficient_table(text)
+
+
+class TestCoefficientDomains:
+    """kappa and alpha are bounded: a table whose finite constants give a
+    coefficient outside its domain, or overflow on the way, is a
+    DomainError, never an OverflowError or a negative kappa."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("kappa_vertical", "m", "1e308"),  # 10 ** total overflows
+        ("alpha_vertical", "m", "1e308"),  # alpha 1.45e308
+        ("kappa_horizontal", "c", "1e-300 1e-300 1e-300 1e-300"),  # a Gaussian term overflows
+        ("kappa_vertical", "scale", "linear"),  # kappa -0.69
+    ])
+    def test_out_of_domain_table_is_domain_error(self, section, key, value):
+        table = parse_coefficient_table(packaged_with(section, key, value))
+        quantity, polarization = section.split("_")
+        low, high, unit = DOMAINS[quantity]
+        with pytest.raises(DomainError, match=re.escape(
+                f"{quantity}(28.5 GHz, {polarization}) ") + r"\S+ " + re.escape(
+                f"{unit} outside the finite domain [{low:g}, {high:g}]")):
+            regression_coefficients(28.5, polarization, table=table)
+
+    def test_packaged_table_inside_the_domains_over_the_band(self):
+        # 30,001 log-spaced frequencies, 1 to 1000 GHz
+        for i in range(30_001):
+            for polarization in ("horizontal", "vertical"):
+                regression_coefficients(10.0 ** (i / 10_000), polarization)
+
+    def test_gamma_finite_at_the_domain_corners(self):
+        rate = DOMAINS["rain_rate_mm_per_hr"][1]
+        for kappa in DOMAINS["kappa"][:2]:
+            for alpha in DOMAINS["alpha"][:2]:
+                gamma = specific_attenuation(rate, coeffs(kappa, alpha))
+                assert 0.0 < gamma.gamma_dB_per_km < math.inf

@@ -165,6 +165,24 @@ class TestParseScenarioValues:
         with pytest.raises(ConfigError, match=re.escape(field)):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, message", [
+        ([PHYSICS], "scenario must be a JSON object"),
+        (dict(PHYSICS, sources=[R001], p_list=[]),
+         "field p_list: must be a non-empty list"),
+        (dict(PHYSICS, sources=[R001], p_list=0.01),
+         "field p_list: must be a non-empty list"),
+        (dict(PHYSICS, sources=[R001, "r001"]), "sources[1]: must be an object"),
+        (dict(PHYSICS, sources=[{"kind": "r001", "value": 90.0}]),
+         "sources[0]: field label required"),
+        (dict(PHYSICS, sources=[dict(R001, label=7)]),
+         "sources[0]: field label required"),
+        (dict(PHYSICS, sources=[{"label": "m", "kind": "r001"}]),
+         "sources[0] (m): r001 kind requires value or values"),
+    ])
+    def test_bad_shape_is_config_error(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_scenario(json.dumps(doc))
+
     def test_elevation_outside_0_90_is_config_error(self):
         with pytest.raises(ConfigError, match="elevation_deg"):
             parse_scenario(json.dumps(dict(PHYSICS, sources=[self.R001],
