@@ -12,6 +12,8 @@ import csv
 import io
 import json
 import math
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, islice, repeat, starmap
@@ -77,8 +79,8 @@ class ResolvedSource(Record):
 
 
 class SweepTable(Record):
-    """Link results over the (station, source, p) cross-product, sorted by
-    station, source and p: records, a tuple per row in SWEEP_COLUMNS order;
+    """Link results over the (station, source, p) cross-product, in
+    sweep_records' order: records, a tuple per row in SWEEP_COLUMNS order;
     rows, the LinkResults, built on first access; and chain diagnostics.
     Built from rows, each a LinkResult or a record tuple, or from records=."""
 
@@ -134,13 +136,15 @@ def compare_sources(baseline_results: list[LinkResult],
     return rows
 
 
-def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
-                       sources: list[ResolvedSource], p_list: list[float],
-                       mode: CnrMode | str = CnrMode.PHYSICS,
-                       k_clear_dB: float | None = None,
-                       polarization: Polarization | str = Polarization.VERTICAL) -> SweepTable:
-    """Evaluate the full (station, source, p) cross-product through the
-    attenuation chain (for rain-rate sources) and the link budget."""
+def sweep_records(catalog: StationCatalog, params: TransmissionParams,
+                  sources: list[ResolvedSource], p_list: list[float],
+                  mode: CnrMode | str = CnrMode.PHYSICS,
+                  k_clear_dB: float | None = None,
+                  polarization: Polarization | str = Polarization.VERTICAL):
+    """(records, diagnostics) of the (station, source, p) cross-product
+    through the attenuation chain (for rain-rate sources) and the link
+    budget. All that can fail runs first, in catalog order; records then
+    yields a tuple per row, in SWEEP_COLUMNS order, by station, source, p."""
     if not catalog.stations:
         raise ValidationError("catalog is empty")
     if not p_list:
@@ -151,10 +155,11 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
     cnr_of = link_budget(params, mode, k_clear_dB)
     required = params.required_margin_dB
     plan = PPlan(p_list)
-    rows: list[tuple] = []
+    curves: dict[str, list] = {}  # per station and source, A_p over the plan
     diagnostics: list[str] = []
     for station in catalog.stations:
         path = None
+        curves[station.name] = station_curves = []
         for source in sources:
             injected = source.attenuation_by_station is not None
             by_station = (source.attenuation_by_station if injected
@@ -164,24 +169,40 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                                       f"value for station {station.name!r}")
             value = by_station[station.name]
             if injected:
-                points = [(p, value) for p in plan]
+                cnr_of(value)  # a negative anchor fails here in physics mode
+                station_curves.append((value,) * len(plan))
             else:
                 if path is None:
                     path = rain_slant_path(station, params.elevation_deg)
                 curve = attenuation_curve(station, path, coeffs, value, plan)
                 for note in curve.diagnostics:
                     diagnostics.append(f"{station.name}/{source.label}: {note}")
-                points = curve.points
-            # available_margin and link_closes, inline
-            for p, a_p in points:
-                cnr = cnr_of(a_p)
-                margin = cnr - required
-                rows.append((station.name, source.label, p, a_p, cnr,
-                             required, margin, margin >= 0.0))
-    # by station, source and p: stable sorts on single cells need no key tuples
-    for column in (2, 1, 0):
-        rows.sort(key=itemgetter(column))
-    return SweepTable(records=rows, diagnostics=diagnostics)
+                station_curves.append(array("d", map(itemgetter(1), curve.points)))
+    labels = sorted({source.label for source in sources})
+
+    def records():
+        # a stable sort's order: names are unique, same-label sources interleave by p
+        for name in sorted(curves):
+            for label in labels:
+                same = [c for s, c in zip(sources, curves[name]) if s.label == label]
+                for p, points in zip(plan, zip(*same)):
+                    for a_p in points:  # finite and >= 0: cnr_of cannot fail
+                        # available_margin and link_closes, inline
+                        cnr = cnr_of(a_p)
+                        margin = cnr - required
+                        yield (name, label, p, a_p, cnr, required, margin,
+                               margin >= 0.0)
+    return records(), diagnostics
+
+
+def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
+                       sources: list[ResolvedSource], p_list: list[float],
+                       mode: CnrMode | str = CnrMode.PHYSICS,
+                       k_clear_dB: float | None = None,
+                       polarization: Polarization | str = Polarization.VERTICAL) -> SweepTable:
+    """sweep_records' records and diagnostics, as a SweepTable."""
+    return SweepTable(*sweep_records(catalog, params, sources, p_list, mode,
+                                     k_clear_dB, polarization))
 
 
 def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
@@ -196,12 +217,13 @@ def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
                   key=lambda r: (-r.available_margin_dB, r.station_ref))
 
 
-def _table_shape(table) -> tuple[list[str], list]:
-    """The header and the row cells of a table."""
+def _table_shape(table) -> tuple[list[str], list | Iterator]:
+    """The header and the row cells of a table; rows given as an iterator
+    stay one."""
     if isinstance(table, SweepTable):
         return SWEEP_COLUMNS, table.records
     if isinstance(table, tuple) and len(table) == 2:
-        return list(table[0]), list(table[1])
+        return list(table[0]), table[1] if isinstance(table[1], Iterator) else list(table[1])
     if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
         return COMPARISON_COLUMNS, list(map(_COMPARISON_CELLS, table))
     if isinstance(table, list) and all(isinstance(r, LinkResult) for r in table):
@@ -217,8 +239,8 @@ def _cell_text(value, machine: bool) -> str:
     return str(value)
 
 
-# per format, the text of a cell in an all-str column, in a column of
-# exact finite floats, and in any other column
+# per format, the text of a cell in an all-str column, in a column of exact
+# finite floats, and in any other column, which gives both the same text
 _TABLE_TEXTS = (str, "{:.4f}".format, partial(_cell_text, machine=False))
 _FORMATTERS = {"csv": (str, repr, partial(_cell_text, machine=True)),
                "json": (encode_basestring_ascii, repr, json.dumps),
@@ -251,43 +273,55 @@ _CHUNK_ROWS = 1024
 
 def _report_chunks(table, format: str):
     """The report text of a table, checked before the first chunk is made:
-    csv and json in chunks of at most _CHUNK_ROWS rows, and the aligned
-    table, which needs every cell for its column widths, as one chunk."""
+    csv and json in chunks of at most _CHUNK_ROWS rows, each with its own
+    column formatters (rows given as an iterator are read and checked a chunk
+    at a time), and the aligned table, which needs every cell, as one chunk."""
     header, rows = _table_shape(table)
     if format not in _FORMATTERS:
         raise UsageError(f"unknown format {format!r} (choose csv, json, or "
                          "aligned-table)")
-    if set(map(len, rows)) - {len(header)}:
-        raise UsageError(f"every row must have {len(header)} cells")
-    texts = [_column_text(list(map(itemgetter(i), rows)), *_FORMATTERS[format])
-             for i in range(len(header))]
-    # row by row, so that a row's cell texts are freed once it is written
-    columns = [map(itemgetter(i), rows) for i in range(len(header))]
-    lines = zip(*map(map, texts, columns)) if header else repeat((), len(rows))
+
+    def checked(rows):
+        if set(map(len, rows)) - {len(header)}:
+            raise UsageError(f"every row must have {len(header)} cells")
+        return rows
+
+    def texts(rows):  # per column, the texts of its cells
+        columns = [list(map(itemgetter(i), rows)) for i in range(len(header))]
+        return [map(_column_text(c, *_FORMATTERS[format]), c) for c in columns]
+
+    def lines(rows):
+        return zip(*texts(rows)) if header else repeat((), len(rows))
+
+    if format not in ("csv", "json"):
+        rows = checked(list(rows))
+        padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
+                  for cells in ([h, *column] for h, column in zip(header, texts(rows)))]
+        table_lines = zip(*padded) if header else [()] * (len(rows) + 1)
+        yield "\n".join(["  ".join(cells).rstrip() for cells in table_lines]) + "\n"
+        return
+    rows = iter(rows if isinstance(rows, Iterator) else checked(rows))
+    chunks = iter(lambda: checked(list(islice(rows, _CHUNK_ROWS))), [])
+    chunk = next(chunks, [])  # a table without rows has one, empty chunk
     if format == "csv":
-        for start in range(0, len(rows) or 1, _CHUNK_ROWS):
+        for start, chunk in enumerate(chain([chunk], chunks)):
             out = io.StringIO()
             csv.writer(out, lineterminator="\n").writerows(chain(
-                () if start else [header], islice(lines, _CHUNK_ROWS)))
+                () if start else [header], lines(chunk)))
             yield out.getvalue()
-    elif format == "json":
-        # the layout of json.dumps(records, indent=2), one record per row
-        template = "{" + ",".join(
-            f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-            for k in header) + "\n  }" if header else "{}"
-        records = map(template.__mod__, lines)
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            end = "\n]\n" if start + _CHUNK_ROWS >= len(rows) else ""
-            yield (",\n  " if start else "[\n  ") + ",\n  ".join(
-                islice(records, _CHUNK_ROWS)) + end
-        if not rows:
-            yield "[]\n"
-    else:
-        padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
-                  for cells in ([h, *map(text, column)] for h, text, column
-                                in zip(header, texts, columns))]
-        lines = zip(*padded) if header else [()] * (len(rows) + 1)
-        yield "\n".join(["  ".join(cells).rstrip() for cells in lines]) + "\n"
+        return
+    # the layout of json.dumps(records, indent=2), one record per row
+    template = "{" + ",".join(
+        f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+        for k in header) + "\n  }" if header else "{}"
+    if not chunk:
+        yield "[]\n"
+    lead = "[\n  "
+    while chunk:
+        following = next(chunks, [])  # the last chunk ends the document
+        yield lead + ",\n  ".join(map(template.__mod__, lines(chunk))) + (
+            "" if following else "\n]\n")
+        lead, chunk = ",\n  ", following
 
 
 def emit_report(table, format: str = "csv") -> str:

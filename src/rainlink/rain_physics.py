@@ -28,12 +28,18 @@ class Polarization(str, Enum):
 
 class RainCoefficients(Record):
     """Power-law coefficients kappa and alpha at one frequency and
-    polarization."""
+    polarization, each checked against its domain."""
 
     frequency_GHz: float
     polarization: Polarization
     kappa: float
     alpha: float
+
+    def __post_init__(self):
+        check("frequency_GHz", self.frequency_GHz, "frequency")
+        at = f"({self.frequency_GHz} GHz, {Polarization(self.polarization).value})"
+        check("kappa", self.kappa, "kappa" + at)
+        check("alpha", self.alpha, "alpha" + at)
 
 
 class SpecificAttenuation(Record):
@@ -145,9 +151,7 @@ def regression_coefficients(frequency_GHz: float,
     horizontal = pol is Polarization.HORIZONTAL
     kappa = (tab.kappa_h if horizontal else tab.kappa_v).evaluate(frequency_GHz)
     alpha = (tab.alpha_h if horizontal else tab.alpha_v).evaluate(frequency_GHz)
-    at = f"({frequency_GHz} GHz, {pol.value})"
-    return RainCoefficients(frequency_GHz, pol, check("kappa", kappa, "kappa" + at),
-                            check("alpha", alpha, "alpha" + at))
+    return RainCoefficients(frequency_GHz, pol, kappa, alpha)
 
 
 def _gamma(rain_rate_mm_per_hr: float, coefficients: RainCoefficients) -> float:

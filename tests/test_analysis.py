@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import random
 from operator import itemgetter
 
@@ -639,6 +640,35 @@ class TestReportChunks:
             "<head>" + emit_report(table, format) + "<tail>"
         assert out.writes[0] == "<head>" and out.writes[-1] == "<tail>"
         assert len(out.writes) == (3 if format == "table" else 4)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    @pytest.mark.parametrize("as_iterator", [False, True])
+    def test_column_kinds_change_between_chunks(self, format, as_iterator):
+        # a few rows of one chunk each hold a NaN among floats, a None among
+        # str and an int among bools; of another, a float subclass
+        def cells(i):
+            odd = i % 97 == 0
+            second, third = odd and i // CHUNK == 1, odd and i // CHUNK == 2
+            return [math.nan if second else i / 3.0,
+                    None if second else f"S{i % 5}\u00fc",
+                    i % 2 if second else i % 2 == 0,
+                    FloatSub(i / 7.0) if third else i / 7.0]
+        header = ["float", "str", "bool", "sub"]
+        rows = [cells(i) for i in range(3 * CHUNK + 5)]
+        want = ORACLES[format](header, rows)
+        assert emit_report((header, iter(rows) if as_iterator else rows),
+                           format) == want
+        out = WriteRecorder()
+        write_report((header, iter(rows) if as_iterator else rows), format,
+                     out)
+        assert out.getvalue() == want
+        assert len(out.writes) == 6  # head, four chunks, tail
+
+    def test_ragged_row_from_an_iterator_rejected(self):
+        # an iterator is checked a chunk at a time, as it is read
+        rows = iter([[1.0, 2.0]] * CHUNK + [[3.0]])
+        with pytest.raises(UsageError, match="2 cells"):
+            emit_report((["a", "b"], rows), "json")
 
     @pytest.mark.parametrize("table, format", [
         ((["a", "b"], [[1.0, 2.0], [3.0]]), "csv"),

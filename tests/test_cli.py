@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -565,6 +566,80 @@ class TestChunkedReports:
             assert proc.wait(timeout=60) == 4
         assert err.splitlines().count("error: [Errno 32] Broken pipe") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# out of name order; at 5 degrees a 60 mm/h curve rises from 0.001 % to
+# 0.00133 %, one diagnostic per station
+OUT_OF_ORDER = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                "Mike,5.0,100.0,200\nZulu,0.0,10.0,300\nAlpha,-5.0,-60.0,100\n")
+
+
+class TestStreamedSweep:
+    """The sweep runs every check and the whole chain before it writes a
+    row, and its rows are read into the report a chunk at a time."""
+
+    def scenario(self, tmp_path, zulu_anchor):
+        (tmp_path / "catalog.csv").write_text(OUT_OF_ORDER)
+        return write_scenario(
+            tmp_path, mode="physics", k_clear_dB=None, elevation_deg=5.0,
+            catalog="catalog.csv", p_list=[0.001, 0.00133, 0.01], sources=[
+                {"label": "rain", "kind": "r001", "value": 60.0},
+                {"label": "anchor", "kind": "attenuation", "values": {
+                    "Mike": 2.0, "Zulu": zulu_anchor, "Alpha": 2.0}}])
+
+    @pytest.mark.parametrize("format", ["csv", "json", "table"])
+    @pytest.mark.parametrize("command", ["sweep", "linkbudget"])
+    def test_failing_sweep_writes_nothing(self, tmp_path, capsys, format,
+                                          command):
+        # Zulu's rows come last in the report
+        scenario = self.scenario(tmp_path, -5.0)
+        assert main([command, "--scenario", scenario, "--format", format,
+                     "--stamp"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: attenuation -5.0 dB must be >= 0\n")
+
+    def test_diagnostics_keep_catalog_order(self, tmp_path, capsys):
+        scenario = self.scenario(tmp_path, 2.0)
+        assert main(["sweep", "--scenario", scenario, "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert [line.split("/")[0] for line in err.splitlines()] == \
+            ["diagnostic: Mike", "diagnostic: Zulu", "diagnostic: Alpha"]
+        assert "monotonicity violation" in err
+        stations = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert stations == ["Alpha"] * 6 + ["Mike"] * 6 + ["Zulu"] * 6
+
+    def test_memory_flat_in_the_row_count(self, tmp_path, capsys,
+                                          monkeypatch):
+        # 6 stations x 20 sources: 3,000 rows at 25 p and 30,000 at 250 p.
+        # The report is json written to a stream that keeps nothing. Rows
+        # held as tuples and sorted cost about 190 B each; streamed, 12.
+        scenario = write_scenario(tmp_path, sources=[
+            {"label": f"s{i:02d}", "kind": "r001", "value": 20.0 + i}
+            for i in range(20)], mode="physics", k_clear_dB=None)
+        monkeypatch.setattr(sys, "stdout", Discard())
+
+        def peak(count):
+            p = ",".join(repr(0.001 + i * 0.999 / (count - 1))
+                         for i in range(count))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(["sweep", "--scenario", scenario, "--p", p,
+                             "--format", "json"]) == 0
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        peak(25)  # caches and lazy imports
+        small, large = peak(25), peak(250)
+        assert capsys.readouterr().err == ""
+        assert (large - small) / (30000 - 3000) < 32
+
+
+class Discard(io.TextIOBase):
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
 
 
 class TestNonUtf8Input:

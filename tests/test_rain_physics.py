@@ -231,6 +231,19 @@ class TestCoefficientDomains:
             for polarization in ("horizontal", "vertical"):
                 regression_coefficients(10.0 ** (i / 10_000), polarization)
 
+    @pytest.mark.parametrize("frequency, kappa, alpha, message", [
+        (28.5, 1.0, 1e308, "alpha(28.5 GHz, vertical) 1e+308 (exponent)"),  # gamma overflowed
+        (28.5, -1.0, 1.0, "kappa(28.5 GHz, vertical) -1.0 dB/km"),  # gamma was -2000
+        (28.5, math.nan, 1.0, "kappa(28.5 GHz, vertical) nan dB/km"),  # gamma was NaN
+        (0.0, 1.0, 1.0, "frequency 0.0 GHz"),
+    ])
+    def test_hand_built_coefficients_checked(self, frequency, kappa, alpha,
+                                             message):
+        with pytest.raises(DomainError, match="^" + re.escape(message)
+                           + " outside the finite domain"):
+            specific_attenuation(2000.0, RainCoefficients(
+                frequency, Polarization.VERTICAL, kappa, alpha))
+
     def test_gamma_finite_at_the_domain_corners(self):
         rate = DOMAINS["rain_rate_mm_per_hr"][1]
         for kappa in DOMAINS["kappa"][:2]:
