@@ -388,7 +388,7 @@ def plot_data_table(curves: list[PlotCurve]) -> tuple[list[str], list[list]]:
         raise UsageError(f"curves mix value fields: {', '.join(sorted(fields))}")
     rows = [[c.station_ref, c.source_label, float(p), float(value)]
             for c in curves for p, value in c.points]
-    return ["station", "source", "p_percent", curves[0].value_field], rows
+    return [*SWEEP_COLUMNS[:3], curves[0].value_field], rows
 
 
 def emit_plot_data(curves: list[PlotCurve]) -> str:

@@ -102,15 +102,14 @@ def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
     return records
 
 
-def cmd_stations(args) -> int:
+def cmd_stations(args) -> None:
     catalog = _load_catalog(args.catalog)
     rows = [[s.name, s.latitude_deg, s.longitude_deg, s.altitude_km * 1000.0]
             for s in catalog.stations]
     _emit((CATALOG_HEADER, rows), args.format, args.stamp)
-    return EXIT_OK
 
 
-def cmd_attenuation(args) -> int:
+def cmd_attenuation(args) -> None:
     _flag("frequency_GHz", args.freq_ghz, "--freq-ghz")
     _flag("elevation_deg", args.elevation_deg, "--elevation-deg")
     catalog = _load_catalog(args.catalog)
@@ -134,10 +133,9 @@ def cmd_attenuation(args) -> int:
     rows = [[station.name, label, curve.r001_mm_per_hr, p, a]
             for p, a in curve.points]
     _emit((CURVE_COLUMNS, rows), args.format, args.stamp)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     """sweep, and linkbudget, which is a sweep at the scenario's p_list."""
     p_list = _parse_p_list(args.p) if args.p else None
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
@@ -149,10 +147,9 @@ def cmd_sweep(args) -> int:
         plot = plot_data_table(sweep_to_plot_curves(table, args.plot_field))
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             write_report(plot, "csv", fh)
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> None:
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
     baseline = scenario.source(args.baseline)
     estimate = scenario.source(args.estimate)
@@ -164,7 +161,6 @@ def cmd_compare(args) -> int:
             for d in chosen}
     comparison = compare_sources(rows[baseline.label], rows[estimate.label])
     _emit(comparison, args.format, args.stamp)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,22 +171,24 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"rainlink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, func, help: str, scenario: bool = False):
+        p = sub.add_parser(name, help=help)
+        if scenario:
+            p.add_argument("--scenario", required=True, help="scenario JSON path")
+        p.add_argument("--catalog", help="catalog CSV (default: the scenario's "
+                       "catalog, else the bundled six-station fixture)")
         p.add_argument("--format", choices=["csv", "json", "table"],
                        default="table", help="output format (default table)")
         p.add_argument("--stamp", action="store_true",
                        help="prepend run metadata to the output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("stations", help="list a station catalog with "
-                       "separation warnings")
-    p.add_argument("--catalog", help="catalog CSV (default: bundled six-"
-                   "station fixture)")
-    common(p)
-    p.set_defaults(func=cmd_stations)
+    command("stations", cmd_stations, "list a station catalog with separation "
+            "warnings")
 
-    p = sub.add_parser("attenuation", help="predicted attenuation curve for "
-                       "one station")
-    p.add_argument("--catalog", help="catalog CSV (default: bundled fixture)")
+    p = command("attenuation", cmd_attenuation, "predicted attenuation curve "
+                "for one station")
     p.add_argument("--station", required=True, help="station name")
     p.add_argument("--freq-ghz", type=float, required=True,
                    help="carrier frequency, GHz")
@@ -209,37 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
                    default=Polarization.VERTICAL.value,
                    help="wave polarization (default vertical)")
     p.add_argument("--label", help="provenance label echoed in the output")
-    common(p)
-    p.set_defaults(func=cmd_attenuation)
 
-    p = sub.add_parser("linkbudget", help="link results for a scenario")
-    p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.add_argument("--catalog", help="override the scenario's catalog")
-    common(p)
-    p.set_defaults(func=cmd_sweep, p=None, plot_data=None)
+    command("linkbudget", cmd_sweep, "link results for a scenario",
+            True).set_defaults(p=None, plot_data=None)
 
-    p = sub.add_parser("sweep", help="availability sweep over stations, "
-                       "sources, and p values")
-    p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.add_argument("--catalog", help="override the scenario's catalog")
+    p = command("sweep", cmd_sweep, "availability sweep over stations, sources, "
+                "and p values", True)
     p.add_argument("--p", help="comma list of exceedance percentages "
                    "(default: scenario p_list)")
     p.add_argument("--plot-data", help="also write long-format plot CSV here")
     p.add_argument("--plot-field", choices=PLOT_FIELDS, default=PLOT_FIELDS[0],
                    help="field for --plot-data (default %(default)s)")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare", help="overestimation of a baseline source "
-                       "by an estimate source")
-    p.add_argument("--scenario", required=True, help="scenario JSON path")
-    p.add_argument("--catalog", help="override the scenario's catalog")
+    p = command("compare", cmd_compare, "overestimation of a baseline source by "
+                "an estimate source", True)
     p.add_argument("--baseline", required=True, help="baseline source label")
     p.add_argument("--estimate", required=True, help="estimate source label")
     p.add_argument("--p", dest="p_value", type=float,
                    help="exceedance percentage (default: scenario's first)")
-    common(p)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -254,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            args.func(args)
+            return EXIT_OK
         except (RainlinkError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             if isinstance(exc, (UsageError, ConfigError)):

@@ -196,21 +196,21 @@ def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
     first closest in all-pairs order, as min(close_pairs, key=km) picks it."""
     lat, lon, cos_lat = _radians(stations)
     count = sum(sum(map(len, r)) + len(near) for _, _, r, near in _close_windows(lat, lon, cos_lat))
-    # a sweep by latitude whose band shrinks with the least s so far; nearly
-    # equal s can round to equal km, so each close pair within 1e-9 of that
-    # s is measured, and a tie goes to the lower (i, j)
+    # a sweep by latitude that stops once the latitude term of s exceeds the
+    # least s so far: that term never falls along the order, and the longitude
+    # term only adds to it. Nearly equal s can round to equal km, so each close
+    # pair within 1e-9 of that s is measured, and a tie goes to the lower (i, j)
     order = sorted(range(len(lat)), key=lat.__getitem__)
-    best, bound, band, sin = (math.inf, 0, 0), _S_OUT, _REACH, math.sin
+    best, bound, sin = (math.inf, 0, 0), _S_OUT, math.sin
     for k, a in enumerate(order):
         lat_a, lon_a, cos_a = lat[a], lon[a], cos_lat[a]
         for m in range(k + 1, len(order)):
-            if lat[b := order[m]] - lat_a > band:
+            if (s := sin((lat[b := order[m]] - lat_a) / 2.0) ** 2) > bound:
                 break
-            s = sin((lat[b] - lat_a) / 2.0) ** 2 + cos_a * cos_lat[b] * sin((lon[b] - lon_a) / 2.0) ** 2
+            s += cos_a * cos_lat[b] * sin((lon[b] - lon_a) / 2.0) ** 2
             if s <= bound and (km := _haversine_km(lat, lon, cos_lat, a, b)) < MIN_SEPARATION_KM:
                 best = min(best, (km, min(a, b), max(a, b)))
                 bound = min(bound, s * (1.0 + 1e-9))
-                band = 2.0 * math.asin(math.sqrt(bound)) * (1.0 + 1e-9)
     return count, best
 
 
@@ -468,10 +468,10 @@ def packaged_catalog_text() -> str:
 
 
 def read_text(path: str, error: type[RainlinkError] = ParseError) -> str:
-    """The text of a UTF-8 file. Bytes that are not UTF-8 raise error,
-    naming the file and the byte offset."""
+    """The text of a UTF-8 file, less a leading byte-order mark. Bytes that
+    are not UTF-8 raise error, naming the file and the byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 at byte {exc.start}") from exc

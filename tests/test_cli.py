@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -16,7 +17,7 @@ import rainlink
 import rainlink.analysis as analysis
 from rainlink import (SeparationWarning, StationCatalog, UsageError,
                       parse_station_catalog)
-from rainlink.cli import _emit, main
+from rainlink.cli import _emit, build_parser, main
 from test_analysis import WriteRecorder
 
 ITU_ATTEN = {"Abuja": 34.1808, "Hartbeesthoek": 49.0126, "Cairo": 31.6560,
@@ -122,6 +123,20 @@ class TestStations:
         assert err.splitlines() == [
             f"warning: {len(pairs)} station pairs under the 2000 km minimum "
             f"separation; closest: {a} and {b}, {d:.0f} km apart"]
+
+    def test_closest_pair_across_an_underflowing_latitude_gap(self, tmp_path,
+                                                             capsys):
+        # A and B lie 3.7e-169 degrees apart in latitude, A and C coincide;
+        # every pair is 0 km, so the first in catalog order is named
+        close = tmp_path / "close.csv"
+        close.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                         "A,-3.7048499121446723e-169,-180,0\nB,0.0,-180,0\n"
+                         "C,-3.7048499121446723e-169,-180,0\n")
+        assert main(["stations", "--catalog", str(close), "--format",
+                     "csv"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 3 station pairs under the 2000 km minimum separation; "
+            "closest: A and B, 0 km apart\n")
 
     def test_close_pair_warns_on_stderr(self, tmp_path, capsys):
         close = tmp_path / "close.csv"
@@ -686,6 +701,60 @@ class TestNonUtf8Input:
             f"error: {series}: not UTF-8 at byte 25\n"
 
 
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark reads as nothing: the file gives
+    the output of the same file without it."""
+
+    def run_both(self, tmp_path, capsys, name, text, argv):
+        # the same file name in two folders, so that labels and paths agree
+        runs = []
+        for folder, head in (("plain", b""), ("bom", BOM)):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / name
+            path.write_bytes(head + text.encode())
+            code = main([str(path) if arg is None else arg for arg in argv])
+            out, err = capsys.readouterr()
+            runs.append((code, out, err.replace(str(tmp_path / folder), "")))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    def test_catalog(self, tmp_path, capsys):
+        text = ("name,latitude_deg,longitude_deg,altitude_m\n"
+                "Abuja,9.0,7.3,348\nAccra,5.6,-0.2,61\n")
+        code, out, _ = self.run_both(tmp_path, capsys, "catalog.csv", text,
+                                     ["stations", "--format", "csv",
+                                      "--catalog", None])
+        assert (code, out.splitlines()[0]) == (0, text.splitlines()[0])
+
+    def test_series(self, tmp_path, capsys):
+        # Z stamps at a fixed step: the bulk pass parses them
+        text = "timestamp,rate_mm_per_hr\n" + "".join(
+            f"2010-01-01T{h:02d}:00:00Z,{h % 5}\n" for h in range(24))
+        code, out, _ = self.run_both(
+            tmp_path, capsys, "rain.csv", text,
+            ["attenuation", "--station", "Abuja", "--freq-ghz", "28.5",
+             "--elevation-deg", "20", "--format", "csv", "--series", None])
+        assert code == 0 and out.count("\n") == 2
+
+    def test_scenario(self, tmp_path, capsys):
+        text = open(write_scenario(tmp_path)).read()
+        code, out, _ = self.run_both(tmp_path, capsys, "scenario.json", text,
+                                     ["sweep", "--format", "csv",
+                                      "--scenario", None])
+        assert code == 0 and out.count("\n") == 13
+
+    def test_bad_byte_keeps_its_file_offset(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(BOM + b"name,latitude_deg,longitude_deg,altitude_m\n"
+                            b"Z\xfcrich,47.4,8.5,400\n")
+        assert main(["stations", "--catalog", str(catalog)]) == 3
+        assert capsys.readouterr() == \
+            ("", f"error: {catalog}: not UTF-8 at byte 47\n")
+
+
 PHYSICS = {"mode": "physics", "k_clear_dB": None, "p_list": [0.01, 0.1],
            "sources": [{"label": "ITU", "kind": "r001", "value": 90.0}]}
 
@@ -811,3 +880,41 @@ class TestFlags:
                               env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (
             0, f"rainlink {rainlink.__version__}\n", "")
+
+
+SHARED = {"--catalog": (None, False), "--format": ("table", False),
+          "--stamp": (False, False), "-h --help": (argparse.SUPPRESS, False)}
+SCENARIO = {"--scenario": (None, True)}
+
+# every subcommand's options as {option strings: (default, required)}, and
+# its parser defaults other than func
+COMMAND_OPTIONS = {
+    "stations": ({**SHARED}, {}),
+    "attenuation": ({**SHARED, "--station": (None, True),
+                     "--freq-ghz": (None, True),
+                     "--elevation-deg": (None, True), "--p": ("0.01", False),
+                     "--r001": (None, False), "--series": (None, False),
+                     "--strategy": ("chebil_annual", False),
+                     "--polarization": ("vertical", False),
+                     "--label": (None, False)}, {}),
+    "linkbudget": ({**SHARED, **SCENARIO}, {"p": None, "plot_data": None}),
+    "sweep": ({**SHARED, **SCENARIO, "--p": (None, False),
+               "--plot-data": (None, False),
+               "--plot-field": ("attenuation_dB", False)}, {}),
+    "compare": ({**SHARED, **SCENARIO, "--baseline": (None, True),
+                 "--estimate": (None, True), "--p": (None, False)}, {}),
+}
+
+
+class TestParser:
+    def test_each_command_keeps_its_options(self):
+        parser = build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        found = {}
+        for name, sub in commands.items():
+            options = {" ".join(a.option_strings): (a.default, a.required)
+                       for a in sub._actions}
+            defaults = {k: v for k, v in sub._defaults.items() if k != "func"}
+            found[name] = (options, defaults)
+        assert found == COMMAND_OPTIONS

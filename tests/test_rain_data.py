@@ -288,6 +288,16 @@ class TestClosePairSearch:
         assert rain_data._close_pair_summary(catalog.stations) == \
             (2, (pairs[0][2], 0, 1))
 
+    def test_summary_where_a_latitude_gap_underflows(self):
+        # S0/S1's latitude gap is 3.7e-169 degrees, whose haversine term
+        # underflows to 0; S1 is still measured after S0/S2, also 0 km apart,
+        # has set the bound to 0, and the tie goes to S0/S1
+        lat = -3.7048499121446723e-169
+        points = [(lat, -180.0), (0.0, -180.0), (lat, -180.0)]
+        assert [d for *_, d in assert_matches_all_pairs(points)] == [0.0] * 3
+        catalog = parse_quietly(catalog_text(points))
+        assert rain_data._close_pair_summary(catalog.stations) == (3, (0.0, 0, 1))
+
     def test_close_pairs_built_on_first_access(self):
         catalog = parse_quietly(catalog_text([(0.0, 0.0), (0.9, 0.0)]))
         assert "close_pairs" not in vars(catalog)
