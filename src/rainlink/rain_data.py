@@ -33,6 +33,9 @@ _SERIES_HEADER_LINE = ",".join(SERIES_HEADER)
 # empirical exceedance strategy to say anything about 0.01% of a year
 _COARSE_CADENCE_HOURS = 24.0 * 28.0
 
+# the bulk series pass reads its text this many characters at a time
+_CHUNK_CHARS = 1 << 16
+
 # up to this many samples the 0.01 % rank of empirical exceedance is 1:
 # the reduction returns the series maximum
 _R001_RANK_SAMPLES = 10_000
@@ -214,12 +217,12 @@ def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
     return count, best
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """The rows of a CSV text; a csv.Error (an over-long field, say)
-    becomes a ParseError on the line the reader stopped at."""
+def _csv_rows(text: str):
+    """The rows of a CSV text as they are read; a csv.Error (an over-long
+    field, say) becomes a ParseError on the line the reader stopped at."""
     reader = csv.reader(io.StringIO(text))
     try:
-        return list(reader)
+        yield from reader
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from exc
 
@@ -232,13 +235,13 @@ def parse_station_catalog(text: str) -> StationCatalog:
     closest of them; the catalog's close_pairs lists them on first access.
     """
     rows = _csv_rows(text)
-    if not rows:
+    if (header := next(rows, None)) is None:
         raise ValidationError("empty catalog")
-    if rows[0] != CATALOG_HEADER:
+    if header != CATALOG_HEADER:
         raise ParseError(f"expected header {','.join(CATALOG_HEADER)}, "
-                         f"got {','.join(rows[0])}", line=1)
+                         f"got {','.join(header)}", line=1)
     stations = []
-    for idx, row in enumerate(rows[1:], start=2):
+    for idx, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 4:
@@ -297,40 +300,47 @@ def _parse_columns(text: str):
     no quotes, no CR and no blank line; UTC timestamps that fromisoformat
     reads as such, strictly increasing; finite, non-negative rates. Any
     other text, valid or not, is left to the row loop, which alone reports
-    errors.
+    errors. The body is read by offset in chunks of about _CHUNK_CHARS, cut
+    at newlines, so one chunk at most is held as lines and cells; each
+    distinct rate text is parsed once, and its samples share one float.
     """
-    header, _, body = text.partition("\n")
-    if header != _SERIES_HEADER_LINE or not body or '"' in body or "\r" in body:
+    start, end = len(_SERIES_HEADER_LINE) + 1, len(text) - text.endswith("\n")
+    if not text.startswith(_SERIES_HEADER_LINE + "\n") or '"' in text or "\r" in text:
         return None
     # naive or offset stamps are left to the row loop before any column
     # is built, judged by the first one
     try:
-        first = datetime.fromisoformat(body[:body.find(",")])
+        if datetime.fromisoformat(text[start:text.find(",", start)]).tzinfo is not timezone.utc:
+            return None
     except ValueError:
         return None
-    if first.tzinfo is not timezone.utc:
-        return None
-    if body.endswith("\n"):
-        body = body[:-1]
-    lines = body.split("\n")
-    # as many commas as lines, one in each; and no line over the csv field
-    # size limit, which would leave a block [k, k + half) with no newline
+    # no line over the csv field size limit, which would leave a block
+    # [k, k + half) with no newline
     half = csv.field_size_limit() // 2 or 1
-    if body.count(",") != len(lines) or not all(map(operator.contains, lines, [","] * len(lines))) \
-            or any(body.find("\n", k, k + half) < 0 for k in range(0, len(body) - half + 1, half)):
+    if any(text.find("\n", k, k + half) < 0 for k in range(start, end - half + 1, half)):
         return None
-    del lines  # freed before the cells are built, to keep the peak down
-    cells = body.replace("\n", ",").split(",")
-    try:
-        rates = tuple(map(float, cells[1::2]))
-        times = tuple(map(datetime.fromisoformat, cells[0::2]))
-    except ValueError:
-        return None
-    # min() skips a NaN that is not first, so finiteness is checked apart
-    if not (all(map(math.isfinite, rates)) and min(rates) >= 0.0
-            and set(map(operator.attrgetter("tzinfo"), times)) == {timezone.utc}
-            and all(map(operator.lt, times, times[1:]))):
-        return None
+    times, rates, floats = [], [], {}
+    while start < end:
+        cut = text.find("\n", start + _CHUNK_CHARS, end)
+        chunk = text[start:cut if cut >= 0 else end]
+        start += len(chunk) + 1
+        commas = chunk.count(",")  # as many as lines, one in each
+        if chunk.count("\n") + 1 != commas \
+                or not all(map(operator.contains, chunk.split("\n"), [","] * commas)):
+            return None
+        cells = chunk.replace("\n", ",").split(",")
+        k = max(len(times) - 1, 0)  # from the last stamp before this chunk
+        try:
+            times += map(datetime.fromisoformat, cells[0::2])
+            fresh = {t: float(t) for t in set(cells[1::2]).difference(floats)}
+        except ValueError:
+            return None
+        if not (all(0.0 <= r < math.inf for r in fresh.values())  # a NaN fails both
+                and set(map(operator.attrgetter("tzinfo"), times[k:])) == {timezone.utc}
+                and all(map(operator.lt, times[k:], times[k + 1:]))):
+            return None
+        floats.update(fresh)
+        rates += map(floats.__getitem__, cells[1::2])
     return times, rates
 
 
@@ -338,13 +348,13 @@ def _parse_rows(text: str):
     """The series row by row, as (times, rates); raises the error that
     names the first bad line."""
     rows = _csv_rows(text)
-    if not rows:
+    if (header := next(rows, None)) is None:
         raise ValidationError("empty series")
-    if rows[0] != SERIES_HEADER:
+    if header != SERIES_HEADER:
         raise ParseError(f"expected header {_SERIES_HEADER_LINE}, "
-                         f"got {','.join(rows[0])}", line=1)
+                         f"got {','.join(header)}", line=1)
     times, rates = [], []
-    for idx, row in enumerate(rows[1:], start=2):
+    for idx, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 2:

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -51,6 +54,22 @@ class TestCsvError:
         with pytest.raises(ParseError, match="field larger") as err:
             parse_rain_series(text)
         assert err.value.line == 3
+
+    # rows are checked as they are read, so an error on an earlier line
+    # wins over the reader's on a later one
+
+    def test_catalog_earlier_bad_row_wins(self):
+        text = CATALOG + "Broken,abc,0,0\n" + f"{self.LONG},1,2,3\n"
+        with pytest.raises(ParseError, match="could not convert") as err:
+            parse_station_catalog(text)
+        assert err.value.line == 4
+
+    def test_series_earlier_bad_row_wins(self):
+        text = ("timestamp,rate_mm_per_hr\nnot-a-time,1\n"
+                f"2010-01-01T00:00:00,{self.LONG}\n")
+        with pytest.raises(ParseError, match="bad timestamp 'not-a-time'") as err:
+            parse_rain_series(text)
+        assert err.value.line == 2
 
 
 class TestParseStationCatalog:
@@ -638,13 +657,28 @@ def mutate(lines, kind, i, token):
     return lines
 
 
+VALID_SERIES = dict(lines=series_lines(UTC_OFFSETS + OTHER_OFFSETS),
+                    final_newline=st.booleans())
+SERIES_DEFECTS = dict(
+    lines=series_lines(["Z", "+00:00"]),
+    kind=st.sampled_from(["blank", "crlf", "quote", "lead_space",
+                          "trail_space", "lower_z",
+                          "repeat", "swap", "rate", "extra_field",
+                          "one_field", "shifted_field", "stamp",
+                          "header"]),
+    where=st.integers(min_value=0),
+    token=st.sampled_from(["-1", "-0.5", "-0.0", "nan", "inf", "-inf",
+                           "NaN", "1e999", "abc", "", " 2.5 ",
+                           "not-a-time", "2010-13-01T00:00:00Z"]),
+    final_newline=st.booleans())
+
+
 class TestBulkParse:
     """parse_rain_series parses plain text in bulk and leaves the rest to
     the row loop; both must give what the row loop alone gives."""
 
     @settings(max_examples=150, deadline=None)
-    @given(lines=series_lines(UTC_OFFSETS + OTHER_OFFSETS),
-           final_newline=st.booleans())
+    @given(**VALID_SERIES)
     def test_agrees_with_row_loop_on_valid_series(self, lines, final_newline):
         text = series_text(lines, final_newline)
         expected = outcome(rain_data._parse_rows, text)
@@ -661,17 +695,7 @@ class TestBulkParse:
             rain_data._parse_rows, text)
 
     @settings(max_examples=300, deadline=None)
-    @given(lines=series_lines(["Z", "+00:00"]),
-           kind=st.sampled_from(["blank", "crlf", "quote", "lead_space",
-                                 "trail_space", "lower_z",
-                                 "repeat", "swap", "rate", "extra_field",
-                                 "one_field", "shifted_field", "stamp",
-                                 "header"]),
-           where=st.integers(min_value=0),
-           token=st.sampled_from(["-1", "-0.5", "-0.0", "nan", "inf", "-inf",
-                                  "NaN", "1e999", "abc", "", " 2.5 ",
-                                  "not-a-time", "2010-13-01T00:00:00Z"]),
-           final_newline=st.booleans())
+    @given(**SERIES_DEFECTS)
     def test_agrees_with_row_loop_on_defects(self, lines, kind, where, token,
                                              final_newline):
         i = where % len(lines)
@@ -687,6 +711,23 @@ class TestBulkParse:
         if not isinstance(expected[0], tuple):
             # the row loop rejects it, so the bulk pass must have declined
             assert rain_data._parse_columns(text) is None
+
+    # the two agreement properties again, with chunks of a few dozen
+    # characters, so that most texts cross several chunk boundaries
+
+    @settings(max_examples=150, deadline=None)
+    @given(**VALID_SERIES)
+    def test_agrees_with_row_loop_on_valid_series_in_small_chunks(self, **drawn):
+        with mock.patch.object(rain_data, "_CHUNK_CHARS", 40):
+            self.test_agrees_with_row_loop_on_valid_series.hypothesis.inner_test(
+                self, **drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**SERIES_DEFECTS)
+    def test_agrees_with_row_loop_on_defects_in_small_chunks(self, **drawn):
+        with mock.patch.object(rain_data, "_CHUNK_CHARS", 40):
+            self.test_agrees_with_row_loop_on_defects.hypothesis.inner_test(
+                self, **drawn)
 
     @pytest.mark.parametrize("text", [
         "",
@@ -739,6 +780,67 @@ class TestBulkParse:
 
         monkeypatch.setattr(rain_data, "operator", NoColumnWork())
         assert rain_data._parse_columns(text) is None
+
+
+class TestChunkBoundaries:
+    """Defects where one chunk of the bulk pass ends and the next begins:
+    the pass declines, and the row loop names the line."""
+
+    # 25 characters each with its newline: chunks of 2 * 25 - 1 characters,
+    # each cut at the next newline, hold lines 0-1, 2-3 and 4-5
+    LINES = [f"2010-01-01T0{h}:00:00Z,{r}"
+             for h, r in enumerate([0.5, 1.5, 0.0, 2.5, 0.0, 3.5])]
+
+    @pytest.fixture(autouse=True)
+    def two_line_chunks(self, monkeypatch):
+        monkeypatch.setattr(rain_data, "_CHUNK_CHARS", 2 * 25 - 1)
+
+    @pytest.mark.parametrize("kind, token, message", [
+        ("repeat", "", "timestamp 2010-01-01T01:00:00Z not after the previous row"),
+        ("swap", "", "timestamp 2010-01-01T01:00:00Z not after the previous row"),
+        ("rate", "nan", "non-finite rate nan"),
+        ("one_field", "", "expected 2 fields, got 1"),
+    ], ids=["repeat", "swap", "nan", "no_comma"])
+    def test_defect_declines_to_the_row_loop(self, kind, token, message):
+        # each defect is in LINES[2], line 4 of the file: the first line of
+        # the second chunk
+        text = series_text(mutate(self.LINES, kind, 2, token))
+        assert rain_data._parse_columns(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_rain_series(text)
+        assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+        assert outcome(bulk_first, text) == outcome(rain_data._parse_rows, text)
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_valid_text_takes_the_bulk_path(self, final_newline):
+        text = series_text(self.LINES, final_newline)
+        columns = rain_data._parse_columns(text)
+        assert columns is not None
+        assert outcome(lambda _: columns, text) == outcome(
+            rain_data._parse_rows, text)
+        assert tuple(columns[1]) == (0.5, 1.5, 0.0, 2.5, 0.0, 3.5)
+
+
+class TestBulkParseMemory:
+    def test_peak_is_the_series_and_one_chunk(self):
+        """Two years of 30-minute samples, most of them dry: the bulk pass
+        holds the parsed series and one chunk, never the whole file as
+        lines or cells, and each distinct rate text is one float."""
+        rng = random.Random(29)
+        text = series_to_csv(make_series(
+            [round(rng.lognormvariate(0.6, 1.2), 2) if rng.random() < 0.1
+             else 0.0 for _ in range(35_040)], step_hours=0.5))
+        tracemalloc.start()
+        try:
+            series = parse_rain_series(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = {id(r): r for r in series.rates}
+        assert len(floats) == len(set(series.rates))
+        held = sum(map(sys.getsizeof, (series.times, series.rates, *series.times,
+                                       *floats.values())))
+        assert peak < held + (1 << 20)
 
 
 class TestReductions:
