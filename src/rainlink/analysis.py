@@ -14,11 +14,10 @@ import json
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .attenuation import PPlan, attenuation_curve
 from .constants import check
@@ -34,12 +33,9 @@ SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
 PLOT_FIELDS = ("attenuation_dB", "cnr_dB", "available_margin_dB")
 COMPARISON_COLUMNS = ["station", "baseline_attenuation_dB",
                       "estimate_attenuation_dB", "overestimation_percent"]
-# a LinkResult's fields, in SWEEP_COLUMNS order, as a tuple
-_LINK_CELLS = attrgetter(*(f.name for f in fields(LinkResult)))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     """Overestimation of one station's baseline attenuation by an
     alternative estimate."""
 
@@ -52,9 +48,6 @@ class ComparisonRow:
     def display_percent(self) -> int:
         # integer display per the reporting convention; raw value retained
         return round(self.overestimation_percent)
-
-
-_COMPARISON_CELLS = attrgetter(*(f.name for f in fields(ComparisonRow)))
 
 
 class ResolvedSource(Record):
@@ -89,7 +82,7 @@ class SweepTable(Record):
 
     def __init__(self, rows=(), diagnostics=(), *, records=None):
         if records is None:
-            records = [row if isinstance(row, tuple) else _LINK_CELLS(row) for row in rows]
+            records = [row if isinstance(row, tuple) else row._values() for row in rows]
         super().__init__(tuple(records), tuple(diagnostics))
 
     @cached_property
@@ -225,9 +218,9 @@ def _table_shape(table) -> tuple[list[str], list | Iterator]:
     if isinstance(table, tuple) and len(table) == 2:
         return list(table[0]), table[1] if isinstance(table[1], Iterator) else list(table[1])
     if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
-        return COMPARISON_COLUMNS, list(map(_COMPARISON_CELLS, table))
+        return COMPARISON_COLUMNS, list(map(ComparisonRow._values, table))
     if isinstance(table, list) and all(isinstance(r, LinkResult) for r in table):
-        return SWEEP_COLUMNS, list(map(_LINK_CELLS, table))
+        return SWEEP_COLUMNS, list(map(LinkResult._values, table))
     raise UsageError(f"cannot emit a report for {type(table).__name__}")
 
 

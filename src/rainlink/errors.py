@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the base
-of its immutable records.
+"""Exception and warning types shared across the package, and Record,
+the base of every one of its immutable records.
 
 The hierarchy keeps three concerns separate so the CLI can map them to
 stable exit codes: bad values fed to the math (DomainError), bad input
@@ -17,8 +17,8 @@ class Record:
     """An immutable record with a frozen dataclass's init, equality (within
     one class), hash and repr, and no generated code. Its fields are the
     subclass's annotations, their defaults its class attributes of those
-    names. TransmissionParams, LinkResult and ComparisonRow stay dataclasses,
-    for dataclasses.replace, fields and astuple."""
+    names. The dataclasses functions apply to no record; a copy with one
+    field changed is built by keyword from _fields and _values()."""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

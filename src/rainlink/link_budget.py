@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR, check
@@ -27,8 +26,7 @@ class CnrMode(str, Enum):
     CALIBRATED = "calibrated"
 
 
-@dataclass(frozen=True)
-class TransmissionParams:
+class TransmissionParams(Record):
     """Uplink transmission parameters for one gateway-to-satellite beam."""
 
     frequency_GHz: float
@@ -43,14 +41,12 @@ class TransmissionParams:
     antenna_diameter_m: float | None = None  # metadata; enters no calculation
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self._values()):
             if value is not None:
-                check(f.name, value, f.name)
+                check(name, value, name)
 
 
-@dataclass(frozen=True)
-class LinkResult:
+class LinkResult(Record):
     """Outcome for one (station, source, p) triple."""
 
     station_ref: str
@@ -149,7 +145,8 @@ def band_scenario(params: TransmissionParams,
     is preserved verbatim. Downstream FSPL and rain coefficients follow
     the new frequency automatically."""
     check_frequency(new_frequency_GHz)
-    return replace(params, frequency_GHz=new_frequency_GHz)
+    return type(params)(**dict(zip(params._fields, params._values()),
+                                frequency_GHz=new_frequency_GHz))
 
 
 def evaluate_link(station_ref: str, source_label: str, p_percent: float,

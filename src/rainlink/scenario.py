@@ -7,12 +7,11 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import MISSING, fields
 from enum import Enum
 
 from .analysis import ResolvedSource
 from .constants import MIN_ELEVATION_DEG, check
-from .errors import ConfigError, Record
+from .errors import ConfigError, DomainError, Record
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import (StationCatalog, Strategy, parse_rain_series,
                         read_text, resolve_r001)
@@ -63,7 +62,7 @@ class Scenario(Record):
         raise ConfigError(f"unknown source label {label!r} (known: {known})")
 
 
-_PARAMS = fields(TransmissionParams)  # each a scenario field of that name
+_PARAMS = TransmissionParams._fields  # each a scenario field of that name
 # the descriptor fields each kind needs, at least one of them set
 _KIND_FIELDS = {SourceKind.R001: ("value", "values"),
                 SourceKind.SERIES: ("paths",),
@@ -82,10 +81,19 @@ def _choice(enum: type[Enum], value, where: str):
 
 def _number(value, where: str, quantity: str) -> float:
     """value as a float in quantity's domain, or a ConfigError naming where."""
+    if type(value) not in (int, float):  # JSON true and "28.5" are not numbers
+        raise ConfigError(f"{where}: must be a number, got {value!r}")
     try:
         return check(quantity, float(value), "value")
-    except (TypeError, ValueError) as exc:  # a DomainError is a ValueError
+    except (OverflowError, DomainError) as exc:  # OverflowError: an int past any float
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _path(value, where: str) -> str:
+    """value if it is a string, else a ConfigError naming where."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: must be a path string, got {value!r}")
+    return value
 
 
 def _mapping(raw: dict, name: str, where: str) -> dict | None:
@@ -107,13 +115,13 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("scenario must be a JSON object")
-    missing = [f.name for f in _PARAMS
-               if f.default is MISSING and f.name not in doc]
+    missing = [name for name in _PARAMS
+               if name not in TransmissionParams._defaults and name not in doc]
     if missing:
         raise ConfigError(f"scenario missing fields: {', '.join(missing)}")
     params = TransmissionParams(**{
-        f.name: _number(doc[f.name], f"field {f.name}", f.name)
-        for f in _PARAMS if f.name in doc})
+        name: _number(doc[name], f"field {name}", name)
+        for name in _PARAMS if name in doc})
     mode = _choice(CnrMode, doc.get("mode", "physics"), "field mode")
     k_clear = doc.get("k_clear_dB")
     if k_clear is not None:
@@ -125,9 +133,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ConfigError("field p_list: must be a non-empty list")
     p_list = tuple(_number(p, "field p_list", "p_percent") for p in p_raw)
     catalog_path = doc.get("catalog")
-    if catalog_path is not None and not isinstance(catalog_path, str):
-        raise ConfigError(f"field catalog: must be a path string, "
-                          f"got {catalog_path!r}")
+    if catalog_path is not None:
+        _path(catalog_path, "field catalog")
     raw_sources = doc.get("sources", [])
     if not isinstance(raw_sources, list):
         raise ConfigError("field sources: must be a list")
@@ -152,7 +159,8 @@ def parse_scenario(text: str) -> Scenario:
                                     quantity)
                     for k, v in values.items()}
             if values is not None else None,
-            paths={str(k): str(v) for k, v in paths.items()}
+            paths={str(k): _path(v, f"{where}: field paths[{k!r}]")
+                   for k, v in paths.items()}
             if paths is not None else None,
             strategy=_choice(Strategy, raw.get("strategy", "chebil_annual"),
                              f"{where}: field strategy"))

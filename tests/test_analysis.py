@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -27,13 +26,18 @@ from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
                                parse_report_csv, plot_data_table, write_report)
 
 
-def uplink_params():
-    return TransmissionParams(frequency_GHz=28.5, bandwidth_Hz=2.1e9,
-                              eirp_dBW=75.9, elevation_deg=20.0,
-                              receiver_gain_dBi=31.8,
-                              system_temperature_K=868.4,
-                              required_margin_dB=0.36,
-                              satellite_altitude_km=1200.0)
+def uplink_params(**overrides):
+    fields = dict(frequency_GHz=28.5, bandwidth_Hz=2.1e9, eirp_dBW=75.9,
+                  elevation_deg=20.0, receiver_gain_dBi=31.8,
+                  system_temperature_K=868.4, required_margin_dB=0.36,
+                  satellite_altitude_km=1200.0)
+    fields.update(overrides)
+    return TransmissionParams(**fields)
+
+
+def astuple(record) -> tuple:
+    """The record's field values in field order, read one at a time."""
+    return tuple(getattr(record, name) for name in type(record).__annotations__)
 
 
 def catalog():
@@ -239,8 +243,7 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("other_losses", [0.0, 2.5])
     def test_physics(self, other_losses):
-        params = dataclasses.replace(uplink_params(),
-                                     other_losses_dB=other_losses)
+        params = uplink_params(other_losses_dB=other_losses)
         injected = ResolvedSource("injected", attenuation_by_station={
             s.name: abs(GPM_ATTEN[s.name]) for s in catalog().stations})
         self.assert_matches_oracle(catalog(), params,
@@ -260,7 +263,7 @@ class TestSweepOracle:
         cat = parse_station_catalog(
             "name,latitude_deg,longitude_deg,altitude_m\n"
             "Low,0.0,10.0,300\nHigh,40.0,100.0,6000\n")
-        params = dataclasses.replace(uplink_params(), elevation_deg=5.0)
+        params = uplink_params(elevation_deg=5.0)
         source = ResolvedSource("r", r001_by_station={"Low": 60.0,
                                                       "High": 60.0})
         table = self.assert_matches_oracle(cat, params, [source],
@@ -276,9 +279,8 @@ class TestSweepOracle:
                                             1.0]), min_size=1, max_size=6))
     def test_random_physics_params(self, eirp, elevation, other, frequency,
                                    rate, p_list):
-        params = dataclasses.replace(
-            uplink_params(), eirp_dBW=eirp, elevation_deg=elevation,
-            other_losses_dB=other, frequency_GHz=frequency)
+        params = uplink_params(eirp_dBW=eirp, elevation_deg=elevation,
+                               other_losses_dB=other, frequency_GHz=frequency)
         source = ResolvedSource("r", r001_by_station={
             s.name: rate for s in catalog().stations})
         self.assert_matches_oracle(catalog(), params, [source], p_list)
@@ -287,7 +289,7 @@ class TestSweepOracle:
         # k_clear - A - required is exactly 0.0 at the first station
         injected = ResolvedSource("exact", attenuation_by_station={
             s.name: 0.5 * i for i, s in enumerate(catalog().stations)})
-        params = dataclasses.replace(uplink_params(), required_margin_dB=0.5)
+        params = uplink_params(required_margin_dB=0.5)
         table = self.assert_matches_oracle(
             catalog(), params, [injected], [0.01], mode="calibrated",
             k_clear_dB=1.0)
@@ -567,7 +569,7 @@ class TestColumnRenderer:
             s.name: 90.0 for s in catalog().stations})
         table = availability_sweep(catalog(), uplink_params(), [source],
                                    [0.001, 0.01, 0.5])
-        rows = [dataclasses.astuple(r) for r in table.rows]
+        rows = [astuple(r) for r in table.rows]
         for format, oracle in ORACLES.items():
             assert emit_report(table, format) == oracle(SWEEP_COLUMNS, rows)
 
@@ -696,7 +698,7 @@ class TestSweepTable:
         assert "rows" not in vars(table)
         assert table.rows == tuple(LinkResult(*r) for r in table.records)
         assert table.rows is table.rows
-        assert [dataclasses.astuple(r) for r in table.rows] == \
+        assert [astuple(r) for r in table.rows] == \
             list(table.records)
 
     def test_built_from_rows(self):
@@ -744,7 +746,7 @@ class TestJsonRenderer:
         table = availability_sweep(catalog(), uplink_params(), [source],
                                    [0.001, 0.01, 0.5])
         want = json_oracle(SWEEP_COLUMNS,
-                           [dataclasses.astuple(r) for r in table.rows])
+                           [astuple(r) for r in table.rows])
         assert emit_report(table, "json") == want
         assert emit_report(list(table.rows), "json") == want
 
@@ -752,7 +754,7 @@ class TestJsonRenderer:
         rows = compare_sources(results_from(ITU_ATTEN),
                                results_from(GPM_ATTEN, label="GPM"))
         assert emit_report(rows, "json") == json_oracle(
-            COMPARISON_COLUMNS, [dataclasses.astuple(r) for r in rows])
+            COMPARISON_COLUMNS, [astuple(r) for r in rows])
 
 
 class TestEmitPlotData:

@@ -8,16 +8,19 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from datetime import datetime, timezone
 from typing import NamedTuple
 
 import pytest
 
 import rainlink
-from rainlink import (AttenuationCurve, CnrMode, CoefficientTable, DomainError,
-                      GroundStation, LinkResult, PathGeometry, PlotCurve,
+from rainlink import (AttenuationCurve, CnrMode, CoefficientTable,
+                      ComparisonRow, DomainError, GroundStation, LinkResult, PathGeometry, PlotCurve,
                       Polarization, RainCoefficients, RainSeries,
                       ResolvedSource, Scenario, SourceDescriptor, SourceKind,
                       SpecificAttenuation, StationCatalog, Strategy,
@@ -81,6 +84,13 @@ CASES = [
                     Polarization.VERTICAL),
          (PARAMS, CnrMode.PHYSICS, None, "c.csv", (DESC,), (0.01,),
           Polarization.VERTICAL), {"polarization": Polarization.VERTICAL}),
+    Case(TransmissionParams,
+         (28.5, 2.1e9, 75.9, 20.0, 31.8, 868.4, 0.36, 1200.0, 0.0, None),
+         (28.5, 2.1e9, 75.9, 20.0, 31.8, 868.4, 0.36, 1200.0, 0.0, 3.5),
+         {"other_losses_dB": 0.0, "antenna_diameter_m": None}),
+    Case(LinkResult, ROW, ROW[:-1] + (False,), {}),
+    Case(ComparisonRow, ("Abuja", 34.2, 12.0, 64.9), ("Abuja", 34.2, 12.5, 64.9),
+         {}),
 ]
 IDS = [case.cls.__name__ for case in CASES]
 
@@ -232,15 +242,31 @@ class TestValidation:
         with pytest.raises(DomainError):
             RainSeries("x", (T0,), ())
 
+    def test_transmission_params_name_the_first_bad_field(self):
+        with pytest.raises(DomainError, match="^bandwidth_Hz "):
+            TransmissionParams(28.5, -1.0, 75.9, 200.0, 31.8, 868.4, 0.36,
+                               1200.0)
 
-def test_only_the_documented_records_are_dataclasses():
+
+def test_no_rainlink_class_is_a_dataclass():
     found = set()
     for module in pkgutil.iter_modules(rainlink.__path__, "rainlink."):
         for name, obj in vars(importlib.import_module(module.name)).items():
             if inspect.isclass(obj) and obj.__module__.startswith("rainlink") \
                     and hasattr(obj, "__dataclass_fields__"):
                 found.add(obj.__name__)
-    assert found == {"TransmissionParams", "LinkResult", "ComparisonRow"}
+    assert found == set()
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # every CLI run is a fresh process and would pay for importing both;
+    # -S keeps out what site imports on its own
+    code = ("import sys, rainlink.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(rainlink.__path__[0])}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_only_the_converting_records_define_init():

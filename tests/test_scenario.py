@@ -160,6 +160,16 @@ class TestParseScenarioValues:
         (dict(PHYSICS, sources=[{"label": "s", "kind": "series",
                                  "paths": "a.csv"}]),
          r"sources[0] (s): field paths"),
+        (dict(PHYSICS, sources=[R001], frequency_GHz=True),
+         "field frequency_GHz: must be a number"),
+        (dict(PHYSICS, sources=[R001], p_list=[True]),
+         "field p_list: must be a number"),
+        (dict(PHYSICS, sources=[R001], frequency_GHz="28.5"),
+         "field frequency_GHz: must be a number"),
+        (dict(PHYSICS, sources=[R001], eirp_dBW=10 ** 400), "field eirp_dBW"),
+        (dict(PHYSICS, sources=[{"label": "s", "kind": "series",
+                                 "paths": {"Abuja": None}}]),
+         "sources[0] (s): field paths['Abuja']: must be a path string"),
     ])
     def test_bad_value_names_field(self, doc, field):
         with pytest.raises(ConfigError, match=re.escape(field)):
