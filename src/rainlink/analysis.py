@@ -14,7 +14,7 @@ import json
 import math
 from array import array
 from collections.abc import Iterator
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -71,23 +71,21 @@ class ResolvedSource(Record):
                   f"source {self.label!r} station {station!r}: attenuation")
 
 
-class SweepTable(Record):
-    """Link results over the (station, source, p) cross-product, in
-    sweep_records' order: records, a tuple per row in SWEEP_COLUMNS order;
-    rows, the LinkResults, built on first access; and chain diagnostics.
-    Built from rows, each a LinkResult or a record tuple, or from records=."""
+class SweepTable:
+    """Link results over the (station, source, p) cross-product, made afresh
+    from the chain's curves on each iteration: a tuple per row, in
+    SWEEP_COLUMNS order, by station, source, p; and the chain's diagnostics."""
 
-    records: tuple[tuple, ...]
-    diagnostics: tuple[str, ...]
+    def __init__(self, make_rows, diagnostics):
+        self._make_rows = make_rows
+        self.diagnostics = tuple(diagnostics)
 
-    def __init__(self, rows=(), diagnostics=(), *, records=None):
-        if records is None:
-            records = [row if isinstance(row, tuple) else row._values() for row in rows]
-        super().__init__(tuple(records), tuple(diagnostics))
+    def __iter__(self):
+        return self._make_rows()
 
-    @cached_property
-    def rows(self) -> tuple[LinkResult, ...]:
-        return tuple(starmap(LinkResult, self.records))
+    @property
+    def rows(self) -> list[LinkResult]:
+        return list(starmap(LinkResult, self))
 
 
 def overestimation_percentage(baseline_dB: float, estimate_dB: float) -> float:
@@ -129,15 +127,15 @@ def compare_sources(baseline_results: list[LinkResult],
     return rows
 
 
-def sweep_records(catalog: StationCatalog, params: TransmissionParams,
-                  sources: list[ResolvedSource], p_list: list[float],
-                  mode: CnrMode | str = CnrMode.PHYSICS,
-                  k_clear_dB: float | None = None,
-                  polarization: Polarization | str = Polarization.VERTICAL):
-    """(records, diagnostics) of the (station, source, p) cross-product
-    through the attenuation chain (for rain-rate sources) and the link
-    budget. All that can fail runs first, in catalog order; records then
-    yields a tuple per row, in SWEEP_COLUMNS order, by station, source, p."""
+def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
+                       sources: list[ResolvedSource], p_list: list[float],
+                       mode: CnrMode | str = CnrMode.PHYSICS,
+                       k_clear_dB: float | None = None,
+                       polarization: Polarization | str = Polarization.VERTICAL) -> SweepTable:
+    """The (station, source, p) cross-product through the attenuation chain
+    (for rain-rate sources) and the link budget, as a SweepTable. All that
+    can fail runs before it returns, in catalog order; the table keeps one
+    attenuation per row and makes the rows from them on each iteration."""
     if not catalog.stations:
         raise ValidationError("catalog is empty")
     if not p_list:
@@ -185,17 +183,7 @@ def sweep_records(catalog: StationCatalog, params: TransmissionParams,
                         margin = cnr - required
                         yield (name, label, p, a_p, cnr, required, margin,
                                margin >= 0.0)
-    return records(), diagnostics
-
-
-def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
-                       sources: list[ResolvedSource], p_list: list[float],
-                       mode: CnrMode | str = CnrMode.PHYSICS,
-                       k_clear_dB: float | None = None,
-                       polarization: Polarization | str = Polarization.VERTICAL) -> SweepTable:
-    """sweep_records' records and diagnostics, as a SweepTable."""
-    return SweepTable(*sweep_records(catalog, params, sources, p_list, mode,
-                                     k_clear_dB, polarization))
+    return SweepTable(records, diagnostics)
 
 
 def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
@@ -211,10 +199,9 @@ def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
 
 
 def _table_shape(table) -> tuple[list[str], list | Iterator]:
-    """The header and the row cells of a table; rows given as an iterator
-    stay one."""
+    """A table's header and row cells; a SweepTable's, or an iterator, stay lazy."""
     if isinstance(table, SweepTable):
-        return SWEEP_COLUMNS, table.records
+        return SWEEP_COLUMNS, iter(table)
     if isinstance(table, tuple) and len(table) == 2:
         return list(table[0]), table[1] if isinstance(table[1], Iterator) else list(table[1])
     if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
@@ -291,6 +278,7 @@ def _report_chunks(table, format: str):
         padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
                   for cells in ([h, *column] for h, column in zip(header, texts(rows)))]
         table_lines = zip(*padded) if header else [()] * (len(rows) + 1)
+        del rows  # the cells are text now: free the rows before the join
         yield "\n".join(["  ".join(cells).rstrip() for cells in table_lines]) + "\n"
         return
     rows = iter(rows if isinstance(rows, Iterator) else checked(rows))
@@ -365,7 +353,7 @@ def sweep_to_plot_curves(table: SweepTable,
         raise UsageError(f"unknown plot field {value_field!r}")
     column = SWEEP_COLUMNS.index(value_field)
     grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for record in table.records:
+    for record in table:
         grouped.setdefault(record[:2], []).append((record[2], record[column]))
     return [PlotCurve(station, source, value_field, tuple(sorted(points)))
             for (station, source), points in sorted(grouped.items())]

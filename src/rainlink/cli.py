@@ -20,9 +20,8 @@ from collections.abc import Sequence
 from datetime import datetime, timezone
 
 from . import __version__
-from .analysis import (PLOT_FIELDS, SWEEP_COLUMNS, SweepTable,
-                       compare_sources, plot_data_table, sweep_records,
-                       sweep_to_plot_curves, write_report)
+from .analysis import (PLOT_FIELDS, availability_sweep, compare_sources,
+                       plot_data_table, sweep_to_plot_curves, write_report)
 from .attenuation import attenuation_curve
 from .constants import check
 from .errors import (ConfigError, DomainError, DuplicateWarning, RainlinkError,
@@ -89,17 +88,17 @@ def _emit(table, format: str, stamp: bool) -> None:
 def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
            p_list: Sequence[float]):
     """Resolve sources over the scenario's catalog (--catalog wins) and
-    sweep them, printing the chain diagnostics; the records, an iterator."""
+    sweep them, printing the chain diagnostics; the SweepTable."""
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
     path = scenario.catalog_path and os.path.join(base_dir, scenario.catalog_path)
     catalog = _load_catalog(args.catalog or path or None)
-    records, diagnostics = sweep_records(
+    table = availability_sweep(
         catalog, scenario.params, resolve_sources(sources, catalog, base_dir),
         list(p_list), mode=scenario.mode, k_clear_dB=scenario.k_clear_dB,
         polarization=scenario.polarization)
-    for note in diagnostics:
+    for note in table.diagnostics:
         print(f"diagnostic: {note}", file=sys.stderr)
-    return records
+    return table
 
 
 def cmd_stations(args) -> None:
@@ -139,9 +138,7 @@ def cmd_sweep(args) -> None:
     """sweep, and linkbudget, which is a sweep at the scenario's p_list."""
     p_list = _parse_p_list(args.p) if args.p else None
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
-    records = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
-    # --plot-data reads the rows twice, so they are held; else they stream
-    table = SweepTable(records=records) if args.plot_data else (SWEEP_COLUMNS, records)
+    table = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
     _emit(table, args.format, args.stamp)
     if args.plot_data:
         plot = plot_data_table(sweep_to_plot_curves(table, args.plot_field))
@@ -156,7 +153,7 @@ def cmd_compare(args) -> None:
     p = (scenario.p_list[0] if args.p_value is None
          else _flag("p_percent", args.p_value, "--p"))
     chosen = [baseline] if baseline is estimate else [baseline, estimate]
-    table = SweepTable(records=_sweep(args, scenario, chosen, [p]))
+    table = _sweep(args, scenario, chosen, [p])
     rows = {d.label: [r for r in table.rows if r.source_label == d.label]
             for d in chosen}
     comparison = compare_sources(rows[baseline.label], rows[estimate.label])

@@ -345,15 +345,15 @@ def _parse_columns(text: str):
 
 
 def _parse_rows(text: str):
-    """The series row by row, as (times, rates); raises the error that
-    names the first bad line."""
+    """The series row by row, as (times, rates), one float per distinct
+    rate text; raises the error that names the first bad line."""
     rows = _csv_rows(text)
     if (header := next(rows, None)) is None:
         raise ValidationError("empty series")
     if header != SERIES_HEADER:
         raise ParseError(f"expected header {_SERIES_HEADER_LINE}, "
                          f"got {','.join(header)}", line=1)
-    times, rates = [], []
+    times, rates, floats = [], [], {}
     for idx, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -361,7 +361,7 @@ def _parse_rows(text: str):
             raise ParseError(f"expected 2 fields, got {len(row)}", line=idx)
         ts = _parse_timestamp(row[0], idx)
         try:
-            rate = float(row[1])
+            rate = floats[row[1]] if row[1] in floats else floats.setdefault(row[1], float(row[1]))
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
         if not math.isfinite(rate):

@@ -63,10 +63,10 @@ class Scenario(Record):
 
 
 _PARAMS = TransmissionParams._fields  # each a scenario field of that name
-# the descriptor fields each kind needs, at least one of them set
-_KIND_FIELDS = {SourceKind.R001: ("value", "values"),
-                SourceKind.SERIES: ("paths",),
-                SourceKind.ATTENUATION: ("values",)}
+# per kind, the descriptor fields it needs one of, and any other it takes
+_KIND_FIELDS = {SourceKind.R001: (("value", "values"), ()),
+                SourceKind.SERIES: (("paths",), ("strategy",)),
+                SourceKind.ATTENUATION: (("values",), ())}
 
 
 def _choice(enum: type[Enum], value, where: str):
@@ -149,6 +149,15 @@ def parse_scenario(text: str) -> Scenario:
         values = _mapping(raw, "values", where)
         paths = _mapping(raw, "paths", where)
         kind = _choice(SourceKind, raw.get("kind"), f"{where}: field kind")
+        needs, takes = _KIND_FIELDS[kind]
+        for name in SourceDescriptor._fields[2:]:  # value, values, paths, strategy
+            if name in raw and name not in needs + takes:
+                raise ConfigError(f"{where}: field {name}: not used by "
+                                  f"{kind.value} kind")
+        given = [name for name in needs if name in raw]
+        if len(given) != 1:  # r001 takes one shared value or per-station values
+            raise ConfigError(f"{where}: {kind.value} kind requires "
+                              f"{' or '.join(needs)}" + ", not both" * bool(given))
         quantity = ("attenuation_dB" if kind is SourceKind.ATTENUATION
                     else "rain_rate_mm_per_hr")
         desc = SourceDescriptor(
@@ -164,10 +173,6 @@ def parse_scenario(text: str) -> Scenario:
             if paths is not None else None,
             strategy=_choice(Strategy, raw.get("strategy", "chebil_annual"),
                              f"{where}: field strategy"))
-        needs = _KIND_FIELDS[desc.kind]
-        if all(getattr(desc, f) is None for f in needs):
-            raise ConfigError(f"{where}: {desc.kind.value} kind requires "
-                              f"{' or '.join(needs)}")
         sources.append(desc)
     labels = [s.label for s in sources]
     if len(set(labels)) != len(labels):

@@ -24,6 +24,7 @@ import rainlink.analysis as analysis
 import rainlink.attenuation as attenuation
 from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
                                parse_report_csv, plot_data_table, write_report)
+from rainlink.errors import Record
 
 
 def uplink_params(**overrides):
@@ -324,10 +325,10 @@ class TestSweepOracle:
         built = [record for station in cat.stations for source in sources
                  for record in availability_sweep(
                      StationCatalog((station,)), uplink_params(), [source],
-                     self.P_LIST).records]
+                     self.P_LIST)]
         table = availability_sweep(cat, uplink_params(), sources, self.P_LIST)
         assert names != sorted(names)
-        assert table.records == tuple(sorted(built, key=itemgetter(0, 1, 2)))
+        assert tuple(table) == tuple(sorted(built, key=itemgetter(0, 1, 2)))
 
     def test_each_distinct_p_checked_once(self, monkeypatch):
         checked = []
@@ -340,7 +341,7 @@ class TestSweepOracle:
                                    self.r001_sources() + [injected],
                                    self.P_LIST)
         assert sorted(checked) == sorted(set(self.P_LIST))
-        assert len(table.records) == 6 * 3 * len(checked)
+        assert len(tuple(table)) == 6 * 3 * len(checked)
 
     def test_negative_injected_attenuation_rejected_in_physics(self):
         source = ResolvedSource("GPM", attenuation_by_station=GPM_ATTEN)
@@ -411,7 +412,7 @@ class TestEmitReport:
             parse_report_csv("")
 
     def test_empty_table_csv_header_only(self):
-        text = emit_report(SweepTable(rows=()), "csv")
+        text = emit_report((SWEEP_COLUMNS, []), "csv")
         assert text == ("station,source,p_percent,attenuation_dB,cnr_dB,"
                         "required_margin_dB,available_margin_dB,closes\n")
 
@@ -695,29 +696,37 @@ class TestSweepTable:
 
     def test_rows_are_the_records_as_link_results(self):
         table = self.sweep()
-        assert "rows" not in vars(table)
-        assert table.rows == tuple(LinkResult(*r) for r in table.records)
-        assert table.rows is table.rows
-        assert [astuple(r) for r in table.rows] == \
-            list(table.records)
+        assert table.rows == [LinkResult(*r) for r in table]
+        assert table.rows is not table.rows  # built afresh, not cached
+        assert [astuple(r) for r in table.rows] == list(table)
 
-    def test_built_from_rows(self):
+    def test_every_iteration_makes_the_rows_afresh(self):
         table = self.sweep()
-        again = SweepTable(rows=list(table.rows),
-                           diagnostics=table.diagnostics)
-        assert again == table
-        assert again.records == table.records
+        want = list(table)
+        assert len(want) == 6 * 2 * 2 and all(type(r) is tuple for r in want)
+        first, second = iter(table), iter(table)
+        assert first is not second
+        # interleaved: neither iteration advances the other
+        pairs = list(zip(first, second))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == want
+        assert list(table) == want
         for format in ORACLES:
-            assert emit_report(again, format) == emit_report(table, format)
-        assert SweepTable(rows=()).records == ()
+            assert emit_report(table, format) == emit_report(table, format)
 
-    def test_built_from_its_repr_fields_by_position(self):
+    def test_a_failing_sweep_raises_before_it_returns(self):
+        # the negative anchor sorts after every rain-rate row; physics mode
+        # rejects it in the eager phase, so no table and no row is made
+        sources = [ResolvedSource("A", r001_by_station={
+            s.name: 90.0 for s in catalog().stations}),
+            ResolvedSource("Z", attenuation_by_station=GPM_ATTEN)]
+        with pytest.raises(DomainError):
+            availability_sweep(catalog(), uplink_params(), sources, [0.01])
+
+    def test_a_view_not_a_record(self):
         table = self.sweep()
-        again = SweepTable(table.records, table.diagnostics)
-        assert again == table
-        assert again.rows == table.rows
-        assert SweepTable([*table.rows[:1], *table.records[1:]],
-                          table.diagnostics) == table
+        assert type(table) is SweepTable and not isinstance(table, Record)
+        assert table != self.sweep()  # no value equality
+        assert list(table) == list(self.sweep())
 
 
 class TestJsonRenderer:
@@ -735,8 +744,8 @@ class TestJsonRenderer:
         assert emit_report((header, rows), "json") == json_oracle(header, rows)
 
     def test_empty_table(self):
-        assert emit_report(SweepTable(rows=()), "json") == "[]\n"
-        assert emit_report(SweepTable(rows=()), "json") == json_oracle(
+        assert emit_report((SWEEP_COLUMNS, []), "json") == "[]\n"
+        assert emit_report((SWEEP_COLUMNS, []), "json") == json_oracle(
             SWEEP_COLUMNS, [])
         assert emit_report((["a"], []), "json") == "[]\n"
 

@@ -843,6 +843,21 @@ class TestBulkParseMemory:
         assert peak < held + (1 << 20)
 
 
+class TestRowLoopMemory:
+    def test_row_loop_shares_one_float_per_rate_text(self):
+        """A naive-stamp series goes through the row loop, which shares a
+        float per distinct rate text as the bulk pass does."""
+        start = datetime(2010, 1, 1)
+        lines = [f"{(start + timedelta(minutes=30 * k)).isoformat()},"
+                 f"{['0.0', '2.5', '12.25'][k % 3]}" for k in range(30)]
+        text = series_text(lines)
+        assert rain_data._parse_columns(text) is None
+        rates = parse_rain_series(text).rates
+        assert rates == (0.0, 2.5, 12.25) * 10
+        assert len({id(r) for r in rates}) == 3
+        assert rates[1] is rates[4] is rates[28]
+
+
 class TestReductions:
     def test_mean_constant(self):
         assert mean_rain_rate(make_series([0.5] * 7)) == 0.5

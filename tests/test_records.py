@@ -24,7 +24,7 @@ from rainlink import (AttenuationCurve, CnrMode, CoefficientTable,
                       Polarization, RainCoefficients, RainSeries,
                       ResolvedSource, Scenario, SourceDescriptor, SourceKind,
                       SpecificAttenuation, StationCatalog, Strategy,
-                      SweepTable, TransmissionParams, UnavailabilityDuration,
+                      TransmissionParams, UnavailabilityDuration,
                       ValidationError)
 from rainlink.errors import Record
 from rainlink.rain_physics import _Regression
@@ -65,7 +65,6 @@ CASES = [
     Case(ResolvedSource, ("ITU", {"Abuja": 90.0}, None),
          ("ITU", {"Abuja": 91.0}, None),
          {"r001_by_station": None, "attenuation_by_station": None}),
-    Case(SweepTable, ((ROW,), ("Abuja/ITU: note",)), ((ROW,), ()), {}),
     Case(PlotCurve, ("Abuja", "ITU", "attenuation_dB", ((0.01, 34.2),)),
          ("Abuja", "ITU", "cnr_dB", ((0.01, 34.2),)), {}),
     Case(UnavailabilityDuration, (0.01, 0.8766), (0.1, 0.8766), {}),
@@ -103,14 +102,6 @@ def keywords(case: Case) -> dict:
     return dict(zip(field_names(case.cls), case.values))
 
 
-def positional(case: Case, values):
-    """The record built from values by position; SweepTable's positional
-    form takes LinkResults, as its dataclass's own __init__ did."""
-    if case.cls is SweepTable:
-        return SweepTable([LinkResult(*row) for row in values[0]], values[1])
-    return case.cls(*values)
-
-
 def oracle(case: Case):
     """The frozen dataclass with the record's name, fields and defaults."""
     specs = [(name, object, dataclasses.field(default=case.defaults[name]))
@@ -130,7 +121,7 @@ def hashable(values) -> bool:
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 class TestRecord:
     def test_positional_and_keyword(self, case):
-        by_position = positional(case, case.values)
+        by_position = case.cls(*case.values)
         by_keyword = case.cls(**keywords(case))
         for record in (by_position, by_keyword):
             assert tuple(getattr(record, name) for name in
@@ -148,9 +139,8 @@ class TestRecord:
                 == case.defaults[name]
 
     def test_missing_and_unknown_arguments(self, case):
-        if case.cls is not SweepTable:  # SweepTable() is the empty table
-            with pytest.raises(TypeError):
-                case.cls()
+        with pytest.raises(TypeError):
+            case.cls()
         with pytest.raises(TypeError):
             case.cls(**keywords(case), unknown_field=1)
         with pytest.raises(TypeError):
@@ -271,11 +261,11 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
 
 def test_only_the_converting_records_define_init():
     # every other record is built by Record.__init__ from its annotations;
-    # these two convert what they are given (rows= and samples=)
+    # RainSeries converts what it is given (samples=)
     found = set()
     for module in pkgutil.iter_modules(rainlink.__path__, "rainlink."):
         for obj in vars(importlib.import_module(module.name)).values():
             if inspect.isclass(obj) and issubclass(obj, Record) \
                     and obj is not Record and "__init__" in vars(obj):
                 found.add(obj.__name__)
-    assert found == {"SweepTable", "RainSeries"}
+    assert found == {"RainSeries"}

@@ -193,6 +193,39 @@ class TestParseScenarioValues:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("source, field", [
+        (dict(R001, strategy="chebil_annual"), "strategy"),
+        (dict(R001, paths={"Abuja": "a.csv"}), "paths"),
+        ({"label": "model", "kind": "attenuation", "value": 3.0,
+          "values": {"Abuja": 1.0}}, "value"),
+        ({"label": "model", "kind": "attenuation", "values": {"Abuja": 1.0},
+          "strategy": "chebil_annual"}, "strategy"),
+        ({"label": "model", "kind": "series", "paths": {"Abuja": "a.csv"},
+          "value": 90.0}, "value"),
+    ])
+    def test_field_the_kind_does_not_use_is_config_error(self, tmp_path,
+                                                         capsys, source, field):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sources[0] (model): field {field}: not used by "
+                f"{source['kind']} kind")):
+            parse_scenario(json.dumps(dict(PHYSICS, sources=[source])))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(PHYSICS, sources=[source])))
+        assert main(["linkbudget", "--scenario", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: sources[0] (model): field "
+                                       f"{field}: not used by {source['kind']} kind\n")
+
+    def test_r001_with_value_and_values_is_config_error(self, tmp_path, capsys):
+        source = dict(self.R001, values={"Abuja": 10.0})
+        message = ("sources[0] (model): r001 kind requires value or values, "
+                   "not both")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_scenario(json.dumps(dict(PHYSICS, sources=[source])))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(dict(PHYSICS, sources=[source])))
+        assert main(["linkbudget", "--scenario", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_elevation_outside_0_90_is_config_error(self):
         with pytest.raises(ConfigError, match="elevation_deg"):
             parse_scenario(json.dumps(dict(PHYSICS, sources=[self.R001],
