@@ -12,11 +12,10 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .analysis import (ComparisonRow, PlotCurve, ResolvedSource, SweepTable,
+from .analysis import (ComparisonRow, ResolvedSource, SweepTable,
                        availability_sweep, compare_sources, emit_plot_data,
                        emit_report, overestimation_percentage,
-                       plot_data_table, rank_stations, sweep_to_plot_curves,
-                       write_report)
+                       plot_data_table, rank_stations, write_report)
 from .attenuation import (AttenuationCurve, attenuation_curve,
                           horizontal_reduction_factor, latitude_term,
                           reference_attenuation, scale_attenuation,

@@ -29,7 +29,7 @@ from .rain_physics import Polarization, regression_coefficients
 
 SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
                  "required_margin_dB", "available_margin_dB", "closes"]
-# the sweep columns that sweep_to_plot_curves can plot against p
+# the sweep columns that plot_data_table can plot against p
 PLOT_FIELDS = ("attenuation_dB", "cnr_dB", "available_margin_dB")
 COMPARISON_COLUMNS = ["station", "baseline_attenuation_dB",
                       "estimate_attenuation_dB", "overestimation_percent"]
@@ -204,9 +204,9 @@ def _table_shape(table) -> tuple[list[str], list | Iterator]:
         return SWEEP_COLUMNS, iter(table)
     if isinstance(table, tuple) and len(table) == 2:
         return list(table[0]), table[1] if isinstance(table[1], Iterator) else list(table[1])
-    if isinstance(table, list) and all(isinstance(r, ComparisonRow) for r in table):
+    if isinstance(table, list) and table and all(isinstance(r, ComparisonRow) for r in table):
         return COMPARISON_COLUMNS, list(map(ComparisonRow._values, table))
-    if isinstance(table, list) and all(isinstance(r, LinkResult) for r in table):
+    if isinstance(table, list) and table and all(isinstance(r, LinkResult) for r in table):
         return SWEEP_COLUMNS, list(map(LinkResult._values, table))
     raise UsageError(f"cannot emit a report for {type(table).__name__}")
 
@@ -337,41 +337,18 @@ def _typed_cell(cell: str):
         return cell
 
 
-class PlotCurve(Record):
-    """One plottable series: a value versus exceedance percentage."""
-
-    station_ref: str
-    source_label: str
-    value_field: str
-    points: tuple[tuple[float, float], ...]
-
-
-def sweep_to_plot_curves(table: SweepTable,
-                         value_field: str = "attenuation_dB") -> list[PlotCurve]:
-    """Group sweep rows into per-(station, source) curves of one field."""
+def plot_data_table(table: SweepTable,
+                    value_field: str = "attenuation_dB") -> tuple[list[str], Iterator]:
+    """Long-format plot data (station,source,p_percent,<field>) as a
+    (header, rows) table whose rows are read from a fresh iteration of the
+    sweep, in its order; values carry full precision."""
     if value_field not in PLOT_FIELDS:
         raise UsageError(f"unknown plot field {value_field!r}")
     column = SWEEP_COLUMNS.index(value_field)
-    grouped: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for record in table:
-        grouped.setdefault(record[:2], []).append((record[2], record[column]))
-    return [PlotCurve(station, source, value_field, tuple(sorted(points)))
-            for (station, source), points in sorted(grouped.items())]
+    rows = ((row[0], row[1], float(row[2]), float(row[column])) for row in table)
+    return [*SWEEP_COLUMNS[:3], value_field], rows
 
 
-def plot_data_table(curves: list[PlotCurve]) -> tuple[list[str], list[list]]:
-    """Long-format plot data (station,source,p_percent,<field>) as a
-    (header, rows) table; values carry full precision."""
-    if not curves:
-        raise ValidationError("no curves to emit")
-    fields = {c.value_field for c in curves}
-    if len(fields) > 1:
-        raise UsageError(f"curves mix value fields: {', '.join(sorted(fields))}")
-    rows = [[c.station_ref, c.source_label, float(p), float(value)]
-            for c in curves for p, value in c.points]
-    return [*SWEEP_COLUMNS[:3], curves[0].value_field], rows
-
-
-def emit_plot_data(curves: list[PlotCurve]) -> str:
+def emit_plot_data(table: SweepTable, value_field: str = "attenuation_dB") -> str:
     """plot_data_table as csv, usable by any plotting tool."""
-    return emit_report(plot_data_table(curves), "csv")
+    return emit_report(plot_data_table(table, value_field), "csv")

@@ -16,7 +16,7 @@ import math
 import warnings
 
 from .constants import check
-from .errors import ClampWarning, DomainError, Record
+from .errors import ClampWarning, DomainError, DuplicateWarning, Record
 from .geometry import GroundStation, PathGeometry
 from .rain_physics import RainCoefficients, _gamma
 
@@ -152,7 +152,8 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
 
 
 class PPlan(tuple):
-    """The distinct p of a p list, ascending, each checked once."""
+    """The distinct p of a p list, ascending, each checked once; a list
+    that repeats a value gets a DuplicateWarning."""
 
     def __new__(cls, p_list):
         if not p_list:
@@ -160,6 +161,9 @@ class PPlan(tuple):
         plan = super().__new__(cls, sorted(set(p_list)))
         for p in plan:
             check_p_percent(p)
+        if len(plan) != len(p_list):
+            warnings.warn("duplicate p values collapsed", DuplicateWarning,
+                          stacklevel=2)
         return plan
 
 

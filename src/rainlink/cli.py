@@ -21,11 +21,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .analysis import (PLOT_FIELDS, availability_sweep, compare_sources,
-                       plot_data_table, sweep_to_plot_curves, write_report)
+                       plot_data_table, write_report)
 from .attenuation import attenuation_curve
 from .constants import check
-from .errors import (ConfigError, DomainError, DuplicateWarning, RainlinkError,
-                     UsageError)
+from .errors import ConfigError, DomainError, RainlinkError, UsageError
 from .geometry import rain_slant_path
 from .rain_data import (CATALOG_HEADER, StationCatalog, Strategy,
                         packaged_catalog_text, parse_rain_series,
@@ -65,9 +64,6 @@ def _parse_p_list(text: str) -> list[float]:
         raise UsageError(f"bad --p list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"bad --p list {text!r}: no values")
-    if len(set(values)) != len(values):
-        warnings.warn("duplicate p values collapsed", DuplicateWarning,
-                      stacklevel=2)
     return values
 
 
@@ -141,9 +137,8 @@ def cmd_sweep(args) -> None:
     table = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
     _emit(table, args.format, args.stamp)
     if args.plot_data:
-        plot = plot_data_table(sweep_to_plot_curves(table, args.plot_field))
         with open(args.plot_data, "w", encoding="utf-8") as fh:
-            write_report(plot, "csv", fh)
+            write_report(plot_data_table(table, args.plot_field), "csv", fh)
 
 
 def cmd_compare(args) -> None:
@@ -154,9 +149,10 @@ def cmd_compare(args) -> None:
          else _flag("p_percent", args.p_value, "--p"))
     chosen = [baseline] if baseline is estimate else [baseline, estimate]
     table = _sweep(args, scenario, chosen, [p])
-    rows = {d.label: [r for r in table.rows if r.source_label == d.label]
-            for d in chosen}
-    comparison = compare_sources(rows[baseline.label], rows[estimate.label])
+    rows = table.rows
+    comparison = compare_sources(
+        [r for r in rows if r.source_label == baseline.label],
+        [r for r in rows if r.source_label == estimate.label])
     _emit(comparison, args.format, args.stamp)
 
 

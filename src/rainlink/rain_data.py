@@ -217,12 +217,23 @@ def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
     return count, best
 
 
-def _csv_rows(text: str):
-    """The rows of a CSV text as they are read; a csv.Error (an over-long
-    field, say) becomes a ParseError on the line the reader stopped at."""
+def _csv_rows(text: str, header: list[str], what: str):
+    """(line, row) for each non-blank row of a CSV text after its header,
+    as the rows are read, each checked to have the header's width; a
+    csv.Error (an over-long field, say) becomes a ParseError on the line
+    the reader stopped at."""
     reader = csv.reader(io.StringIO(text))
     try:
-        yield from reader
+        if (first := next(reader, None)) is None:
+            raise ValidationError(f"empty {what}")
+        if first != header:
+            raise ParseError(f"expected header {','.join(header)}, "
+                             f"got {','.join(first)}", line=1)
+        for idx, row in enumerate(reader, start=2):
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=idx)
+                yield idx, row
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from exc
 
@@ -234,18 +245,8 @@ def parse_station_catalog(text: str) -> StationCatalog:
     of pairs closer than the recommended minimum separation and the
     closest of them; the catalog's close_pairs lists them on first access.
     """
-    rows = _csv_rows(text)
-    if (header := next(rows, None)) is None:
-        raise ValidationError("empty catalog")
-    if header != CATALOG_HEADER:
-        raise ParseError(f"expected header {','.join(CATALOG_HEADER)}, "
-                         f"got {','.join(header)}", line=1)
     stations = []
-    for idx, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=idx)
+    for idx, row in _csv_rows(text, CATALOG_HEADER, "catalog"):
         name = row[0].strip()
         try:  # a bad number, or a DomainError, which is a ValueError
             lat, lon, alt_m = map(float, row[1:])
@@ -347,18 +348,8 @@ def _parse_columns(text: str):
 def _parse_rows(text: str):
     """The series row by row, as (times, rates), one float per distinct
     rate text; raises the error that names the first bad line."""
-    rows = _csv_rows(text)
-    if (header := next(rows, None)) is None:
-        raise ValidationError("empty series")
-    if header != SERIES_HEADER:
-        raise ParseError(f"expected header {_SERIES_HEADER_LINE}, "
-                         f"got {','.join(header)}", line=1)
     times, rates, floats = [], [], {}
-    for idx, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=idx)
+    for idx, row in _csv_rows(text, SERIES_HEADER, "series"):
         ts = _parse_timestamp(row[0], idx)
         try:
             rate = floats[row[1]] if row[1] in floats else floats.setdefault(row[1], float(row[1]))

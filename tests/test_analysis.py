@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+from collections.abc import Iterator
 from operator import itemgetter
 
 import pytest
@@ -18,8 +19,7 @@ from rainlink import (ConfigError, DomainError, GroundStation, LinkResult,
                       availability_sweep, compare_sources, emit_plot_data,
                       emit_report, evaluate_link, overestimation_percentage,
                       packaged_catalog_text, parse_station_catalog,
-                      rain_slant_path, rank_stations, regression_coefficients,
-                      sweep_to_plot_curves)
+                      rain_slant_path, rank_stations, regression_coefficients)
 import rainlink.analysis as analysis
 import rainlink.attenuation as attenuation
 from rainlink.analysis import (COMPARISON_COLUMNS, SWEEP_COLUMNS,
@@ -677,7 +677,8 @@ class TestReportChunks:
         ((["a", "b"], [[1.0, 2.0], [3.0]]), "csv"),
         ((["a", "b"], [[1.0, 2.0]] * (2 * CHUNK) + [[3.0]]), "json"),
         ((["a"], [[1.0]]), "xml"),
-        (object(), "csv")])
+        (object(), "csv"),
+        ([], "csv")])
     def test_rejected_table_writes_nothing(self, table, format):
         out = WriteRecorder()
         with pytest.raises(UsageError):
@@ -774,8 +775,7 @@ class TestEmitPlotData:
                                   [0.001, 0.01, 0.1, 0.5, 1.0])
 
     def test_line_count(self):
-        curves = sweep_to_plot_curves(self.sweep_table())
-        text = emit_plot_data(curves)
+        text = emit_plot_data(self.sweep_table())
         lines = text.splitlines()
         assert lines[0] == "station,source,p_percent,attenuation_dB"
         assert len(lines) == 1 + 6 * 5
@@ -787,8 +787,7 @@ class TestEmitPlotData:
             [ResolvedSource("A", r001_by_station=names),
              ResolvedSource("B", r001_by_station=dict(names))],
             [0.01])
-        curves = sweep_to_plot_curves(table)
-        text = emit_plot_data(curves)
+        text = emit_plot_data(table)
         sources = {line.split(",")[1] for line in text.splitlines()[1:]}
         assert sources == {"A", "B"}
 
@@ -796,34 +795,42 @@ class TestEmitPlotData:
         table = self.sweep_table()
         by_key = {(r.station_ref, r.p_percent): r.attenuation_dB
                   for r in table.rows}
-        text = emit_plot_data(sweep_to_plot_curves(table))
+        text = emit_plot_data(table)
         for line in text.splitlines()[1:]:
             station, _, p, a = line.split(",")
             assert float(a) == by_key[(station, float(p))]
 
     def test_margin_field(self):
-        curves = sweep_to_plot_curves(self.sweep_table(),
-                                      "available_margin_dB")
-        text = emit_plot_data(curves)
+        text = emit_plot_data(self.sweep_table(), "available_margin_dB")
         assert text.splitlines()[0].endswith("available_margin_dB")
 
     def test_unknown_plot_field_rejected(self):
         with pytest.raises(UsageError, match="^unknown plot field 'p_percent'$"):
-            sweep_to_plot_curves(self.sweep_table(), "p_percent")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            emit_plot_data([])
-
-    def test_mixed_fields_rejected(self):
-        table = self.sweep_table()
-        mixed = (sweep_to_plot_curves(table, "attenuation_dB")
-                 + sweep_to_plot_curves(table, "cnr_dB"))
-        with pytest.raises(UsageError):
-            emit_plot_data(mixed)
+            plot_data_table(self.sweep_table(), "p_percent")
 
     def test_table_is_what_emit_plot_data_writes(self):
-        curves = sweep_to_plot_curves(self.sweep_table(), "cnr_dB")
-        header, rows = plot_data_table(curves)
+        table = self.sweep_table()
+        header, rows = plot_data_table(table, "cnr_dB")
         assert header == ["station", "source", "p_percent", "cnr_dB"]
-        assert emit_plot_data(curves) == csv_oracle(header, rows)
+        assert emit_plot_data(table, "cnr_dB") == csv_oracle(header, rows)
+
+    @pytest.mark.parametrize("field", analysis.PLOT_FIELDS)
+    def test_rows_are_four_sweep_columns_in_sweep_order(self, field):
+        # two sources share a label: their rows keep the sweep's order
+        names = {s.name: 90.0 for s in catalog().stations}
+        table = availability_sweep(
+            catalog(), uplink_params(),
+            [ResolvedSource("A", r001_by_station=names),
+             ResolvedSource("A", attenuation_by_station=dict(names))],
+            [0.01, 1.0])
+        column = SWEEP_COLUMNS.index(field)
+        _, rows = plot_data_table(table, field)
+        assert list(rows) == [(*row[:3], row[column]) for row in table]
+
+    def test_rows_are_a_fresh_lazy_iteration(self):
+        table = self.sweep_table()
+        _, first = plot_data_table(table)
+        _, second = plot_data_table(table)
+        assert isinstance(first, Iterator)
+        assert next(first) == next(second)
+        assert list(first) == list(second)

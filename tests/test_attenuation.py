@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rainlink.attenuation as attenuation
-from rainlink import (ClampWarning, DomainError, GroundStation, Polarization,
+from rainlink import (ClampWarning, DomainError, DuplicateWarning,
+                      GroundStation, Polarization,
                       RainCoefficients, attenuation_curve,
                       horizontal_reduction_factor, latitude_term,
                       rain_slant_path, reference_attenuation,
@@ -216,7 +217,8 @@ class TestAttenuationCurve:
     def test_duplicate_p_collapsed(self):
         st = abuja()
         path = rain_slant_path(st, 20.0, 5.0)
-        curve = attenuation_curve(st, path, coeffs(), 90.0, [0.01, 0.01])
+        with pytest.warns(DuplicateWarning, match="^duplicate p values collapsed$"):
+            curve = attenuation_curve(st, path, coeffs(), 90.0, [0.01, 0.01])
         assert len(curve.points) == 1
 
     def test_monotonicity_violation_reported(self):
@@ -270,7 +272,13 @@ class TestAttenuationCurve:
 
 class TestPPlan:
     def test_distinct_ascending(self):
-        assert attenuation.PPlan([0.5, 0.001, 1.0, 0.5]) == (0.001, 0.5, 1.0)
+        with pytest.warns(DuplicateWarning, match="^duplicate p values collapsed$"):
+            assert attenuation.PPlan([0.5, 0.001, 1.0, 0.5]) == (0.001, 0.5, 1.0)
+
+    def test_distinct_list_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert attenuation.PPlan([1.0, 0.01]) == (0.01, 1.0)
 
     @pytest.mark.parametrize("p_list", [[], [0.01, 1.5], [0.0005],
                                         [0.01, math.nan]])

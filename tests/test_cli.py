@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -623,8 +624,7 @@ class TestStreamedSweep:
         stations = [line.split(",")[0] for line in out.splitlines()[1:]]
         assert stations == ["Alpha"] * 6 + ["Mike"] * 6 + ["Zulu"] * 6
 
-    def test_memory_flat_in_the_row_count(self, tmp_path, capsys,
-                                          monkeypatch):
+    def assert_memory_flat(self, tmp_path, capsys, monkeypatch, *extra):
         # 6 stations x 20 sources: 3,000 rows at 25 p and 30,000 at 250 p.
         # The report is json written to a stream that keeps nothing. Rows
         # held as tuples and sorted cost about 190 B each; streamed, 12.
@@ -640,7 +640,7 @@ class TestStreamedSweep:
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 assert main(["sweep", "--scenario", scenario, "--p", p,
-                             "--format", "json"]) == 0
+                             "--format", "json", *extra]) == 0
                 return tracemalloc.get_traced_memory()[1] - before
             finally:
                 tracemalloc.stop()
@@ -648,6 +648,15 @@ class TestStreamedSweep:
         small, large = peak(25), peak(250)
         assert capsys.readouterr().err == ""
         assert (large - small) / (30000 - 3000) < 32
+
+    def test_memory_flat_in_the_row_count(self, tmp_path, capsys, monkeypatch):
+        self.assert_memory_flat(tmp_path, capsys, monkeypatch)
+
+    def test_memory_flat_with_plot_data(self, tmp_path, capsys, monkeypatch):
+        # the plot file streams too; grouped into curves first, it held
+        # about 170 B per row
+        self.assert_memory_flat(tmp_path, capsys, monkeypatch,
+                                "--plot-data", str(tmp_path / "plot.csv"))
 
 
 class Discard(io.TextIOBase):
@@ -849,6 +858,20 @@ class TestFlags:
         assert out == sorted_out
         assert err == sorted_err + "warning: duplicate p values collapsed\n"
 
+    @pytest.mark.parametrize("command", ["linkbudget", "sweep"])
+    def test_repeated_scenario_p_is_collapsed_with_a_warning(
+            self, tmp_path, capsys, command):
+        sources = [{"label": "ITU", "kind": "r001", "value": 90.0}]
+        args = [command, "--format", "csv", "--scenario"]
+        assert main(args + [write_scenario(tmp_path, sources=sources,
+                                           p_list=[0.01, 0.5])]) == 0
+        distinct_out, distinct_err = capsys.readouterr()
+        assert main(args + [write_scenario(tmp_path, sources=sources,
+                                           p_list=[0.01, 0.01, 0.5])]) == 0
+        out, err = capsys.readouterr()
+        assert out == distinct_out
+        assert err == distinct_err + "warning: duplicate p values collapsed\n"
+
     def test_label_names_the_source(self, capsys):
         assert main(self.ATTENUATION + ["--label", "gauge 7"]) == 0
         out, _ = capsys.readouterr()
@@ -904,6 +927,37 @@ COMMAND_OPTIONS = {
     "compare": ({**SHARED, **SCENARIO, "--baseline": (None, True),
                  "--estimate": (None, True), "--p": (None, False)}, {}),
 }
+
+
+class TestReadme:
+    """The README's "Library use" blocks run as written."""
+
+    def blocks(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("\n## Library use\n")[1].split("\n## ")[0]
+        return re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+
+    def test_single_station_block(self, capsys):
+        exec(self.blocks()[0], {})
+        assert capsys.readouterr().out.splitlines() == [
+            "0.001%  98.27 dB", "0.01%  85.08 dB", "0.1%  50.00 dB",
+            "1%  10.46 dB"]
+
+    def test_scenario_block_is_the_cli_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        (tmp_path / "stations.csv").write_text(
+            rainlink.packaged_catalog_text(), encoding="utf-8")
+        scenario = write_scenario(tmp_path, catalog="stations.csv",
+                                  p_list=[1.0, 0.01, 0.1])
+        plot = tmp_path / "cli_curves.csv"
+        assert main(["sweep", "--scenario", scenario, "--format", "csv",
+                     "--plot-data", str(plot), "--plot-field", "cnr_dB"]) == 0
+        want = capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        exec(self.blocks()[1], {})
+        assert capsys.readouterr() == (want.out, "")
+        assert (tmp_path / "curves.csv").read_text() == plot.read_text()
 
 
 class TestParser:

@@ -20,7 +20,7 @@ import pytest
 
 import rainlink
 from rainlink import (AttenuationCurve, CnrMode, CoefficientTable,
-                      ComparisonRow, DomainError, GroundStation, LinkResult, PathGeometry, PlotCurve,
+                      ComparisonRow, DomainError, GroundStation, LinkResult, PathGeometry,
                       Polarization, RainCoefficients, RainSeries,
                       ResolvedSource, Scenario, SourceDescriptor, SourceKind,
                       SpecificAttenuation, StationCatalog, Strategy,
@@ -65,8 +65,6 @@ CASES = [
     Case(ResolvedSource, ("ITU", {"Abuja": 90.0}, None),
          ("ITU", {"Abuja": 91.0}, None),
          {"r001_by_station": None, "attenuation_by_station": None}),
-    Case(PlotCurve, ("Abuja", "ITU", "attenuation_dB", ((0.01, 34.2),)),
-         ("Abuja", "ITU", "cnr_dB", ((0.01, 34.2),)), {}),
     Case(UnavailabilityDuration, (0.01, 0.8766), (0.1, 0.8766), {}),
     Case(RainSeries, ("x", (T0, T1), (0.0, 2.5), ""),
          ("x", (T0, T1), (0.0, 2.5), "hourly"),
