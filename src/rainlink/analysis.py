@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import ge, itemgetter, sub
 
 from .attenuation import PPlan, attenuation_curve
 from .constants import check
@@ -73,15 +73,34 @@ class ResolvedSource(Record):
 
 class SweepTable:
     """Link results over the (station, source, p) cross-product, made afresh
-    from the chain's curves on each iteration: a tuple per row, in
-    SWEEP_COLUMNS order, by station, source, p; and the chain's diagnostics."""
+    on each iteration from a flat store of attenuations, in blocks of rows
+    per station: a tuple per row, in SWEEP_COLUMNS order; and diagnostics."""
 
-    def __init__(self, make_rows, diagnostics):
-        self._make_rows = make_rows
-        self.diagnostics = tuple(diagnostics)
+    def __init__(self, names, labels, p, values, cnr_of, required, diagnostics):
+        self._names, self._labels, self._p, self._values = names, labels, p, values
+        self._cnr_of, self._required, self.diagnostics = cnr_of, required, tuple(diagnostics)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def columns(self, start: int, stop: int) -> list[list]:
+        """The eight SWEEP_COLUMNS lists of rows [start, stop), 0 <= start."""
+        block, stop = len(self._p), min(stop, len(self))
+        station, label, p = [], [], []
+        for k in range(start // block, -(-stop // block)):  # the blocks touched
+            lo, hi = max(start - k * block, 0), min(stop - k * block, block)
+            station += [self._names[k]] * (hi - lo)
+            label += self._labels[lo:hi]
+            p += self._p[lo:hi]
+        a_p = self._values[start:stop].tolist()
+        cnr = list(map(self._cnr_of, a_p))  # A_p is finite and >= 0: cannot fail
+        margin = list(map(sub, cnr, repeat(self._required)))
+        return [station, label, p, a_p, cnr, [self._required] * len(a_p),
+                margin, list(map(ge, margin, repeat(0.0)))]
 
     def __iter__(self):
-        return self._make_rows()
+        return chain.from_iterable(zip(*self.columns(i, i + _CHUNK_ROWS))
+                                   for i in range(0, len(self), _CHUNK_ROWS))
 
     @property
     def rows(self) -> list[LinkResult]:
@@ -144,13 +163,17 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
         raise ValidationError("no sources given")
     coeffs = regression_coefficients(params.frequency_GHz, polarization)
     cnr_of = link_budget(params, mode, k_clear_dB)
-    required = params.required_margin_dB
     plan = PPlan(p_list)
-    curves: dict[str, list] = {}  # per station and source, A_p over the plan
+    # a station's rows by label, p, then source order; made by source, then moved
+    layout = sorted((s.label, j, i) for i, s in enumerate(sources) for j in range(len(plan)))
+    moved = [i * len(plan) + j for _, j, i in layout]
+    names = sorted(station.name for station in catalog.stations)
+    block = {name: slice(k * len(layout), (k + 1) * len(layout)) for k, name in enumerate(names)}
+    values = array("d", [0.0]) * (len(layout) * len(names))
     diagnostics: list[str] = []
     for station in catalog.stations:
         path = None
-        curves[station.name] = station_curves = []
+        curves = array("d")
         for source in sources:
             injected = source.attenuation_by_station is not None
             by_station = (source.attenuation_by_station if injected
@@ -161,29 +184,17 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
             value = by_station[station.name]
             if injected:
                 cnr_of(value)  # a negative anchor fails here in physics mode
-                station_curves.append((value,) * len(plan))
+                curves += array("d", [value]) * len(plan)
             else:
                 if path is None:
                     path = rain_slant_path(station, params.elevation_deg)
                 curve = attenuation_curve(station, path, coeffs, value, plan)
                 for note in curve.diagnostics:
                     diagnostics.append(f"{station.name}/{source.label}: {note}")
-                station_curves.append(array("d", map(itemgetter(1), curve.points)))
-    labels = sorted({source.label for source in sources})
-
-    def records():
-        # a stable sort's order: names are unique, same-label sources interleave by p
-        for name in sorted(curves):
-            for label in labels:
-                same = [c for s, c in zip(sources, curves[name]) if s.label == label]
-                for p, points in zip(plan, zip(*same)):
-                    for a_p in points:  # finite and >= 0: cnr_of cannot fail
-                        # available_margin and link_closes, inline
-                        cnr = cnr_of(a_p)
-                        margin = cnr - required
-                        yield (name, label, p, a_p, cnr, required, margin,
-                               margin >= 0.0)
-    return SweepTable(records, diagnostics)
+                curves.extend(map(itemgetter(1), curve.points))
+        values[block[station.name]] = array("d", map(curves.__getitem__, moved))
+    return SweepTable(names, [label for label, _, _ in layout], [plan[j] for _, j, _ in layout],
+                      values, cnr_of, params.required_margin_dB, diagnostics)
 
 
 def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
@@ -198,10 +209,10 @@ def rank_stations(results_at_fixed_p: list[LinkResult]) -> list[LinkResult]:
                   key=lambda r: (-r.available_margin_dB, r.station_ref))
 
 
-def _table_shape(table) -> tuple[list[str], list | Iterator]:
-    """A table's header and row cells; a SweepTable's, or an iterator, stay lazy."""
+def _table_shape(table) -> tuple[list[str], list | Iterator | SweepTable]:
+    """A table's header and rows; a SweepTable's, or an iterator, stay lazy."""
     if isinstance(table, SweepTable):
-        return SWEEP_COLUMNS, iter(table)
+        return SWEEP_COLUMNS, table
     if isinstance(table, tuple) and len(table) == 2:
         return list(table[0]), table[1] if isinstance(table[1], Iterator) else list(table[1])
     if isinstance(table, list) and table and all(isinstance(r, ComparisonRow) for r in table):
@@ -253,56 +264,63 @@ _CHUNK_ROWS = 1024
 
 def _report_chunks(table, format: str):
     """The report text of a table, checked before the first chunk is made:
-    csv and json in chunks of at most _CHUNK_ROWS rows, each with its own
-    column formatters (rows given as an iterator are read and checked a chunk
-    at a time), and the aligned table, which needs every cell, as one chunk."""
+    csv and json in chunks of at most _CHUNK_ROWS rows, the aligned table
+    as one, each from its columns with their own formatters: a SweepTable's,
+    or rows transposed (an iterator's read and checked a chunk at a time)."""
     header, rows = _table_shape(table)
     if format not in _FORMATTERS:
         raise UsageError(f"unknown format {format!r} (choose csv, json, or "
                          "aligned-table)")
+    size = _CHUNK_ROWS if format in ("csv", "json") else None  # None: every row
 
     def checked(rows):
         if set(map(len, rows)) - {len(header)}:
             raise UsageError(f"every row must have {len(header)} cells")
         return rows
 
-    def texts(rows):  # per column, the texts of its cells
-        columns = [list(map(itemgetter(i), rows)) for i in range(len(header))]
-        return [map(_column_text(c, *_FORMATTERS[format]), c) for c in columns]
+    # a chunk is its row count and a list per column
+    if isinstance(rows, SweepTable):
+        step = size or len(rows)
+        chunks = ((min(step, len(rows) - i), rows.columns(i, i + step))
+                  for i in range(0, len(rows), step))
+    else:
+        rows = iter(rows if isinstance(rows, Iterator) else checked(rows))
+        chunks = ((len(c), [list(map(itemgetter(i), c)) for i in range(len(header))])
+                  for c in iter(lambda: checked(list(islice(rows, size))), []))
+    count, chunk = next(chunks, (0, [[] for _ in header]))  # no rows: one, empty chunk
 
-    def lines(rows):
-        return zip(*texts(rows)) if header else repeat((), len(rows))
+    def texts(chunk):  # per column, the texts of its cells
+        return [map(_column_text(c, *_FORMATTERS[format]), c) for c in chunk]
 
-    if format not in ("csv", "json"):
-        rows = checked(list(rows))
+    if size is None:
         padded = [list(map(str.ljust, cells, repeat(max(map(len, cells)))))
-                  for cells in ([h, *column] for h, column in zip(header, texts(rows)))]
-        table_lines = zip(*padded) if header else [()] * (len(rows) + 1)
-        del rows  # the cells are text now: free the rows before the join
+                  for cells in ([h, *column] for h, column in zip(header, texts(chunk)))]
+        table_lines = zip(*padded) if header else [()] * (count + 1)
+        del chunk, chunks  # the cells are text now: free the columns before the join
         yield "\n".join(["  ".join(cells).rstrip() for cells in table_lines]) + "\n"
         return
-    rows = iter(rows if isinstance(rows, Iterator) else checked(rows))
-    chunks = iter(lambda: checked(list(islice(rows, _CHUNK_ROWS))), [])
-    chunk = next(chunks, [])  # a table without rows has one, empty chunk
     if format == "csv":
-        for start, chunk in enumerate(chain([chunk], chunks)):
+        for start, (count, chunk) in enumerate(chain([(count, chunk)], chunks)):
             out = io.StringIO()
             csv.writer(out, lineterminator="\n").writerows(chain(
-                () if start else [header], lines(chunk)))
+                () if start else [header], zip(*texts(chunk)) if header else repeat((), count)))
             yield out.getvalue()
         return
-    # the layout of json.dumps(records, indent=2), one record per row
-    template = "{" + ",".join(
-        f"\n    {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-        for k in header) + "\n  }" if header else "{}"
-    if not chunk:
+    # json.dumps(records, indent=2)'s layout: per chunk, one join of rows' keys and cells
+    close, width = "\n  }" if header else "}", 2 * len(header) + 1
+    keys = [f"{',' if i else ''}\n    {encode_basestring_ascii(k)}: " for i, k in enumerate(header)]
+    if not count:
         yield "[]\n"
     lead = "[\n  "
-    while chunk:
-        following = next(chunks, [])  # the last chunk ends the document
-        yield lead + ",\n  ".join(map(template.__mod__, lines(chunk))) + (
-            "" if following else "\n]\n")
-        lead, chunk = ",\n  ", following
+    while count:
+        following, after = next(chunks, (0, None))  # the last chunk ends the document
+        parts = [close + ",\n  {"] * (width * count)  # a row closes the one before
+        for i, (key, cells) in enumerate(zip(keys, texts(chunk))):
+            parts[2 * i + 1::width] = [key] * count
+            parts[2 * i + 2::width] = cells
+        parts[0] = "{"
+        yield lead + "".join(parts) + close + ("" if following else "\n]\n")
+        lead, count, chunk = ",\n  ", following, after
 
 
 def emit_report(table, format: str = "csv") -> str:

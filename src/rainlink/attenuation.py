@@ -125,15 +125,14 @@ def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
 
 def _scaled(A001_dB: float, z: float, elevation_deg: float,
             plan) -> list[tuple[float, float]]:
-    """(p, A_p) over a plan, sin(e) and ln A001 taken once. z may be the
+    """(p, A_p) over a PPlan, sin(e) and ln A001 taken once. z may be the
     value for p < 1 at p = 1 too: the factor (1 - p) makes it 0 there."""
     if A001_dB == 0.0:
         return [(p, 0.0) for p in plan]
     sin_e = math.sin(math.radians(elevation_deg))
     ln_term = 0.045 * math.log(A001_dB)
-    return [(p, A001_dB * (p / 0.01) ** -(
-        0.655 + 0.033 * math.log(p) - ln_term - z * sin_e * (1.0 - p)))
-        for p in plan]
+    return [(p, A001_dB * ratio ** -(slope - ln_term - z * sin_e * rest))
+            for p, (ratio, slope, rest) in zip(plan, plan.terms)]
 
 
 def scale_attenuation(A001_dB: float, p_percent: float, z: float,
@@ -145,15 +144,16 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
 
     with natural logarithms and p in percent units.
     """
-    check_p_percent(p_percent)
+    plan = PPlan([p_percent])
     if A001_dB < 0.0:
         raise DomainError(f"reference attenuation {A001_dB} dB must be >= 0")
-    return _scaled(A001_dB, z, elevation_deg, (p_percent,))[0][1]
+    return _scaled(A001_dB, z, elevation_deg, plan)[0][1]
 
 
 class PPlan(tuple):
     """The distinct p of a p list, ascending, each checked once; a list
-    that repeats a value gets a DuplicateWarning."""
+    that repeats a value gets a DuplicateWarning. terms: per p, the parts
+    of _scaled's exponent that depend on p alone."""
 
     def __new__(cls, p_list):
         if not p_list:
@@ -164,6 +164,8 @@ class PPlan(tuple):
         if len(plan) != len(p_list):
             warnings.warn("duplicate p values collapsed", DuplicateWarning,
                           stacklevel=2)
+        plan.terms = tuple((p / 0.01, 0.655 + 0.033 * math.log(p), 1.0 - p)
+                           for p in plan)
         return plan
 
 

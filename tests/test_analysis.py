@@ -6,14 +6,16 @@ import json
 import math
 import random
 from collections.abc import Iterator
+from contextlib import nullcontext
 from operator import itemgetter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rainlink import (ConfigError, DomainError, GroundStation, LinkResult,
-                      Polarization, ResolvedSource, StationCatalog, SweepTable,
+from rainlink import (ConfigError, DomainError, DuplicateWarning,
+                      GroundStation, LinkResult, Polarization,
+                      ResolvedSource, StationCatalog, SweepTable,
                       TransmissionParams, UsageError, ValidationError,
                       attenuation_curve,
                       availability_sweep, compare_sources, emit_plot_data,
@@ -226,11 +228,15 @@ def sweep_oracle(cat, params, sources, p_list, mode="physics",
 class TestSweepOracle:
     """availability_sweep equals the per-triple evaluation bit for bit."""
 
-    P_LIST = [0.5, 0.001, 0.01, 1.0, 0.01, 0.003]
+    P_LIST = [0.5, 0.001, 0.01, 1.0, 0.01, 0.003]  # unsorted, 0.01 twice
+    P_DISTINCT = [0.5, 0.001, 0.01, 1.0, 0.003]
 
     def assert_matches_oracle(self, cat, params, sources, p_list, **kw):
-        table = availability_sweep(cat, params, sources, p_list, **kw)
-        rows, diagnostics = sweep_oracle(cat, params, sources, p_list, **kw)
+        # both collapse a repeated p, and both warn that they did
+        repeated = len(set(p_list)) < len(p_list)
+        with pytest.warns(DuplicateWarning) if repeated else nullcontext():
+            table = availability_sweep(cat, params, sources, p_list, **kw)
+            rows, diagnostics = sweep_oracle(cat, params, sources, p_list, **kw)
         assert list(table.rows) == rows
         assert [repr(r) for r in table.rows] == [repr(r) for r in rows]
         assert list(table.diagnostics) == diagnostics
@@ -277,7 +283,8 @@ class TestSweepOracle:
            other=st.floats(0.0, 10.0), frequency=st.floats(1.0, 100.0),
            rate=st.floats(0.0, 250.0),
            p_list=st.lists(st.sampled_from([0.001, 0.002, 0.01, 0.05, 0.3,
-                                            1.0]), min_size=1, max_size=6))
+                                            1.0]), min_size=1, max_size=6,
+                           unique=True))
     def test_random_physics_params(self, eirp, elevation, other, frequency,
                                    rate, p_list):
         params = uplink_params(eirp_dBW=eirp, elevation_deg=elevation,
@@ -325,8 +332,9 @@ class TestSweepOracle:
         built = [record for station in cat.stations for source in sources
                  for record in availability_sweep(
                      StationCatalog((station,)), uplink_params(), [source],
-                     self.P_LIST)]
-        table = availability_sweep(cat, uplink_params(), sources, self.P_LIST)
+                     self.P_DISTINCT)]
+        table = availability_sweep(cat, uplink_params(), sources,
+                                   self.P_DISTINCT)
         assert names != sorted(names)
         assert tuple(table) == tuple(sorted(built, key=itemgetter(0, 1, 2)))
 
@@ -337,9 +345,10 @@ class TestSweepOracle:
                             lambda p: checked.append(p) or check(p))
         injected = ResolvedSource("injected", attenuation_by_station={
             s.name: 1.0 for s in catalog().stations})
-        table = availability_sweep(catalog(), uplink_params(),
-                                   self.r001_sources() + [injected],
-                                   self.P_LIST)
+        with pytest.warns(DuplicateWarning):
+            table = availability_sweep(catalog(), uplink_params(),
+                                       self.r001_sources() + [injected],
+                                       self.P_LIST)
         assert sorted(checked) == sorted(set(self.P_LIST))
         assert len(tuple(table)) == 6 * 3 * len(checked)
 
@@ -728,6 +737,59 @@ class TestSweepTable:
         assert type(table) is SweepTable and not isinstance(table, Record)
         assert table != self.sweep()  # no value equality
         assert list(table) == list(self.sweep())
+
+
+@st.composite
+def small_sweeps(draw):
+    """The inputs of a small sweep: a catalog out of name order, labels that
+    repeat, rain-rate sources and injected anchors, physics or calibrated."""
+    names = draw(st.lists(st.sampled_from(["Kano", "Abuja", "Praia", "Cairo"]),
+                          min_size=1, max_size=4, unique=True))
+    cat = StationCatalog(tuple(
+        GroundStation(n, draw(st.floats(-40.0, 40.0)), 0.0,
+                      draw(st.floats(0.0, 3.0))) for n in names))
+    kw = draw(st.sampled_from([{}, {"mode": "calibrated", "k_clear_dB": 3.0665}]))
+    low = -20.0 if kw else 0.0  # physics mode rejects a negative anchor
+    sources = [ResolvedSource(label, r001_by_station={
+        n: draw(st.floats(0.0, 200.0)) for n in names}) if draw(st.booleans())
+        else ResolvedSource(label, attenuation_by_station={
+            n: draw(st.floats(low, 60.0)) for n in names})
+        for label in draw(st.lists(st.sampled_from("abc"), min_size=1,
+                                   max_size=4))]
+    p_list = draw(st.lists(st.sampled_from([0.001, 0.003, 0.01, 0.1, 0.5, 1.0]),
+                           min_size=1, max_size=5, unique=True))
+    return cat, sources, p_list, kw
+
+
+class TestColumnChunks:
+    """A SweepTable's column chunks are its rows, also where a chunk edge
+    falls inside a station's block: any cover of [0, len) by
+    columns(start, stop) is the iteration, which is the oracle's, and the
+    report written from the chunks is the report of the rows."""
+
+    @given(sweep=small_sweeps(), chunk=st.integers(1, 40), data=st.data())
+    def test_chunks_are_the_rows(self, sweep, chunk, data):
+        cat, sources, p_list, kw = sweep
+        table = availability_sweep(cat, uplink_params(), sources, p_list, **kw)
+        want = [astuple(r) for r in sweep_oracle(cat, uplink_params(), sources,
+                                                 p_list, **kw)[0]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_CHUNK_ROWS", chunk)
+            rows = list(table)
+            assert repr(rows) == repr(want) and len(table) == len(rows)
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(table)))))
+            columns = [[] for _ in SWEEP_COLUMNS]
+            for start, stop in zip([0, *cuts], [*cuts, len(table)]):
+                for whole, part in zip(columns, table.columns(start, stop)):
+                    whole += part
+            assert repr(list(zip(*columns))) == repr(rows)
+            for format in ("csv", "json", "table"):
+                out, want_out = WriteRecorder(), WriteRecorder()
+                write_report(table, format, out)
+                write_report((SWEEP_COLUMNS, rows), format, want_out)
+                assert out.getvalue() == want_out.getvalue()
+                assert len(out.writes) == len(want_out.writes) == 2 + (
+                    1 if format == "table" else -(-len(rows) // chunk))
 
 
 class TestJsonRenderer:

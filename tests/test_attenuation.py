@@ -255,7 +255,7 @@ class TestAttenuationCurve:
             attenuation_curve(st, path, coeffs(), 90.0, [])
 
     def test_plan_is_not_checked_again(self, monkeypatch):
-        plan = attenuation.PPlan([0.5, 0.01, 0.5])
+        plan = attenuation.PPlan([0.5, 0.01])
         monkeypatch.setattr(attenuation, "check_p_percent", None)
         curve = attenuation_curve(abuja(), rain_slant_path(abuja(), 20.0),
                                   coeffs(), 90.0, plan)
@@ -325,7 +325,8 @@ class TestScalingKernel:
 
     @given(lat=st.floats(-90.0, 90.0), elevation=st.floats(5.0, 90.0),
            rate=st.floats(0.0, 300.0), altitude=st.floats(0.0, 6.0),
-           p_list=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8))
+           p_list=st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8,
+                           unique=True))
     def test_random(self, lat, elevation, rate, altitude, p_list):
         self.assert_matches_scalar(GroundStation("s", lat, 0.0, altitude),
                                    elevation, rate, p_list)

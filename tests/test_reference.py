@@ -1,27 +1,37 @@
 """The attenuation chain and the physics-mode C/N against the benchmark's
 independent numpy implementation, perfbench/reference.py (loaded
 read-only by its path), over the whole table of input domains, to 1e-12
-relative."""
+relative; and whole CLI reports on the benchmark's generated inputs
+against perfbench/check.py, which holds them to the same reference."""
 
 from __future__ import annotations
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainlink import (GroundStation, TransmissionParams, attenuation_curve,
-                      carrier_to_noise, rain_slant_path,
+from rainlink import (GroundStation, SeparationWarning, TransmissionParams,
+                      attenuation_curve, carrier_to_noise,
+                      parse_station_catalog, rain_slant_path,
                       regression_coefficients)
+from rainlink.cli import main
 from rainlink.constants import DOMAINS, MIN_ELEVATION_DEG
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-_SPEC = importlib.util.spec_from_file_location("rainlink_reference", _PATH)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_SPEC = importlib.util.spec_from_file_location("rainlink_reference",
+                                               _PERFBENCH / "reference.py")
 reference = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(reference)
+# the generator and the report checks import each other and the reference
+# by their plain module names
+sys.path.insert(0, str(_PERFBENCH))
+import check  # noqa: E402
+import generate  # noqa: E402
 
 
 def domain(quantity: str, low: float | None = None, edges=()):
@@ -40,7 +50,7 @@ def domain(quantity: str, low: float | None = None, edges=()):
        altitude=domain("altitude_km"),
        rate=domain("rain_rate_mm_per_hr"),
        p_list=st.lists(domain("p_percent", edges=(0.001, 0.01, 1.0)),
-                       min_size=1, max_size=6))
+                       min_size=1, max_size=6, unique=True))
 def test_attenuation_curve(frequency, polarization, elevation, latitude,
                            altitude, rate, p_list):
     station = GroundStation("S", latitude, 0.0, altitude)
@@ -78,3 +88,32 @@ def test_physics_cnr(params, attenuation):
     got = carrier_to_noise(params, attenuation)
     want = float(reference.cnr_physics_dB(attenuation, fields))
     assert abs(got - want) <= 1e-12 * scale
+
+
+# per workload, the formats its report is checked in: its own first
+REPORT_FORMATS = {"sweep-grid": ["json", "csv"],
+                  "catalog-dense": ["csv", "json"],
+                  "series-gateways": ["csv"]}
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+@pytest.mark.parametrize("workload", REPORT_FORMATS)
+def test_whole_report(tmp_path, capsys, workload, seed):
+    """Each benchmark workload's report, in its own format and another, is
+    the reference's: sweep order, every column, diagnostics, R0.01 from
+    series, the comparison; and the catalog's close pairs are its pairs."""
+    inputs = generate.generate(workload, seed, str(tmp_path))
+    want = check.expected(inputs)
+    for format in REPORT_FORMATS[workload]:
+        inputs.args[inputs.args.index("--format") + 1] = format
+        assert main(inputs.args) == 0
+        out, err = capsys.readouterr()
+        assert check.check_report(inputs, want, out, err) == []
+    if workload == "catalog-dense":
+        with pytest.warns(SeparationWarning):
+            catalog = parse_station_catalog(
+                (tmp_path / "catalog.csv").read_text(encoding="utf-8"))
+        count, digest = check.expected_close_pairs(inputs)
+        assert check.close_pairs_digest(
+            (a, b) for a, b, _ in catalog.close_pairs) == (count, digest)
+        assert f"warning: {count} station pairs under" in err
