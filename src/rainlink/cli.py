@@ -26,7 +26,7 @@ from .attenuation import attenuation_curve
 from .constants import check
 from .errors import ConfigError, DomainError, RainlinkError, UsageError
 from .geometry import rain_slant_path
-from .rain_data import (CATALOG_HEADER, StationCatalog, Strategy,
+from .rain_data import (StationCatalog, Strategy, catalog_table,
                         packaged_catalog_text, parse_rain_series,
                         parse_station_catalog, read_text, resolve_r001)
 from .rain_physics import Polarization, regression_coefficients
@@ -86,8 +86,9 @@ def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
     """Resolve sources over the scenario's catalog (--catalog wins) and
     sweep them, printing the chain diagnostics; the SweepTable."""
     base_dir = os.path.dirname(os.path.abspath(args.scenario))
-    path = scenario.catalog_path and os.path.join(base_dir, scenario.catalog_path)
-    catalog = _load_catalog(args.catalog or path or None)
+    named = scenario.catalog_path  # relative to the scenario file
+    path = None if named is None else os.path.join(base_dir, named)
+    catalog = _load_catalog(path if args.catalog is None else args.catalog)
     table = availability_sweep(
         catalog, scenario.params, resolve_sources(sources, catalog, base_dir),
         list(p_list), mode=scenario.mode, k_clear_dB=scenario.k_clear_dB,
@@ -98,10 +99,7 @@ def _sweep(args, scenario: Scenario, sources: Sequence[SourceDescriptor],
 
 
 def cmd_stations(args) -> None:
-    catalog = _load_catalog(args.catalog)
-    rows = [[s.name, s.latitude_deg, s.longitude_deg, s.altitude_km * 1000.0]
-            for s in catalog.stations]
-    _emit((CATALOG_HEADER, rows), args.format, args.stamp)
+    _emit(catalog_table(_load_catalog(args.catalog)), args.format, args.stamp)
 
 
 def cmd_attenuation(args) -> None:
@@ -132,11 +130,12 @@ def cmd_attenuation(args) -> None:
 
 def cmd_sweep(args) -> None:
     """sweep, and linkbudget, which is a sweep at the scenario's p_list."""
-    p_list = _parse_p_list(args.p) if args.p else None
+    p_list = None if args.p is None else _parse_p_list(args.p)
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
-    table = _sweep(args, scenario, scenario.sources, p_list or scenario.p_list)
+    table = _sweep(args, scenario, scenario.sources,
+                   scenario.p_list if p_list is None else p_list)
     _emit(table, args.format, args.stamp)
-    if args.plot_data:
+    if args.plot_data is not None:
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             write_report(plot_data_table(table, args.plot_field), "csv", fh)
 

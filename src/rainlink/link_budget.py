@@ -18,7 +18,6 @@ from enum import Enum
 from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR, check
 from .errors import ConfigError, DomainError, Record
 from .geometry import free_space_path_loss, slant_range
-from .rain_physics import check_frequency
 
 
 class CnrMode(str, Enum):
@@ -144,7 +143,7 @@ def band_scenario(params: TransmissionParams,
     """Copy of params at a different carrier frequency; every other field
     is preserved verbatim. Downstream FSPL and rain coefficients follow
     the new frequency automatically."""
-    check_frequency(new_frequency_GHz)
+    check("frequency_GHz", new_frequency_GHz, "frequency")
     return type(params)(**dict(zip(params._fields, params._values()),
                                 frequency_GHz=new_frequency_GHz))
 

@@ -268,15 +268,22 @@ def parse_station_catalog(text: str) -> StationCatalog:
     return catalog
 
 
+def _altitude_m(km: float) -> float:
+    """The shortest rounding of km * 1000.0 that divides back to km, else the product."""
+    m = km * 1000.0
+    return next((r for d in range(16) if (r := round(m, d)) / 1000.0 == km), m)
+
+
+def catalog_table(catalog: StationCatalog) -> tuple[list[str], list[list]]:
+    """The catalog as a (header, rows) report table in its CSV schema."""
+    return CATALOG_HEADER, [[s.name, s.latitude_deg, s.longitude_deg, _altitude_m(s.altitude_km)]
+                            for s in catalog.stations]
+
+
 def catalog_to_csv(catalog: StationCatalog) -> str:
     """Serialize a catalog back to its CSV schema, losslessly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CATALOG_HEADER)
-    for s in catalog.stations:
-        writer.writerow([s.name, repr(s.latitude_deg), repr(s.longitude_deg),
-                         repr(s.altitude_km * 1000.0)])
-    return out.getvalue()
+    from .analysis import emit_report  # analysis imports this module
+    return emit_report(catalog_table(catalog), "csv")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -308,13 +315,6 @@ def _parse_columns(text: str):
     start, end = len(_SERIES_HEADER_LINE) + 1, len(text) - text.endswith("\n")
     if not text.startswith(_SERIES_HEADER_LINE + "\n") or '"' in text or "\r" in text:
         return None
-    # naive or offset stamps are left to the row loop before any column
-    # is built, judged by the first one
-    try:
-        if datetime.fromisoformat(text[start:text.find(",", start)]).tzinfo is not timezone.utc:
-            return None
-    except ValueError:
-        return None
     # no line over the csv field size limit, which would leave a block
     # [k, k + half) with no newline
     half = csv.field_size_limit() // 2 or 1
@@ -342,7 +342,7 @@ def _parse_columns(text: str):
             return None
         floats.update(fresh)
         rates += map(floats.__getitem__, cells[1::2])
-    return times, rates
+    return (times, rates) if times else None  # no row: the row loop rejects it
 
 
 def _parse_rows(text: str):
@@ -381,12 +381,9 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
 
 def series_to_csv(series: RainSeries) -> str:
     """Serialize a series back to its CSV schema, losslessly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SERIES_HEADER)
-    for ts, rate in zip(series.times, series.rates):
-        writer.writerow([ts.isoformat().replace("+00:00", "Z"), repr(rate)])
-    return out.getvalue()
+    from .analysis import emit_report  # analysis imports this module
+    stamps = (ts.isoformat().replace("+00:00", "Z") for ts in series.times)
+    return emit_report((SERIES_HEADER, zip(stamps, series.rates)), "csv")
 
 
 def mean_rain_rate(series: RainSeries) -> float:

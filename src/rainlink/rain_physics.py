@@ -16,8 +16,8 @@ import math
 from enum import Enum
 from importlib import resources
 
-from .constants import DOMAINS, check
-from .errors import DomainError, ParseError, Record
+from .constants import check
+from .errors import ParseError, Record
 from .rain_data import read_text
 
 
@@ -129,14 +129,6 @@ def _default_table() -> CoefficientTable:
     return load_coefficient_table()
 
 
-def check_frequency(frequency_GHz: float) -> None:
-    """Raise DomainError unless the frequency is in the regression's range."""
-    low, high, unit = DOMAINS["frequency_GHz"]
-    if not low <= frequency_GHz <= high:
-        raise DomainError(f"frequency {frequency_GHz} {unit} outside "
-                          f"coefficient validity [{low:g}, {high:g}]")
-
-
 def regression_coefficients(frequency_GHz: float,
                             polarization: Polarization | str = Polarization.VERTICAL,
                             table: CoefficientTable | None = None) -> RainCoefficients:
@@ -145,7 +137,7 @@ def regression_coefficients(frequency_GHz: float,
     The regression is evaluated directly; no interpolation between
     sampled frequencies.
     """
-    check_frequency(frequency_GHz)
+    check("frequency_GHz", frequency_GHz, "frequency")
     pol = Polarization(polarization)
     tab = table if table is not None else _default_table()
     horizontal = pol is Polarization.HORIZONTAL

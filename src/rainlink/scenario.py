@@ -90,8 +90,8 @@ def _number(value, where: str, quantity: str) -> float:
 
 
 def _path(value, where: str) -> str:
-    """value if it is a string, else a ConfigError naming where."""
-    if not isinstance(value, str):
+    """value if it is a non-empty string, else a ConfigError naming where."""
+    if not isinstance(value, str) or not value:
         raise ConfigError(f"{where}: must be a path string, got {value!r}")
     return value
 
@@ -203,14 +203,17 @@ def resolve_sources(sources: Sequence[SourceDescriptor],
     if not sources:
         raise ConfigError("scenario defines no sources")
     names = [s.name for s in catalog.stations]
+    for name in names:  # every station covered, before any file is read
+        for s in sources:
+            given, what = ((s.paths, "series path") if s.kind is SourceKind.SERIES
+                           else (s.values, "value"))
+            if given is not None and name not in given:
+                raise ConfigError(f"source {s.label!r}: no {what} for station {name!r}")
     series_sources = [s for s in sources if s.kind is SourceKind.SERIES]
     rates: dict[str, dict[str, float]] = {s.label: {} for s in series_sources}
     for name in names:
         readers: dict[str, list[SourceDescriptor]] = {}
         for source in series_sources:
-            if name not in source.paths:
-                raise ConfigError(f"source {source.label!r}: no series path "
-                                  f"for station {name!r}")
             path = os.path.normpath(os.path.join(base_dir, source.paths[name]))
             readers.setdefault(path, []).append(source)
         for path, group in readers.items():

@@ -78,6 +78,17 @@ class TestStations:
         _, err = capsys.readouterr()
         assert "error" in err
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_altitudes_echo_the_catalog(self, tmp_path, capsys, format):
+        path = tmp_path / "catalog.csv"
+        path.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
+                        "A,0.0,0.0,1009.0\nB,40.0,90.0,2001.1\n")
+        assert main(["stations", "--catalog", str(path), "--format", format]) == 0
+        out, _ = capsys.readouterr()
+        assert "1008.99" not in out and "2001.1000" not in out
+        assert ("1009.0" in out and "2001.1" in out) if format == "json" \
+            else out == path.read_text()
+
     def test_duplicate_names_are_data_error(self, tmp_path, capsys):
         bad = tmp_path / "dup.csv"
         bad.write_text("name,latitude_deg,longitude_deg,altitude_m\n"
@@ -471,6 +482,35 @@ class TestPercentageDomain:
                      "28.5", "--elevation-deg", "20", "--r001", "42",
                      "--p", "50"]) == 2
         capsys.readouterr()
+
+
+class TestEmptyValues:
+    """An empty flag or scenario value is a value given: it is checked like
+    any other, not taken for an absent one."""
+
+    MISSING = "error: [Errno 2] No such file or directory: ''\n"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["stations", "--catalog", ""], 4, MISSING),
+        (["sweep", "--catalog", ""], 4, MISSING),
+        (["sweep", "--p", ""], 2, "error: bad --p list '': no values\n"),
+        (["sweep", "--plot-data", ""], 4, MISSING),
+    ], ids=["stations-catalog", "sweep-catalog", "sweep-p", "sweep-plot-data"])
+    def test_empty_flag(self, tmp_path, capsys, argv, code, message):
+        if argv[0] == "sweep":
+            argv = [*argv, "--scenario", write_scenario(tmp_path), "--format", "csv"]
+        assert main(argv) == code
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("field, message", [
+        ("catalog", "field catalog: must be a path string, got ''"),
+        ("paths", "sources[0] (GPM): field paths['Cairo']: must be a path string, got ''"),
+    ])
+    def test_empty_scenario_path(self, tmp_path, capsys, field, message):
+        overrides = {"catalog": ""} if field == "catalog" else {"sources": [
+            {"label": "GPM", "kind": "series", "paths": {"Cairo": ""}}]}
+        assert main(["sweep", "--scenario", write_scenario(tmp_path, **overrides)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOutputModes:

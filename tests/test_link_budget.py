@@ -179,7 +179,7 @@ class TestBandScenario:
 
     @pytest.mark.parametrize("freq", [0.5, 1000.5, math.nan])
     def test_same_frequency_check_as_the_coefficients(self, freq):
-        message = (f"^frequency {freq} GHz outside coefficient validity "
+        message = (f"^frequency {freq} GHz outside the finite domain "
                    r"\[1, 1000\]$")
         with pytest.raises(DomainError, match=message):
             band_scenario(uplink_params(), freq)

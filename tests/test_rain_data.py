@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import sys
@@ -8,14 +10,15 @@ import warnings
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import rainlink.rain_data as rain_data
-from rainlink import (CadenceWarning, CoverageWarning, DomainError, ParseError,
-                      RainSeries, SeparationWarning,
-                      Strategy, ValidationError, annual_accumulation,
+from rainlink import (CadenceWarning, CoverageWarning, DomainError,
+                      GroundStation, ParseError, RainSeries, SeparationWarning,
+                      StationCatalog, Strategy, ValidationError, annual_accumulation,
                       catalog_to_csv, chebil_r001, empirical_exceedance_rate,
                       great_circle_km, mean_rain_rate, packaged_catalog_text,
                       parse_rain_series, parse_station_catalog, resolve_r001,
@@ -139,6 +142,111 @@ class TestParseStationCatalog:
         text = catalog_to_csv(catalog)
         again = parse_station_catalog(text)
         assert again.stations == catalog.stations
+
+
+class Reprised(float):
+    """A float whose repr is not a number."""
+
+    def __repr__(self):
+        return f"Reprised({float(self)!r})"
+
+
+def oracle_catalog_csv(catalog):
+    """catalog_to_csv's former hand-written loop, altitudes in metres as
+    catalog_table gives them."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(rain_data.CATALOG_HEADER)
+    for s, (*_, altitude_m) in zip(catalog.stations, rain_data.catalog_table(catalog)[1]):
+        writer.writerow([s.name, repr(s.latitude_deg), repr(s.longitude_deg),
+                         repr(altitude_m)])
+    return out.getvalue()
+
+
+def oracle_series_csv(series):
+    """series_to_csv's former hand-written loop."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(rain_data.SERIES_HEADER)
+    for ts, rate in zip(series.times, series.rates):
+        writer.writerow([ts.isoformat().replace("+00:00", "Z"), repr(rate)])
+    return out.getvalue()
+
+
+STATION_NAMES = st.lists(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
+            min_size=1, max_size=12).map(str.strip).filter(bool),
+    min_size=1, max_size=8, unique=True)
+
+
+class TestSerializers:
+    """catalog_to_csv and series_to_csv write what the report writer
+    writes; stations echo the altitudes their catalog was read from."""
+
+    @pytest.mark.parametrize("kind", [np.float64, Reprised])
+    def test_float_subclasses_round_trip(self, kind):
+        catalog = StationCatalog(stations=tuple(
+            GroundStation(s.name, kind(s.latitude_deg), kind(s.longitude_deg),
+                          kind(s.altitude_km))
+            for s in parse_station_catalog(packaged_catalog_text()).stations))
+        text = catalog_to_csv(catalog)
+        assert text == catalog_to_csv(parse_station_catalog(packaged_catalog_text()))
+        assert parse_station_catalog(text) == catalog
+        series = make_series([0.0, 1.5, 1.0 / 3.0, 102.99844352542164])
+        subclassed = RainSeries("x", series.times, tuple(map(kind, series.rates)))
+        assert series_to_csv(subclassed) == series_to_csv(series)
+        assert parse_rain_series(series_to_csv(subclassed), station_ref="x") == series
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=STATION_NAMES, data=st.data())
+    def test_catalog_text_is_the_csv_writer_loop(self, names, data):
+        degrees = st.floats(min_value=-90.0, max_value=90.0)
+        catalog = StationCatalog(stations=tuple(
+            GroundStation(name, data.draw(degrees), 2.0 * data.draw(degrees),
+                          data.draw(st.floats(min_value=0.0, max_value=9.0)))
+            for name in names))
+        assert catalog_to_csv(catalog) == oracle_catalog_csv(catalog)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rates=st.lists(st.floats(min_value=0.0, max_value=1e308), max_size=40),
+           step=st.integers(min_value=1, max_value=10 ** 6))
+    def test_series_text_is_the_csv_writer_loop(self, rates, step):
+        series = make_series(rates, step_hours=step / 3600.0)
+        assert series_to_csv(series) == oracle_series_csv(series)
+
+    def test_fixture_and_quoted_names_are_the_csv_writer_loop(self):
+        catalog = parse_quietly(CATALOG + '"Dakar, Senegal",14.7,-17.4,22\n'
+                                '"say ""hi""",-1.3,36.8,1795.5\n')
+        assert catalog_to_csv(catalog) == oracle_catalog_csv(catalog)
+        assert '"Dakar, Senegal",14.7,-17.4,22.0\n' in catalog_to_csv(catalog)
+        fixture = parse_station_catalog(packaged_catalog_text())
+        assert catalog_to_csv(fixture) == oracle_catalog_csv(fixture)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tenths=st.lists(st.integers(min_value=0, max_value=90000),
+                           min_size=1, max_size=20))
+    def test_one_decimal_altitudes_echo(self, tenths):
+        metres = [t / 10.0 for t in tenths]
+        text = "name,latitude_deg,longitude_deg,altitude_m\n" + "".join(
+            f"S{i},0.0,{i / 100.0!r},{m!r}\n" for i, m in enumerate(metres))
+        catalog = parse_quietly(text)
+        assert catalog_to_csv(catalog) == text
+        assert [row[3] for row in rain_data.catalog_table(catalog)[1]] == metres
+
+    def test_altitude_float_noise_is_gone(self):
+        catalog = parse_quietly("name,latitude_deg,longitude_deg,altitude_m\n"
+                                "A,0.0,0.0,1009.0\nB,0.0,0.5,2001.1\n")
+        assert [s.altitude_km * 1000.0 for s in catalog.stations] == [
+            1008.9999999999999, 2001.1000000000001]
+        assert catalog_to_csv(catalog).endswith("A,0.0,0.0,1009.0\nB,0.0,0.5,2001.1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(metres=st.lists(st.floats(min_value=0.0, max_value=9000.0),
+                           min_size=1, max_size=20))
+    def test_any_altitude_round_trips(self, metres):
+        catalog = parse_quietly("name,latitude_deg,longitude_deg,altitude_m\n" + "".join(
+            f"S{i},0.0,{i / 100.0!r},{m!r}\n" for i, m in enumerate(metres)))
+        assert parse_quietly(catalog_to_csv(catalog)) == catalog
 
 
 def brute_force_close_pairs(stations):
@@ -767,19 +875,6 @@ class TestBulkParse:
         assert series[0] == series[1] == series[2] == make_series(
             [0.0, 1.5, 0.25, 4.0])
         assert {t.tzinfo for s in series for t in s.times} == {timezone.utc}
-
-    @pytest.mark.parametrize("suffix", ["", "+02:00"])
-    def test_non_utc_series_decline_before_the_columns(self, monkeypatch,
-                                                       suffix):
-        text = series_to_csv(make_series([0.5] * 50)).replace("Z,",
-                                                              suffix + ",")
-
-        class NoColumnWork:
-            def __getattr__(self, name):
-                raise AssertionError("columns built for a non-UTC series")
-
-        monkeypatch.setattr(rain_data, "operator", NoColumnWork())
-        assert rain_data._parse_columns(text) is None
 
 
 class TestChunkBoundaries:

@@ -102,6 +102,44 @@ class TestResolveSources:
         _, stderr = capsys.readouterr()
         assert "gpm" in stderr and "Cairo" in stderr
 
+    @pytest.mark.parametrize("source, message", [
+        ({"label": "gauge", "kind": "r001", "values": {"Abuja": 90.0}},
+         "source 'gauge': no value for station 'Hartbeesthoek'"),
+        ({"label": "pub", "kind": "attenuation", "values": {"Abuja": 30.0}},
+         "source 'pub': no value for station 'Hartbeesthoek'"),
+        ({"label": "gauge", "kind": "r001", "values": {}},
+         "source 'gauge': no value for station 'Abuja'"),
+        ({"label": "pub", "kind": "attenuation", "values": {}},
+         "source 'pub': no value for station 'Abuja'"),
+        ({"label": "gpm", "kind": "series", "paths": {}},
+         "source 'gpm': no series path for station 'Abuja'"),
+    ], ids=["r001", "attenuation", "r001-empty", "attenuation-empty", "series-empty"])
+    def test_uncovered_station_is_config_error_for_every_kind(
+            self, tmp_path, capsys, source, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(PHYSICS, sources=[source])))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_sources(parse_scenario(scenario.read_text()).sources,
+                            catalog(), str(tmp_path))
+        assert main(["sweep", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_coverage_checked_before_any_series_is_read(self, tmp_path,
+                                                        monkeypatch):
+        names = [s.name for s in catalog().stations]
+        sources = [series_source("gpm", Strategy.CHEBIL_ANNUAL,
+                                 {n: "missing.csv" for n in names}),
+                   SourceDescriptor(label="gauge", kind=SourceKind.R001,
+                                    values={n: 90.0 for n in names[:-1]})]
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("a series file read before the check")
+
+        monkeypatch.setattr(rainlink.scenario, "read_text", no_reading)
+        with pytest.raises(ConfigError, match="^source 'gauge': no value for "
+                           "station 'Praia'$"):
+            resolve_sources(sources, catalog(), str(tmp_path))
+
     def test_no_sources_rejected(self):
         with pytest.raises(ConfigError):
             resolve_sources([], catalog(), ".")
