@@ -13,9 +13,10 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .analysis import (ComparisonRow, ResolvedSource, SweepTable,
-                       availability_sweep, compare_sources, emit_plot_data,
+                       availability_sweep, catalog_to_csv, compare_sources,
                        emit_report, overestimation_percentage,
-                       plot_data_table, rank_stations, write_report)
+                       plot_data_table, rank_stations, series_to_csv,
+                       write_report)
 from .attenuation import (AttenuationCurve, attenuation_curve,
                           horizontal_reduction_factor, latitude_term,
                           reference_attenuation, scale_attenuation,
@@ -31,11 +32,11 @@ from .link_budget import (CnrMode, LinkResult, TransmissionParams,
                           band_scenario, carrier_to_noise, evaluate_link,
                           link_closes, noise_power, unavailability_duration)
 from .rain_data import (RainSeries, StationCatalog, Strategy,
-                        annual_accumulation, catalog_to_csv, chebil_r001,
+                        annual_accumulation, chebil_r001,
                         empirical_exceedance_rate, great_circle_km,
                         mean_rain_rate, packaged_catalog_text,
                         parse_rain_series, parse_station_catalog,
-                        resolve_r001, series_to_csv)
+                        resolve_r001)
 from .rain_physics import (CoefficientTable, Polarization, RainCoefficients,
                            SpecificAttenuation, load_coefficient_table,
                            load_validation_table, parse_coefficient_table,

@@ -1,8 +1,9 @@
 """Cross-source comparison, multi-station availability sweeps, ranking,
-and report/plot-data emission.
+and the report writer, through which plot data, catalogs and series are
+written too.
 
 Machine formats (csv, json) serialize floats via repr so a round-trip
-re-parses to exactly equal values; the aligned-table format is for
+re-parses to exactly equal values; the table format aligns columns for
 humans and rounds for readability.
 """
 
@@ -24,7 +25,7 @@ from .constants import check
 from .errors import DomainError, Record, UsageError, ValidationError
 from .geometry import rain_slant_path
 from .link_budget import CnrMode, LinkResult, TransmissionParams, link_budget
-from .rain_data import StationCatalog
+from .rain_data import SERIES_HEADER, RainSeries, StationCatalog, catalog_table
 from .rain_physics import Polarization, regression_coefficients
 
 SWEEP_COLUMNS = ["station", "source", "p_percent", "attenuation_dB", "cnr_dB",
@@ -43,11 +44,6 @@ class ComparisonRow(Record):
     baseline_attenuation_dB: float
     estimate_attenuation_dB: float
     overestimation_percent: float
-
-    @property
-    def display_percent(self) -> int:
-        # integer display per the reporting convention; raw value retained
-        return round(self.overestimation_percent)
 
 
 class ResolvedSource(Record):
@@ -155,10 +151,6 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
     (for rain-rate sources) and the link budget, as a SweepTable. All that
     can fail runs before it returns, in catalog order; the table keeps one
     attenuation per row and makes the rows from them on each iteration."""
-    if not catalog.stations:
-        raise ValidationError("catalog is empty")
-    if not p_list:
-        raise ValidationError("p_list is empty")
     if not sources:
         raise ValidationError("no sources given")
     coeffs = regression_coefficients(params.frequency_GHz, polarization)
@@ -232,10 +224,9 @@ def _cell_text(value, machine: bool) -> str:
 
 # per format, the text of a cell in an all-str column, in a column of exact
 # finite floats, and in any other column, which gives both the same text
-_TABLE_TEXTS = (str, "{:.4f}".format, partial(_cell_text, machine=False))
 _FORMATTERS = {"csv": (str, repr, partial(_cell_text, machine=True)),
                "json": (encode_basestring_ascii, repr, json.dumps),
-               "aligned-table": _TABLE_TEXTS, "table": _TABLE_TEXTS}
+               "table": (str, "{:.4f}".format, partial(_cell_text, machine=False))}
 
 
 def _column_text(column, str_text, float_text, any_text):
@@ -269,8 +260,7 @@ def _report_chunks(table, format: str):
     or rows transposed (an iterator's read and checked a chunk at a time)."""
     header, rows = _table_shape(table)
     if format not in _FORMATTERS:
-        raise UsageError(f"unknown format {format!r} (choose csv, json, or "
-                         "aligned-table)")
+        raise UsageError(f"unknown format {format!r} (choose csv, json, or table)")
     size = _CHUNK_ROWS if format in ("csv", "json") else None  # None: every row
 
     def checked(rows):
@@ -325,7 +315,7 @@ def _report_chunks(table, format: str):
 
 def emit_report(table, format: str = "csv") -> str:
     """Serialize a SweepTable, a list of LinkResult or of ComparisonRow, or
-    a (header, rows) pair. Formats: csv, json, aligned-table (alias: table)."""
+    a (header, rows) pair. Formats: csv, json, table."""
     return "".join(_report_chunks(table, format))
 
 
@@ -334,6 +324,17 @@ def write_report(table, format: str, out, head="", tail="") -> None:
     between head and tail, once the table has passed its checks."""
     chunks = _report_chunks(table, format)
     out.writelines(chain((head, next(chunks)), chunks, (tail,)))
+
+
+def catalog_to_csv(catalog: StationCatalog) -> str:
+    """Serialize a catalog back to its CSV schema, losslessly."""
+    return emit_report(catalog_table(catalog), "csv")
+
+
+def series_to_csv(series: RainSeries) -> str:
+    """Serialize a series back to its CSV schema, losslessly."""
+    stamps = (ts.isoformat().replace("+00:00", "Z") for ts in series.times)
+    return emit_report((SERIES_HEADER, zip(stamps, series.rates)), "csv")
 
 
 def parse_report_csv(text: str) -> tuple[list[str], list[list]]:
@@ -365,8 +366,3 @@ def plot_data_table(table: SweepTable,
     column = SWEEP_COLUMNS.index(value_field)
     rows = ((row[0], row[1], float(row[2]), float(row[column])) for row in table)
     return [*SWEEP_COLUMNS[:3], value_field], rows
-
-
-def emit_plot_data(table: SweepTable, value_field: str = "attenuation_dB") -> str:
-    """plot_data_table as csv, usable by any plotting tool."""
-    return emit_report(plot_data_table(table, value_field), "csv")

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Commands: stations, attenuation, linkbudget, sweep, compare. Outputs go
-to stdout in csv, json, or aligned-table form; warnings and diagnostics
+to stdout in csv, json, or table form; warnings and diagnostics
 go to stderr. Machine outputs are deterministic (no timestamps) unless
 --stamp opts into a metadata header.
 
@@ -109,11 +109,13 @@ def cmd_attenuation(args) -> None:
     station = catalog.station(args.station)
     if (args.r001 is None) == (args.series is None):
         raise UsageError("exactly one of --r001 or --series is required")
+    if args.label == "":
+        raise UsageError("--label must not be empty")
     if args.r001 is not None:
-        label = args.label or "direct"
+        label = "direct" if args.label is None else args.label
         r001 = _flag("rain_rate_mm_per_hr", args.r001, "--r001")
     else:
-        label = args.label or os.path.basename(args.series)
+        label = os.path.basename(args.series) if args.label is None else args.label
         series = parse_rain_series(read_text(args.series),
                                    station_ref=station.name)
         r001 = resolve_r001(series, args.strategy, label)
@@ -134,10 +136,10 @@ def cmd_sweep(args) -> None:
     scenario = parse_scenario(read_text(args.scenario, ConfigError))
     table = _sweep(args, scenario, scenario.sources,
                    scenario.p_list if p_list is None else p_list)
-    _emit(table, args.format, args.stamp)
-    if args.plot_data is not None:
+    if args.plot_data is not None:  # before the report: a bad path prints none
         with open(args.plot_data, "w", encoding="utf-8") as fh:
             write_report(plot_data_table(table, args.plot_field), "csv", fh)
+    _emit(table, args.format, args.stamp)
 
 
 def cmd_compare(args) -> None:

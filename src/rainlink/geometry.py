@@ -40,16 +40,14 @@ class PathGeometry(Record):
     """Geometry of one station-to-satellite rain path.
 
     slant_path_km is L_s, the path from the station up to the rain height;
-    horizontal_projection_km is L_G, its ground projection. slant_range_km
-    is the full station-to-satellite distance and is optional because the
-    rain chain itself never needs it.
+    horizontal_projection_km is L_G, its ground projection. The full
+    station-to-satellite distance is slant_range's.
     """
 
     elevation_deg: float
     rain_height_km: float
     slant_path_km: float
     horizontal_projection_km: float
-    slant_range_km: float | None = None
 
 
 def slant_range(satellite_altitude_km: float, elevation_deg: float) -> float:
@@ -91,14 +89,12 @@ def rain_height(station: GroundStation) -> float:
 
 
 def rain_slant_path(station: GroundStation, elevation_deg: float,
-                    rain_height_km: float | None = None,
-                    satellite_altitude_km: float | None = None) -> PathGeometry:
+                    rain_height_km: float | None = None) -> PathGeometry:
     """Rain slant-path geometry for a station at a fixed elevation angle.
 
     L_s = (h_R - h_s)/sin(e) and L_G = L_s cos(e). A rain height at or
     below the station altitude yields the degenerate zero-length path
     (attenuation identically zero downstream) rather than an error.
-    Passing satellite_altitude_km also fills in the full slant range.
     """
     check("elevation_deg", elevation_deg, "elevation")
     if elevation_deg < MIN_ELEVATION_DEG:
@@ -113,6 +109,4 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
     if h_r > h_s:
         l_s = (h_r - h_s) / math.sin(e)
         l_g = l_s * math.cos(e)
-    d = (None if satellite_altitude_km is None
-         else slant_range(satellite_altitude_km, elevation_deg))
-    return PathGeometry(elevation_deg, h_r, l_s, l_g, d)
+    return PathGeometry(elevation_deg, h_r, l_s, l_g)

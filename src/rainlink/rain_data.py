@@ -81,12 +81,14 @@ class RainSeries(Record):
 
 
 class StationCatalog(Record):
-    """Unique-named stations. close_pairs, the pairs under the recommended
-    minimum separation, is built on first access."""
+    """At least one station, each under a unique name. close_pairs, the
+    pairs under the recommended minimum separation, is built on first access."""
 
     stations: tuple[GroundStation, ...]
 
     def __post_init__(self):
+        if not self.stations:
+            raise ValidationError("catalog has no station rows")
         counts = Counter(s.name for s in self.stations)
         dupes = sorted(n for n, c in counts.items() if c > 1)
         if dupes:
@@ -254,8 +256,6 @@ def parse_station_catalog(text: str) -> StationCatalog:
             stations.append(GroundStation(name, lat, lon, alt_m / 1000.0, None))
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
-    if not stations:
-        raise ValidationError("catalog has no station rows")
     # names are checked first, so a repeated one fails without a separation warning
     catalog = StationCatalog(stations=tuple(stations))
     count, (d, i, j) = _close_pair_summary(catalog.stations)
@@ -278,12 +278,6 @@ def catalog_table(catalog: StationCatalog) -> tuple[list[str], list[list]]:
     """The catalog as a (header, rows) report table in its CSV schema."""
     return CATALOG_HEADER, [[s.name, s.latitude_deg, s.longitude_deg, _altitude_m(s.altitude_km)]
                             for s in catalog.stations]
-
-
-def catalog_to_csv(catalog: StationCatalog) -> str:
-    """Serialize a catalog back to its CSV schema, losslessly."""
-    from .analysis import emit_report  # analysis imports this module
-    return emit_report(catalog_table(catalog), "csv")
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -372,18 +366,11 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
     """Parse a rain series CSV: strictly increasing UTC timestamps,
     finite non-negative rates, at least one sample.
 
-    Text in the plain form series_to_csv writes is parsed in bulk; any
-    other text, and every error, goes through the row loop.
+    Text in the plain form analysis.series_to_csv writes is parsed in
+    bulk; any other text, and every error, goes through the row loop.
     """
     times, rates = _parse_columns(text) or _parse_rows(text)
     return RainSeries(station_ref, times, rates, cadence)
-
-
-def series_to_csv(series: RainSeries) -> str:
-    """Serialize a series back to its CSV schema, losslessly."""
-    from .analysis import emit_report  # analysis imports this module
-    stamps = (ts.isoformat().replace("+00:00", "Z") for ts in series.times)
-    return emit_report((SERIES_HEADER, zip(stamps, series.rates)), "csv")
 
 
 def mean_rain_rate(series: RainSeries) -> float:

@@ -63,10 +63,12 @@ class Scenario(Record):
 
 
 _PARAMS = TransmissionParams._fields  # each a scenario field of that name
-# per kind, the descriptor fields it needs one of, and any other it takes
-_KIND_FIELDS = {SourceKind.R001: (("value", "values"), ()),
-                SourceKind.SERIES: (("paths",), ("strategy",)),
-                SourceKind.ATTENUATION: (("values",), ())}
+_OPTIONAL = SourceDescriptor._fields[2:]  # value, values, paths, strategy
+# per kind, the descriptor fields it needs one of, any other it takes, and
+# the quantity of its numbers
+_KIND_FIELDS = {SourceKind.R001: (("value", "values"), (), "rain_rate_mm_per_hr"),
+                SourceKind.SERIES: (("paths",), ("strategy",), None),
+                SourceKind.ATTENUATION: (("values",), (), "attenuation_dB")}
 
 
 def _choice(enum: type[Enum], value, where: str):
@@ -105,6 +107,21 @@ def _mapping(raw: dict, name: str, where: str) -> dict | None:
         raise ConfigError(f"{where}: field {name}: must be an object keyed "
                           f"by station name, got {type(raw[name]).__name__}")
     return raw[name]
+
+
+def _kind_fields(kind: SourceKind | str, given, where: str) -> str | None:
+    """The quantity of kind's numbers once the fields given are what kind
+    uses, else a ConfigError naming where and the field."""
+    kind = _choice(SourceKind, kind, f"{where}: field kind")
+    needs, takes, quantity = _KIND_FIELDS[kind]
+    for name in given:
+        if name not in needs + takes:
+            raise ConfigError(f"{where}: field {name}: not used by {kind.value} kind")
+    needed = [name for name in needs if name in given]
+    if len(needed) != 1:  # r001 takes one shared value or per-station values
+        raise ConfigError(f"{where}: {kind.value} kind requires "
+                          f"{' or '.join(needs)}" + ", not both" * bool(needed))
+    return quantity
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -149,17 +166,7 @@ def parse_scenario(text: str) -> Scenario:
         values = _mapping(raw, "values", where)
         paths = _mapping(raw, "paths", where)
         kind = _choice(SourceKind, raw.get("kind"), f"{where}: field kind")
-        needs, takes = _KIND_FIELDS[kind]
-        for name in SourceDescriptor._fields[2:]:  # value, values, paths, strategy
-            if name in raw and name not in needs + takes:
-                raise ConfigError(f"{where}: field {name}: not used by "
-                                  f"{kind.value} kind")
-        given = [name for name in needs if name in raw]
-        if len(given) != 1:  # r001 takes one shared value or per-station values
-            raise ConfigError(f"{where}: {kind.value} kind requires "
-                              f"{' or '.join(needs)}" + ", not both" * bool(given))
-        quantity = ("attenuation_dB" if kind is SourceKind.ATTENUATION
-                    else "rain_rate_mm_per_hr")
+        quantity = _kind_fields(kind, [name for name in _OPTIONAL if name in raw], where)
         desc = SourceDescriptor(
             label=label, kind=kind,
             value=_number(raw["value"], f"{where}: field value", quantity)
@@ -202,14 +209,17 @@ def resolve_sources(sources: Sequence[SourceDescriptor],
     """
     if not sources:
         raise ConfigError("scenario defines no sources")
+    for s in sources:  # a descriptor built in code gives the fields it sets
+        _kind_fields(s.kind, [name for name in _OPTIONAL if getattr(s, name)
+                              != SourceDescriptor._defaults[name]], f"source {s.label!r}")
     names = [s.name for s in catalog.stations]
     for name in names:  # every station covered, before any file is read
         for s in sources:
-            given, what = ((s.paths, "series path") if s.kind is SourceKind.SERIES
+            given, what = ((s.paths, "series path") if s.kind == SourceKind.SERIES
                            else (s.values, "value"))
             if given is not None and name not in given:
                 raise ConfigError(f"source {s.label!r}: no {what} for station {name!r}")
-    series_sources = [s for s in sources if s.kind is SourceKind.SERIES]
+    series_sources = [s for s in sources if s.kind == SourceKind.SERIES]
     rates: dict[str, dict[str, float]] = {s.label: {} for s in series_sources}
     for name in names:
         readers: dict[str, list[SourceDescriptor]] = {}
@@ -229,10 +239,10 @@ def resolve_sources(sources: Sequence[SourceDescriptor],
 
 def _resolved(source: SourceDescriptor, names: list[str],
               rates: dict[str, dict[str, float]]) -> ResolvedSource:
-    if source.kind is SourceKind.ATTENUATION:
+    if source.kind == SourceKind.ATTENUATION:
         return ResolvedSource(label=source.label,
                               attenuation_by_station=dict(source.values))
-    if source.kind is SourceKind.SERIES:
+    if source.kind == SourceKind.SERIES:
         r001 = rates[source.label]
     elif source.value is not None:
         r001 = {n: source.value for n in names}

@@ -8,8 +8,9 @@ packaged six-station fixture and the three benchmark workloads' files,
 generated at a fixed seed by perfbench/generate.py (imported, not
 edited). The list covers every command in csv, json and table,
 `--plot-data` with each plot field, and edge cases: empty values for
-`--catalog`, `--p`, `--plot-data`, a scenario's `catalog` and a `paths`
-entry, and sources that do not cover every catalog station.
+`--catalog`, `--p`, `--plot-data`, `--label`, a scenario's `catalog` and a
+`paths` entry, a `--plot-data` path under a missing directory, and sources
+that do not cover every catalog station.
 
 Each invocation is one `python3 -m rainlink.cli` process on this
 checkout's `src/`, run in the inputs' directory. Each prints one line:
@@ -115,6 +116,10 @@ def invocations(work: str):
     yield "edge/sweep-catalog-empty", [*sweep, "--catalog", ""]
     yield "edge/sweep-p-empty", [*sweep, "--p", ""]
     yield "edge/sweep-plot-data-empty", [*sweep, "--plot-data", ""]
+    yield "edge/sweep-plot-data-missing-dir", [*sweep, "--plot-data", "missing/plot.csv"]
+    yield "edge/attenuation-label-empty", [
+        "attenuation", "--station", "Abuja", "--freq-ghz", "28.5", "--elevation-deg", "20",
+        "--r001", "90", "--format", "csv", "--label", ""]
     for name in ("empty-catalog", "empty-path", "uncovered-series", "uncovered-r001",
                  "uncovered-attenuation", "empty-r001", "empty-attenuation",
                  "empty-paths"):

@@ -502,6 +502,13 @@ class TestEmptyValues:
         assert main(argv) == code
         assert capsys.readouterr().err == message
 
+    def test_unwritable_plot_path_prints_no_report(self, tmp_path, capsys):
+        plot = tmp_path / "missing" / "plot.csv"
+        assert main(["sweep", "--scenario", write_scenario(tmp_path), "--format",
+                     "csv", "--plot-data", str(plot)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: '{plot}'\n")
+
     @pytest.mark.parametrize("field, message", [
         ("catalog", "field catalog: must be a path string, got ''"),
         ("paths", "sources[0] (GPM): field paths['Cairo']: must be a path string, got ''"),
@@ -917,6 +924,13 @@ class TestFlags:
         out, _ = capsys.readouterr()
         assert [line.split(",")[1] for line in out.splitlines()] == [
             "source", "gauge 7"]
+
+    @pytest.mark.parametrize("source", [["--r001", "42"], ["--series", "missing.csv"]],
+                             ids=["r001", "series"])
+    def test_empty_label_is_usage_error(self, capsys, source):
+        argv = [*self.ATTENUATION[:-4], *source, "--format", "csv", "--label", ""]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: --label must not be empty\n")
 
     @pytest.mark.parametrize("field", analysis.PLOT_FIELDS)
     def test_every_plot_field(self, tmp_path, capsys, field):

@@ -127,11 +127,6 @@ class TestRainSlantPath:
         path = rain_slant_path(station(lat=10.0), 20.0)
         assert path.rain_height_km == pytest.approx(5.0)
 
-    def test_slant_range_filled_when_requested(self):
-        path = rain_slant_path(station(), 20.0, 5.0, satellite_altitude_km=1200.0)
-        assert abs(path.slant_range_km - 2456.0221268793243) < 1e-6
-        assert rain_slant_path(station(), 20.0, 5.0).slant_range_km is None
-
 
 class TestGroundStation:
     def test_invalid_coordinates_rejected(self):

@@ -51,8 +51,7 @@ class Case(NamedTuple):
 CASES = [
     Case(GroundStation, ("Abuja", 9.06, 7.49, 0.536, None),
          ("Abuja", 9.06, 7.49, 0.536, 4.0), {"rain_height_override_km": None}),
-    Case(PathGeometry, (20.0, 5.0, 13.0, 12.2, None),
-         (20.0, 5.0, 13.0, 12.2, 3000.0), {"slant_range_km": None}),
+    Case(PathGeometry, (20.0, 5.0, 13.0, 12.2), (20.0, 5.0, 13.0, 12.5), {}),
     Case(RainCoefficients, (28.5, Polarization.VERTICAL, 0.2, 0.95),
          (28.5, Polarization.HORIZONTAL, 0.2, 0.95), {}),
     Case(SpecificAttenuation, (3.0, 50.0), (3.0, 50.5), {}),
@@ -225,6 +224,10 @@ class TestValidation:
         station = GroundStation("A", 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError, match="duplicate station names: A"):
             StationCatalog((station, station))
+
+    def test_catalog_without_stations(self):
+        with pytest.raises(ValidationError, match="^catalog has no station rows$"):
+            StationCatalog(())
 
     def test_series_columns_of_unequal_length(self):
         with pytest.raises(DomainError):

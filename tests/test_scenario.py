@@ -144,6 +144,34 @@ class TestResolveSources:
         with pytest.raises(ConfigError):
             resolve_sources([], catalog(), ".")
 
+    @pytest.mark.parametrize("source, message", [
+        (SourceDescriptor("gpm", SourceKind.SERIES),
+         "source 'gpm': series kind requires paths"),
+        (SourceDescriptor("pub", SourceKind.ATTENUATION),
+         "source 'pub': attenuation kind requires values"),
+        (SourceDescriptor("itu", SourceKind.R001),
+         "source 'itu': r001 kind requires value or values"),
+        (SourceDescriptor("pub", SourceKind.ATTENUATION, value=3.0),
+         "source 'pub': field value: not used by attenuation kind"),
+        (SourceDescriptor("pub", "anchor", values={}),
+         "source 'pub': field kind: must be one of r001, series, attenuation, "
+         "got 'anchor'"),
+    ], ids=["series-no-paths", "attenuation-no-values", "r001-no-value",
+            "attenuation-value", "unknown-kind"])
+    def test_descriptor_built_in_code_is_checked_as_parsed(self, source, message):
+        # the table parse_scenario checks JSON keys against, over the fields set
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_sources([source], catalog(), ".")
+
+    def test_kind_given_by_its_value_is_that_kind(self):
+        values = {s.name: 3.0 for s in catalog().stations}
+        [by_value] = resolve_sources([SourceDescriptor("pub", "attenuation", values=values)],
+                                     catalog(), ".")
+        [by_member] = resolve_sources([SourceDescriptor(
+            "pub", SourceKind.ATTENUATION, values=values)], catalog(), ".")
+        assert by_value == by_member
+        assert by_value.attenuation_by_station == values
+
 
 class TestParseScenarioTypes:
     def test_entries_are_typed(self):
