@@ -301,8 +301,10 @@ def _parse_columns(text: str):
     The plain form is the exact header, then lines of one comma each with
     no quotes, no CR and no blank line; UTC timestamps that fromisoformat
     reads as such, strictly increasing; finite, non-negative rates. Any
-    other text, valid or not, is left to the row loop, which alone reports
-    errors. The body is read by offset in chunks of about _CHUNK_CHARS, cut
+    other text, naive or other offsets included, is left to the row loop,
+    which alone reports errors. A chunk of Z stamps is proved one comma a
+    line and UTC by one count; +00:00, -00:00 or a mix keep both per-sample
+    checks. The body is read by offset in chunks of about _CHUNK_CHARS, cut
     at newlines, so one chunk at most is held as lines and cells; each
     distinct rate text is parsed once, and its samples share one float.
     """
@@ -320,8 +322,10 @@ def _parse_columns(text: str):
         chunk = text[start:cut if cut >= 0 else end]
         start += len(chunk) + 1
         commas = chunk.count(",")  # as many as lines, one in each
-        if chunk.count("\n") + 1 != commas \
-                or not all(map(operator.contains, chunk.split("\n"), [","] * commas)):
+        # all commas after a Z: float() reads no text ending in Z, so one a line, each stamp UTC
+        zulu = chunk.count("Z,") == commas
+        if chunk.count("\n") + 1 != commas or not zulu \
+                and not all(map(operator.contains, chunk.split("\n"), [","] * commas)):
             return None
         cells = chunk.replace("\n", ",").split(",")
         k = max(len(times) - 1, 0)  # from the last stamp before this chunk
@@ -331,7 +335,7 @@ def _parse_columns(text: str):
         except ValueError:
             return None
         if not (all(0.0 <= r < math.inf for r in fresh.values())  # a NaN fails both
-                and set(map(operator.attrgetter("tzinfo"), times[k:])) == {timezone.utc}
+                and (zulu or set(map(operator.attrgetter("tzinfo"), times[k:])) == {timezone.utc})
                 and all(map(operator.lt, times[k:], times[k + 1:]))):
             return None
         floats.update(fresh)

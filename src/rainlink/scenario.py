@@ -212,6 +212,7 @@ def resolve_sources(sources: Sequence[SourceDescriptor],
     for s in sources:  # a descriptor built in code gives the fields it sets
         _kind_fields(s.kind, [name for name in _OPTIONAL if getattr(s, name)
                               != SourceDescriptor._defaults[name]], f"source {s.label!r}")
+        _choice(Strategy, s.strategy, f"source {s.label!r}: field strategy")
     names = [s.name for s in catalog.stations]
     for name in names:  # every station covered, before any file is read
         for s in sources:

@@ -7,7 +7,10 @@ Run it in each checkout and diff the two outputs. The inputs are the
 packaged six-station fixture and the three benchmark workloads' files,
 generated at a fixed seed by perfbench/generate.py (imported, not
 edited). The list covers every command in csv, json and table,
-`--plot-data` with each plot field, and edge cases: empty values for
+`--plot-data` with each plot field, `attenuation --series` on one series
+file as generated (Z stamps) and re-spelled three ways (`+00:00`; `Z`,
+`+00:00` and `-00:00` in turn line by line; naive, which the row loop
+reads), each with both strategies, and edge cases: empty values for
 `--catalog`, `--p`, `--plot-data`, `--label`, a scenario's `catalog` and a
 `paths` entry, a `--plot-data` path under a missing directory, and sources
 that do not cover every catalog station.
@@ -77,6 +80,23 @@ def fixture_scenarios(work: str) -> None:
             json.dump(doc, fh, indent=1)
 
 
+SPELLINGS = {"offset": ["+00:00"], "mixed": ["Z", "+00:00", "-00:00"], "naive": [""]}
+
+
+def respelled_series(work: str, path: str):
+    """("-<spelling>", file) for each SPELLINGS entry: the series at path
+    with line i's Z stamp written with that entry's offset i % len(offsets)."""
+    with open(os.path.join(work, path), encoding="utf-8") as fh:
+        header, *lines = fh.read().splitlines()
+    for spelling, offsets in SPELLINGS.items():
+        name = f"{os.path.splitext(path)[0]}-{spelling}.csv"
+        body = [line.replace("Z,", offsets[i % len(offsets)] + ",")
+                for i, line in enumerate(lines)]
+        with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header, *body]) + "\n")
+        yield f"-{spelling}", name
+
+
 def invocations(work: str):
     """(name, argv) for each invocation, argv after `rainlink`."""
     inputs = {w: generate.generate(w, SEED, os.path.join(work, w))
@@ -106,11 +126,12 @@ def invocations(work: str):
                                            "csv", "--plot-data", "plot.csv",
                                            "--plot-field", field]
     abuja = "series-gateways/series/abuja.csv"
-    for strategy in ("chebil_annual", "empirical_exceedance"):
-        yield f"series-gateways/attenuation-series/{strategy}", [
-            "attenuation", "--station", "Abuja", "--freq-ghz", "28.5", "--elevation-deg",
-            "20", "--series", abuja, "--strategy", strategy, "--p", P_LIST,
-            "--format", "csv"]
+    for spelling, path in [("", abuja), *respelled_series(work, abuja)]:
+        for strategy in ("chebil_annual", "empirical_exceedance"):
+            yield f"series-gateways/attenuation-series{spelling}/{strategy}", [
+                "attenuation", "--station", "Abuja", "--freq-ghz", "28.5", "--elevation-deg",
+                "20", "--series", path, "--strategy", strategy, "--p", P_LIST,
+                "--format", "csv"]
     sweep = ["sweep", "--scenario", "fixture.json", "--format", "csv"]
     yield "edge/stations-catalog-empty", ["stations", "--catalog", ""]
     yield "edge/sweep-catalog-empty", [*sweep, "--catalog", ""]

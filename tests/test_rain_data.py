@@ -876,6 +876,37 @@ class TestBulkParse:
             [0.0, 1.5, 0.25, 4.0])
         assert {t.tzinfo for s in series for t in s.times} == {timezone.utc}
 
+    def test_naive_stamp_among_z_stamps_declines(self):
+        # one comma fewer follows a Z than there are commas, so the chunk
+        # keeps the tzinfo check, which the naive stamp fails
+        lines = [f"2010-01-01T0{h}:00:00Z,{h}.5" for h in range(6)]
+        lines[3] = "2010-01-01T03:00:00,3.5"
+        text = series_text(lines)
+        assert rain_data._parse_columns(text) is None
+        expected = outcome(rain_data._parse_rows, text)
+        assert isinstance(expected[0], tuple)
+        assert outcome(bulk_first, text) == expected
+
+    @pytest.mark.parametrize("line, after, message", [
+        ("2010-01-01T02:00:00Z,1Z", "2010-01-01T03:00:00Z,2.5",
+         "could not convert string to float: '1Z'"),
+        # as many commas as lines, each after a Z, but two on one line and
+        # none on the next: the cells still alternate valid stamps and rates,
+        # but for the 1Z that a comma after a Z made a rate
+        ("2010-01-01T02:00:00Z,1Z,2010-01-01T03:00:00Z", "2.5",
+         "expected 2 fields, got 3"),
+    ], ids=["rate", "two_commas"])
+    def test_rate_ending_in_z_declines(self, line, after, message):
+        text = series_text(["2010-01-01T00:00:00Z,0.5", "2010-01-01T01:00:00Z,1.5",
+                            line, after])
+        body = text.split("\n", 1)[1]
+        assert body.count("Z,") == body.count(",") == body.count("\n")
+        assert rain_data._parse_columns(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_rain_series(text)
+        assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+        assert outcome(bulk_first, text) == outcome(rain_data._parse_rows, text)
+
 
 class TestChunkBoundaries:
     """Defects where one chunk of the bulk pass ends and the next begins:
@@ -913,6 +944,18 @@ class TestChunkBoundaries:
         assert columns is not None
         assert outcome(lambda _: columns, text) == outcome(
             rain_data._parse_rows, text)
+        assert tuple(columns[1]) == (0.5, 1.5, 0.0, 2.5, 0.0, 3.5)
+
+    def test_z_chunk_then_offset_chunks(self):
+        # lines 2-5 are 30 characters each with their newline, so the chunks
+        # still hold lines 0-1 (Z), 2-3 (+00:00) and 4-5 (-00:00); only the
+        # first is proved UTC by one count
+        offsets = ["Z"] * 2 + ["+00:00"] * 2 + ["-00:00"] * 2
+        text = series_text([line.replace("Z,", offset + ",")
+                            for line, offset in zip(self.LINES, offsets)])
+        columns = rain_data._parse_columns(text)
+        assert columns is not None
+        assert outcome(lambda _: columns, text) == outcome(rain_data._parse_rows, text)
         assert tuple(columns[1]) == (0.5, 1.5, 0.0, 2.5, 0.0, 3.5)
 
 

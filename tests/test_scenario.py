@@ -163,6 +163,14 @@ class TestResolveSources:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             resolve_sources([source], catalog(), ".")
 
+    def test_unknown_strategy_rejected_before_any_file_is_read(self, tmp_path):
+        # the paths name no file: reading one would raise OSError
+        source = series_source("gpm", "annual", {s.name: "missing.csv"
+                                                 for s in catalog().stations})
+        with pytest.raises(ConfigError, match="^source 'gpm': field strategy: must be one "
+                           "of chebil_annual, empirical_exceedance, got 'annual'$"):
+            resolve_sources([source], catalog(), str(tmp_path))
+
     def test_kind_given_by_its_value_is_that_kind(self):
         values = {s.name: 3.0 for s in catalog().stations}
         [by_value] = resolve_sources([SourceDescriptor("pub", "attenuation", values=values)],
