@@ -18,25 +18,23 @@ from .analysis import (ComparisonRow, ResolvedSource, SweepTable,
                        plot_data_table, rank_stations, series_to_csv,
                        write_report)
 from .attenuation import (AttenuationCurve, attenuation_curve,
-                          horizontal_reduction_factor, latitude_term,
                           reference_attenuation, scale_attenuation,
                           vertical_adjustment)
-from .errors import (CadenceWarning, ClampWarning, ConfigError,
-                     CoverageWarning, DomainError, DuplicateWarning,
-                     ParseError, RainlinkError, SeparationWarning,
+from .errors import (CadenceWarning, ConfigError, CoverageWarning,
+                     DomainError, DuplicateWarning, ParseError,
+                     RainlinkError, SeparationWarning,
                      UnsupportedRegimeError, UsageError, ValidationError)
 from .geometry import (GroundStation, PathGeometry, free_space_path_loss,
                        rain_height, rain_slant_path, slant_range)
 from .link_budget import (CnrMode, LinkResult, TransmissionParams,
                           UnavailabilityDuration, available_margin,
-                          band_scenario, carrier_to_noise, evaluate_link,
-                          link_closes, noise_power, unavailability_duration)
+                          carrier_to_noise, evaluate_link, link_closes,
+                          noise_power, unavailability_duration)
 from .rain_data import (RainSeries, StationCatalog, Strategy,
                         annual_accumulation, chebil_r001,
-                        empirical_exceedance_rate, great_circle_km,
-                        mean_rain_rate, packaged_catalog_text,
-                        parse_rain_series, parse_station_catalog,
-                        resolve_r001)
+                        empirical_exceedance_rate, mean_rain_rate,
+                        packaged_catalog_text, parse_rain_series,
+                        parse_station_catalog, resolve_r001)
 from .rain_physics import (CoefficientTable, Polarization, RainCoefficients,
                            SpecificAttenuation, load_coefficient_table,
                            load_validation_table, parse_coefficient_table,

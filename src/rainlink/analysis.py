@@ -18,13 +18,14 @@ from collections.abc import Iterator
 from functools import partial
 from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import ge, itemgetter, sub
+from operator import itemgetter
 
 from .attenuation import PPlan, attenuation_curve
 from .constants import check
 from .errors import DomainError, Record, UsageError, ValidationError
 from .geometry import rain_slant_path
-from .link_budget import CnrMode, LinkResult, TransmissionParams, link_budget
+from .link_budget import (CnrMode, LinkResult, TransmissionParams, available_margin,
+                          link_budget, link_closes)
 from .rain_data import SERIES_HEADER, RainSeries, StationCatalog, catalog_table
 from .rain_physics import Polarization, regression_coefficients
 
@@ -90,9 +91,9 @@ class SweepTable:
             p += self._p[lo:hi]
         a_p = self._values[start:stop].tolist()
         cnr = list(map(self._cnr_of, a_p))  # A_p is finite and >= 0: cannot fail
-        margin = list(map(sub, cnr, repeat(self._required)))
+        margin = list(map(available_margin, cnr, repeat(self._required)))
         return [station, label, p, a_p, cnr, [self._required] * len(a_p),
-                margin, list(map(ge, margin, repeat(0.0)))]
+                margin, list(map(link_closes, margin))]
 
     def __iter__(self):
         return chain.from_iterable(zip(*self.columns(i, i + _CHUNK_ROWS))

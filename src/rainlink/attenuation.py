@@ -16,7 +16,7 @@ import math
 import warnings
 
 from .constants import check
-from .errors import ClampWarning, DomainError, DuplicateWarning, Record
+from .errors import DomainError, DuplicateWarning, Record
 from .geometry import GroundStation, PathGeometry
 from .rain_physics import RainCoefficients, _gamma
 
@@ -35,14 +35,12 @@ class AttenuationCurve(Record):
     diagnostics: tuple[str, ...] = ()
 
 
-def check_p_percent(p_percent: float) -> None:
-    """Raise DomainError unless p is in the exceedance-scaling range."""
-    check("p_percent", p_percent, "exceedance percentage")
-
-
 def _reduction_factor(L_G_km: float, gamma_dB_per_km: float,
                       frequency_GHz: float) -> tuple[float, str]:
-    """r001 at most 1, and the note that it was clamped to 1 ("" if not)."""
+    """The horizontal reduction factor for 0.01% of the time,
+    r001 = 1 / (1 + 0.78 sqrt(L_G gamma / f) - 0.38 (1 - e^(-2 L_G))), and
+    the note that it was clamped to 1 ("" if not). Values above 1 (possible
+    when gamma is near zero) have no physical reading here."""
     if L_G_km == 0.0:
         return 1.0, ""
     r001 = 1.0 / (1.0 + 0.78 * math.sqrt(L_G_km * gamma_dB_per_km / frequency_GHz)
@@ -50,25 +48,6 @@ def _reduction_factor(L_G_km: float, gamma_dB_per_km: float,
     if r001 > 1.0:
         return 1.0, f"horizontal reduction factor {r001:.4f} clamped to 1.0"
     return r001, ""
-
-
-def horizontal_reduction_factor(L_G_km: float, gamma_dB_per_km: float,
-                                frequency_GHz: float) -> float:
-    """Horizontal reduction factor r001 for 0.01% of the time.
-
-    r001 = 1 / (1 + 0.78 sqrt(L_G gamma / f) - 0.38 (1 - e^(-2 L_G))).
-    Values above 1 (possible when gamma is near zero) are clamped to 1
-    with a warning; factors above unity have no physical reading here.
-    """
-    if L_G_km < 0.0:
-        raise DomainError(f"horizontal projection {L_G_km} km must be >= 0")
-    if gamma_dB_per_km < 0.0:
-        raise DomainError(f"specific attenuation {gamma_dB_per_km} dB/km must be >= 0")
-    check("frequency_GHz", frequency_GHz, "frequency")
-    r001, clamped = _reduction_factor(L_G_km, gamma_dB_per_km, frequency_GHz)
-    if clamped:
-        warnings.warn(clamped, ClampWarning, stacklevel=2)
-    return r001
 
 
 def vertical_adjustment(L_G_km: float, r001: float, rain_height_km: float,
@@ -106,21 +85,14 @@ def reference_attenuation(gamma_dB_per_km: float, effective_path_km: float) -> f
 
 
 def _z_below_1(abs_lat: float, elevation_deg: float) -> float:
+    """The z term of the scaling exponent for p < 1% (it is zero at p >= 1%):
+    zero at |lat| >= 36 deg; -0.005(|lat|-36) at elevations of 25 deg and
+    above; the same plus 1.8 - 4.25 sin(e) below."""
     if abs_lat >= 36.0:
         return 0.0
     if elevation_deg >= 25.0:
         return -0.005 * (abs_lat - 36.0)
     return -0.005 * (abs_lat - 36.0) + 1.8 - 4.25 * math.sin(math.radians(elevation_deg))
-
-
-def latitude_term(absolute_latitude_deg: float, elevation_deg: float,
-                  p_percent: float) -> float:
-    """The z term of the scaling exponent, per the four-branch rule:
-    zero at p >= 1% or |lat| >= 36 deg; -0.005(|lat|-36) at elevations
-    of 25 deg and above; the same plus 1.8 - 4.25 sin(e) below."""
-    check_p_percent(p_percent)
-    return (0.0 if p_percent >= 1.0
-            else _z_below_1(abs(absolute_latitude_deg), elevation_deg))
 
 
 def _scaled(A001_dB: float, z: float, elevation_deg: float,
@@ -160,7 +132,7 @@ class PPlan(tuple):
             raise DomainError("p_list must be non-empty")
         plan = super().__new__(cls, sorted(set(p_list)))
         for p in plan:
-            check_p_percent(p)
+            check("p_percent", p, "exceedance percentage")
         if len(plan) != len(p_list):
             warnings.warn("duplicate p values collapsed", DuplicateWarning,
                           stacklevel=2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 
 # Spherical Earth radius, km. Sub-0.1 dB effect on FSPL at these geometries.
@@ -29,6 +31,8 @@ MEAN_EARTH_RADIUS_KM = 6371.0
 DOMAINS = {
     "frequency_GHz": (1.0, 1000.0, "GHz"),  # P.838-3 coefficient validity
     "p_percent": (0.001, 1.0, "%"),  # P.618-8 scaling, % of an average year
+    # any share of time or of samples, open (0, 100): the nearest floats inside
+    "percentage": (math.nextafter(0.0, 1.0), math.nextafter(100.0, 0.0), "%"),
     "elevation_deg": (0.0, 90.0, "deg"),
     "latitude_deg": (-90.0, 90.0, "deg"),
     "longitude_deg": (-180.0, 180.0, "deg"),

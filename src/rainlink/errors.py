@@ -121,9 +121,5 @@ class CoverageWarning(UserWarning):
     exceedance at 0.01% from 10,000 samples or fewer."""
 
 
-class ClampWarning(UserWarning):
-    """A computed factor was clamped to its physical range."""
-
-
 class DuplicateWarning(UserWarning):
     """Duplicate request entries were collapsed."""

@@ -16,15 +16,14 @@ class GroundStation(Record):
     """A named candidate site.
 
     Latitude is signed, north positive; longitude signed, east positive.
-    Altitude is km above mean sea level (h_s). The optional rain height
-    override lets users with local isotherm data supply h_R directly.
+    Altitude is km above mean sea level (h_s). A local rain height h_R
+    from isotherm data is given to rain_slant_path, not kept here.
     """
 
     name: str
     latitude_deg: float
     longitude_deg: float
     altitude_km: float
-    rain_height_override_km: float | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -32,8 +31,6 @@ class GroundStation(Record):
         check("latitude_deg", self.latitude_deg, "latitude")
         check("longitude_deg", self.longitude_deg, "longitude")
         check("altitude_km", self.altitude_km, "altitude")
-        if self.rain_height_override_km is not None:
-            check("altitude_km", self.rain_height_override_km, "rain height")
 
 
 class PathGeometry(Record):
@@ -75,13 +72,10 @@ def free_space_path_loss(frequency_GHz: float, distance_km: float) -> float:
 def rain_height(station: GroundStation) -> float:
     """Rain height h_R in km for a station.
 
-    Returns the station override when set; otherwise the legacy latitude
-    rule (an approximation of ITU-R P.839 behavior): 5.0 km within 23
-    degrees of the equator, decreasing 0.075 km per degree beyond,
-    floored at 0.
+    The legacy latitude rule (an approximation of ITU-R P.839 behavior):
+    5.0 km within 23 degrees of the equator, decreasing 0.075 km per
+    degree beyond, floored at 0.
     """
-    if station.rain_height_override_km is not None:
-        return station.rain_height_override_km
     abs_lat = abs(station.latitude_deg)
     if abs_lat <= 23.0:
         return 5.0
@@ -92,7 +86,8 @@ def rain_slant_path(station: GroundStation, elevation_deg: float,
                     rain_height_km: float | None = None) -> PathGeometry:
     """Rain slant-path geometry for a station at a fixed elevation angle.
 
-    L_s = (h_R - h_s)/sin(e) and L_G = L_s cos(e). A rain height at or
+    L_s = (h_R - h_s)/sin(e) and L_G = L_s cos(e); h_R is rain_height_km, a
+    local value, when given, else rain_height(station). A rain height at or
     below the station altitude yields the degenerate zero-length path
     (attenuation identically zero downstream) rather than an error.
     """

@@ -1,5 +1,5 @@
-"""Carrier-to-noise, link margin, closure verdicts, unavailability
-durations, and band re-parameterization.
+"""Carrier-to-noise, link margin, closure verdicts and unavailability
+durations.
 
 Two CNR modes exist. Physics mode evaluates the standard budget
 EIRP - FSPL - A - other losses + G_r - 10 log10(kTB). Calibrated mode
@@ -133,19 +133,8 @@ class UnavailabilityDuration(Record):
 
 def unavailability_duration(p_percent: float) -> UnavailabilityDuration:
     """Convert an exceedance percentage to time per average year."""
-    if not 0.0 < p_percent < 100.0:
-        raise DomainError(f"percentage {p_percent} outside (0, 100)")
+    check("percentage", p_percent, "percentage")
     return UnavailabilityDuration(p_percent, p_percent / 100.0 * HOURS_PER_YEAR)
-
-
-def band_scenario(params: TransmissionParams,
-                  new_frequency_GHz: float) -> TransmissionParams:
-    """Copy of params at a different carrier frequency; every other field
-    is preserved verbatim. Downstream FSPL and rain coefficients follow
-    the new frequency automatically."""
-    check("frequency_GHz", new_frequency_GHz, "frequency")
-    return type(params)(**dict(zip(params._fields, params._values()),
-                                frequency_GHz=new_frequency_GHz))
 
 
 def evaluate_link(station_ref: str, source_label: str, p_percent: float,

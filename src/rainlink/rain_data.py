@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
 
-from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
+from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
 from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError,
                      RainlinkError, Record, SeparationWarning, ValidationError)
 from .geometry import GroundStation
@@ -103,7 +103,7 @@ class StationCatalog(Record):
     @cached_property
     def close_pairs(self) -> tuple[tuple[str, str, float], ...]:
         """Every pair (a, b, km) under MIN_SEPARATION_KM in the all-pairs
-        loop's order over (i, j > i), km as great_circle_km(a, b) gives it."""
+        loop's order over (i, j > i), km as _haversine_km(a, b) gives it."""
         lat, lon, cos_lat = _radians(self.stations)
         names = [s.name for s in self.stations]
         later = [[] for _ in names]  # later[i]: each j > i close to i
@@ -115,18 +115,12 @@ class StationCatalog(Record):
 
 
 def _haversine_km(lat, lon, cos_lat, a: int, b: int) -> float:
-    # stations a and b of radian columns with cos(lat), in catalog order as great_circle_km
+    # great-circle km, haversine on a mean-radius sphere, between stations a and b
+    # of radian columns with cos(lat), in catalog order
     i, j = (a, b) if a < b else (b, a)
     s = math.sin((lat[j] - lat[i]) / 2.0) ** 2 \
         + cos_lat[i] * cos_lat[j] * math.sin((lon[j] - lon[i]) / 2.0) ** 2
     return 2.0 * MEAN_EARTH_RADIUS_KM * math.asin(math.sqrt(s))
-
-
-def great_circle_km(lat1_deg: float, lon1_deg: float,
-                    lat2_deg: float, lon2_deg: float) -> float:
-    """Haversine great-circle distance in km on a mean-radius sphere."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (lat1_deg, lon1_deg, lat2_deg, lon2_deg))
-    return _haversine_km([lat1, lat2], [lon1, lon2], [math.cos(lat1), math.cos(lat2)], 0, 1)
 
 
 def _radians(stations) -> tuple[list[float], list[float], list[float]]:
@@ -253,7 +247,7 @@ def parse_station_catalog(text: str) -> StationCatalog:
         try:  # a bad number, or a DomainError, which is a ValueError
             lat, lon, alt_m = map(float, row[1:])
             # every field by position, Record's fast path: one per row
-            stations.append(GroundStation(name, lat, lon, alt_m / 1000.0, None))
+            stations.append(GroundStation(name, lat, lon, alt_m / 1000.0))
         except ValueError as exc:
             raise ParseError(str(exc), line=idx) from exc
     # names are checked first, so a repeated one fails without a separation warning
@@ -414,8 +408,7 @@ def empirical_exceedance_rate(series: RainSeries, p_percent: float) -> float:
     take the value at rank ceil(p/100 * N), clamped to a valid index."""
     if not series.rates:
         raise DomainError("series is empty")
-    if not 0.0 < p_percent < 100.0:
-        raise DomainError(f"percentage {p_percent} outside (0, 100)")
+    check("percentage", p_percent, "percentage")
     rates = sorted(series.rates, reverse=True)
     rank = math.ceil(p_percent / 100.0 * len(rates))
     rank = min(max(rank, 1), len(rates))

@@ -1,0 +1,197 @@
+"""Mutation check of tier-1: does the suite fail when one formula or one
+threshold of the package changes?
+
+    python3 tests/mutants.py
+
+MUTANTS holds (file, old, new) triples on the files of src/rainlink: at
+least one per formula and per threshold that README states. For each
+triple the script copies this checkout's src/, tests/ and pyproject.toml,
+with perfbench/ (test_reference.py loads its reference) and README.md
+(test_cli.py runs its Library use blocks), to a temporary directory,
+replaces old by new there and runs tier-1 with -x. Two run at once, one
+per CPU. It prints one line per triple, in list order: killed or
+survived, the wall time, the triple, and the first failing test or, for a
+survivor the list accepts, why it does no harm. A count follows.
+
+It exits 2, before running anything, when an old text is not found
+exactly once in its file, so that a refactor updates the list instead of
+silently skipping a mutant; and 1 when a mutant that is not accepted
+survives. The file has no `test_` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "perfbench", "README.md", "pyproject.toml")
+LANES = 2
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/rainlink
+    old: str
+    new: str
+    accepted: str = ""  # why the mutant may survive
+
+
+MUTANTS = [
+    # P.618-8 horizontal reduction factor and its clamp at 1
+    Mutant("attenuation.py", "0.78 * math.sqrt(", "0.79 * math.sqrt("),
+    Mutant("attenuation.py", "- 0.38 * (1.0 - math.exp(", "- 0.37 * (1.0 - math.exp("),
+    Mutant("attenuation.py", "math.exp(-2.0 * L_G_km)", "math.exp(-1.0 * L_G_km)"),
+    Mutant("attenuation.py", "    if r001 > 1.0:\n", "    if r001 > 1.0001:\n"),
+    # vertical adjustment
+    Mutant("attenuation.py", "math.atan2(height, horizontal) > e_rad",
+           "math.atan2(horizontal, height) > e_rad"),
+    Mutant("attenuation.py", "chi = max(36.0 - abs(", "chi = max(35.0 - abs("),
+    Mutant("attenuation.py", "31.0 * (1.0 - math.exp(", "32.0 * (1.0 - math.exp("),
+    Mutant("attenuation.py", "/ frequency_GHz ** 2 - 0.45))", "/ frequency_GHz ** 2 - 0.46))"),
+    Mutant("attenuation.py", "math.sqrt(math.sin(e_rad))", "math.sin(e_rad)"),
+    # A001 = gamma L_E
+    Mutant("attenuation.py", "return gamma_dB_per_km * effective_path_km",
+           "return gamma_dB_per_km * effective_path_km * 1.001"),
+    # the z term: zero from |lat| 36 deg, a branch at 25 deg elevation
+    Mutant("attenuation.py", "if abs_lat >= 36.0:", "if abs_lat >= 37.0:"),
+    Mutant("attenuation.py", "if elevation_deg >= 25.0:", "if elevation_deg >= 26.0:"),
+    Mutant("attenuation.py", "return -0.005 * (abs_lat - 36.0)\n",
+           "return -0.006 * (abs_lat - 36.0)\n"),
+    Mutant("attenuation.py", "+ 1.8 - 4.25 * math.sin(", "+ 1.9 - 4.25 * math.sin("),
+    Mutant("attenuation.py", "+ 1.8 - 4.25 * math.sin(", "+ 1.8 - 4.2 * math.sin("),
+    # the scaling exponent
+    Mutant("attenuation.py", "ln_term = 0.045 * math.log(", "ln_term = 0.046 * math.log("),
+    Mutant("attenuation.py", "0.655 + 0.033 * math.log(p)", "0.656 + 0.033 * math.log(p)"),
+    Mutant("attenuation.py", "0.655 + 0.033 * math.log(p)", "0.655 + 0.034 * math.log(p)"),
+    Mutant("attenuation.py", "z * sin_e * rest", "z * sin_e"),
+    Mutant("attenuation.py", "if a_hi > a_lo:", "if a_hi > a_lo + 1e-9:",
+           "a rise under 1e-9 dB goes unreported; no report prints 1e-9 dB"),
+    # rain height and slant-path geometry
+    Mutant("geometry.py", "        return 5.0\n", "        return 5.1\n"),
+    Mutant("geometry.py", "if abs_lat <= 23.0:", "if abs_lat <= 24.0:"),
+    Mutant("geometry.py", "5.0 - 0.075 * (abs_lat", "5.0 - 0.076 * (abs_lat"),
+    Mutant("geometry.py", "l_s = (h_r - h_s) / math.sin(e)", "l_s = (h_r - h_s) / math.cos(e)"),
+    Mutant("geometry.py", "l_g = l_s * math.cos(e)", "l_g = l_s * math.sin(e)"),
+    Mutant("geometry.py", "    if h_r > h_s:\n", "    if h_r >= h_s:\n",
+           "equivalent: at h_r == h_s the path has zero length either way"),
+    Mutant("geometry.py", "- re * math.sin(e)", "- re * math.cos(e)"),
+    Mutant("geometry.py", "return 92.45 + 20.0 * math.log10(", "return 92.44 + 20.0 * math.log10("),
+    # constants
+    Mutant("constants.py", "EARTH_RADIUS_KM = 6378.0", "EARTH_RADIUS_KM = 6371.0"),
+    Mutant("constants.py", "BOLTZMANN_J_PER_K = 1.380649e-23", "BOLTZMANN_J_PER_K = 1.38e-23"),
+    Mutant("constants.py", "HOURS_PER_YEAR = 8766.0", "HOURS_PER_YEAR = 8760.0"),
+    Mutant("constants.py", "MIN_ELEVATION_DEG = 5.0", "MIN_ELEVATION_DEG = 4.0"),
+    Mutant("constants.py", "MIN_SEPARATION_KM = 2000.0", "MIN_SEPARATION_KM = 1990.0"),
+    Mutant("constants.py", "MEAN_EARTH_RADIUS_KM = 6371.0", "MEAN_EARTH_RADIUS_KM = 6378.0"),
+    Mutant("constants.py", '"p_percent": (0.001, 1.0,', '"p_percent": (0.0001, 1.0,'),
+    # link budget: noise, C/N in both modes, margin, closure, durations
+    Mutant("link_budget.py", "return 10.0 * math.log10(BOLTZMANN_J_PER_K",
+           "return 20.0 * math.log10(BOLTZMANN_J_PER_K"),
+    Mutant("link_budget.py", "- attenuation_dB - other_dB + gain_dBi",
+           "- attenuation_dB + other_dB + gain_dBi"),
+    Mutant("link_budget.py", "k_clear_dB - attenuation_dB", "k_clear_dB + attenuation_dB"),
+    Mutant("link_budget.py", "return cnr_dB - required_margin_dB",
+           "return cnr_dB + required_margin_dB"),
+    Mutant("link_budget.py", "return available_margin_dB >= 0.0",
+           "return available_margin_dB > 0.0"),
+    Mutant("link_budget.py", "p_percent / 100.0 * HOURS_PER_YEAR",
+           "p_percent / 1000.0 * HOURS_PER_YEAR"),
+    # rain sources: mean rate, accumulation, Chebil, empirical rank, thresholds
+    Mutant("rain_data.py", "math.fsum(series.rates) / len(series.rates)",
+           "math.fsum(series.rates) / (len(series.rates) + 1)"),
+    Mutant("rain_data.py", "mean_rate_mm_per_hr * HOURS_PER_YEAR", "mean_rate_mm_per_hr * 8760.0"),
+    Mutant("rain_data.py", "return 12.2903 * annual_accumulation_mm ** 0.2973",
+           "return 12.29 * annual_accumulation_mm ** 0.2973"),
+    Mutant("rain_data.py", "return 12.2903 * annual_accumulation_mm ** 0.2973",
+           "return 12.2903 * annual_accumulation_mm ** 0.297"),
+    Mutant("rain_data.py", "rank = math.ceil(p_percent", "rank = math.floor(p_percent"),
+    Mutant("rain_data.py", "_COARSE_CADENCE_HOURS = 24.0 * 28.0", "_COARSE_CADENCE_HOURS = 24.0 * 27.0"),
+    Mutant("rain_data.py", "_R001_RANK_SAMPLES = 10_000", "_R001_RANK_SAMPLES = 9_999"),
+    Mutant("rain_data.py", "MEAN_EARTH_RADIUS_KM * math.asin(", "MEAN_EARTH_RADIUS_KM * math.atan("),
+    # P.838-3: the regressions and gamma = kappa R^alpha
+    Mutant("rain_physics.py", "total = self.m * lf + self.offset", "total = self.m * lf - self.offset"),
+    Mutant("rain_physics.py", "math.exp(-(((lf - b_j) / c_j) ** 2))",
+           "math.exp(-(((lf + b_j) / c_j) ** 2))"),
+    Mutant("rain_physics.py", "coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha",
+           "coefficients.kappa * rain_rate_mm_per_hr * coefficients.alpha"),
+    # comparison
+    Mutant("analysis.py", "(baseline_dB - estimate_dB) / baseline_dB * 100.0",
+           "(baseline_dB - estimate_dB) / estimate_dB * 100.0"),
+]
+
+
+def source(mutant: Mutant, root: str = ROOT) -> str:
+    return os.path.join(root, "src", "rainlink", mutant.file)
+
+
+def misplaced() -> list[str]:
+    """One line per triple whose old text is not found exactly once."""
+    lines = []
+    for mutant in MUTANTS:
+        with open(source(mutant), encoding="utf-8") as fh:
+            count = fh.read().count(mutant.old)
+        if count != 1:
+            lines.append(f"{mutant.file}: {mutant.old!r} found {count} times")
+    return lines
+
+
+def run(mutant: Mutant) -> tuple[bool, str, float]:
+    """(killed, first failing test, wall seconds) of tier-1 on the mutant."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as work:
+        for name in COPIED:
+            path = os.path.join(ROOT, name)
+            if os.path.isdir(path):
+                shutil.copytree(path, os.path.join(work, name), ignore=shutil.ignore_patterns(
+                    "__pycache__", ".hypothesis", "_work"))
+            else:
+                shutil.copy(path, work)
+        with open(source(mutant, work), encoding="utf-8") as fh:
+            text = fh.read()
+        with open(source(mutant, work), "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=os.path.join(work, "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=work, env=env, capture_output=True, text=True)
+    lines = done.stdout.splitlines() or [""]
+    # -rfE lists each failure as "FAILED <test id> - <message>"
+    failures = [line.split(" - ")[0].split(" ", 1)[1] for line in lines
+                if line.startswith(("FAILED ", "ERROR "))]
+    first = failures[0] if failures else lines[-1]
+    return done.returncode != 0, first, time.perf_counter() - start
+
+
+def main() -> int:
+    bad = misplaced()
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 2
+    killed = accepted = survived = 0
+    with ThreadPoolExecutor(LANES) as lanes:
+        for mutant, (dead, first, seconds) in zip(MUTANTS, lanes.map(run, MUTANTS)):
+            if dead:
+                killed += 1
+                status, note = "killed", first
+            elif mutant.accepted:
+                accepted += 1
+                status, note = "survived", f"accepted: {mutant.accepted}"
+            else:
+                survived += 1
+                status, note = "survived", "NOT ACCEPTED"
+            print(f"{status:8} {seconds:5.1f}s  {mutant.file}: {mutant.old.strip()!r} -> "
+                  f"{mutant.new.strip()!r}  {note}", flush=True)
+    print(f"{killed} of {len(MUTANTS)} killed; {accepted} survived, accepted; "
+          f"{survived} survived, not accepted")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

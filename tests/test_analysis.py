@@ -340,9 +340,9 @@ class TestSweepOracle:
 
     def test_each_distinct_p_checked_once(self, monkeypatch):
         checked = []
-        check = attenuation.check_p_percent
-        monkeypatch.setattr(attenuation, "check_p_percent",
-                            lambda p: checked.append(p) or check(p))
+        check = attenuation.check
+        monkeypatch.setattr(attenuation, "check", lambda quantity, p, name:
+                            checked.append(p) or check(quantity, p, name))
         injected = ResolvedSource("injected", attenuation_by_station={
             s.name: 1.0 for s in catalog().stations})
         with pytest.warns(DuplicateWarning):

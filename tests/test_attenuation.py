@@ -9,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rainlink.attenuation as attenuation
-from rainlink import (ClampWarning, DomainError, DuplicateWarning,
-                      GroundStation, Polarization,
-                      RainCoefficients, attenuation_curve,
-                      horizontal_reduction_factor, latitude_term,
-                      rain_slant_path, reference_attenuation,
-                      scale_attenuation, vertical_adjustment)
+from rainlink import (DomainError, DuplicateWarning, GroundStation,
+                      PathGeometry, Polarization, RainCoefficients,
+                      attenuation_curve, rain_slant_path,
+                      reference_attenuation, scale_attenuation,
+                      vertical_adjustment)
+from rainlink.attenuation import _reduction_factor, _z_below_1
 from rainlink.constants import DOMAINS
 
 
@@ -28,7 +28,7 @@ def abuja():
 
 
 def scalar_scaled(A001_dB, p, absolute_latitude_deg, elevation_deg):
-    """A_p as latitude_term and scale_attenuation computed it, one p at a
+    """A_p as the z term and scale_attenuation computed it, one p at a
     time, before the scaling step became one kernel: the reference the
     kernel must equal bit for bit."""
     abs_lat = abs(absolute_latitude_deg)
@@ -48,33 +48,23 @@ def scalar_scaled(A001_dB, p, absolute_latitude_deg, elevation_deg):
 
 class TestHorizontalReductionFactor:
     def test_zero_extent(self):
-        assert horizontal_reduction_factor(0.0, 14.0, 28.5) == 1.0
+        assert _reduction_factor(0.0, 14.0, 28.5) == (1.0, "")
 
     def test_documented_example(self):
-        r = horizontal_reduction_factor(12.78, 14.0, 28.5)
+        r, clamped = _reduction_factor(12.78, 14.0, 28.5)
         assert abs(r - 0.38844806205493226) < 1e-9
+        assert clamped == ""
 
     def test_zero_gamma_clamped_with_warning(self):
         # the closed form tends to 1/(1 - 0.38) ~ 1.613 as gamma -> 0
-        with pytest.warns(ClampWarning):
-            r = horizontal_reduction_factor(50.0, 0.0, 28.5)
-        assert r == 1.0
+        assert _reduction_factor(50.0, 0.0, 28.5) == (
+            1.0, "horizontal reduction factor 1.6129 clamped to 1.0")
 
     def test_in_unit_interval(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClampWarning)
-            for l_g in [0.1, 1.0, 12.78, 60.0]:
-                for gamma in [0.5, 5.0, 14.0, 30.0]:
-                    r = horizontal_reduction_factor(l_g, gamma, 28.5)
-                    assert 0.0 < r <= 1.0
-
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            horizontal_reduction_factor(-1.0, 14.0, 28.5)
-        with pytest.raises(DomainError):
-            horizontal_reduction_factor(1.0, -1.0, 28.5)
-        with pytest.raises(DomainError):
-            horizontal_reduction_factor(1.0, 14.0, 0.5)
+        for l_g in [0.1, 1.0, 12.78, 60.0]:
+            for gamma in [0.5, 5.0, 14.0, 30.0]:
+                r, _ = _reduction_factor(l_g, gamma, 28.5)
+                assert 0.0 < r <= 1.0
 
 
 class TestVerticalAdjustment:
@@ -131,25 +121,30 @@ class TestReferenceAttenuation:
 
 class TestLatitudeTerm:
     def test_zero_at_one_percent(self):
-        assert latitude_term(10.0, 20.0, 1.0) == 0.0
+        # the factor (1 - p) of the exponent takes z to zero at p = 1
+        z = _z_below_1(10.0, 20.0)
+        assert z != 0.0
+        assert scale_attenuation(10.0, 1.0, z, 20.0) == scale_attenuation(
+            10.0, 1.0, 0.0, 20.0)
 
     def test_zero_at_high_latitude(self):
-        assert latitude_term(40.0, 20.0, 0.1) == 0.0
-        assert latitude_term(36.0, 20.0, 0.1) == 0.0
+        assert _z_below_1(40.0, 20.0) == 0.0
+        assert _z_below_1(36.0, 20.0) == 0.0
 
     def test_high_elevation_branch(self):
-        z = latitude_term(25.8889, 30.0, 0.5)
+        z = _z_below_1(25.8889, 30.0)
         assert abs(z - (-0.005 * (25.8889 - 36.0))) < 1e-12
 
     def test_low_elevation_branch(self):
-        z = latitude_term(25.8889, 20.0, 0.5)
+        z = _z_below_1(25.8889, 20.0)
         assert abs(z - 0.39696989086590806) < 1e-9
 
     def test_p_out_of_range(self):
+        path = rain_slant_path(abuja(), 20.0)
         with pytest.raises(DomainError):
-            latitude_term(10.0, 20.0, 1.5)
+            attenuation_curve(abuja(), path, coeffs(), 90.0, [1.5])
         with pytest.raises(DomainError):
-            latitude_term(10.0, 20.0, 0.0005)
+            attenuation_curve(abuja(), path, coeffs(), 90.0, [0.0005])
 
 
 class TestScaleAttenuation:
@@ -237,6 +232,18 @@ class TestAttenuationCurve:
         curve = attenuation_curve(st, path, coeffs(), 0.0, [0.01])
         assert any("clamped" in d for d in curve.diagnostics)
 
+    def test_clamp_starts_just_above_one(self):
+        # on this 1 km path at 5.0558 dB/km the formula gives r001 = 1.0000486
+        st = GroundStation("S", 9.0, 7.0, 0.0)
+        e = math.radians(20.0)
+        path = PathGeometry(20.0, math.tan(e), 1.0 / math.cos(e), 1.0)
+        curve = attenuation_curve(st, path, coeffs(kappa=5.0558, alpha=1.0), 1.0, [0.01])
+        L_R, v001 = vertical_adjustment(1.0, 1.0, path.rain_height_km, 0.0, 20.0,
+                                        5.0558, 28.5, 9.0)
+        assert curve.reference_A001_dB == reference_attenuation(5.0558, L_R * v001)
+        assert curve.diagnostics == (
+            "horizontal reduction factor 1.0000 clamped to 1.0",)
+
     def test_clamp_noted_without_touching_warning_filters(self, monkeypatch):
         # catch_warnings rewrites the process-wide filter list on entry
         def refuse(*args, **kwargs):
@@ -256,7 +263,7 @@ class TestAttenuationCurve:
 
     def test_plan_is_not_checked_again(self, monkeypatch):
         plan = attenuation.PPlan([0.5, 0.01])
-        monkeypatch.setattr(attenuation, "check_p_percent", None)
+        monkeypatch.setattr(attenuation, "check", None)
         curve = attenuation_curve(abuja(), rain_slant_path(abuja(), 20.0),
                                   coeffs(), 90.0, plan)
         assert [p for p, _ in curve.points] == [0.01, 0.5]
@@ -291,7 +298,7 @@ P_POINTS = [0.001, 0.002, 0.01, 0.05, 0.3, 0.999, 1.0]
 
 
 class TestScalingKernel:
-    """A curve's points, and latitude_term with scale_attenuation, equal
+    """A curve's points, and the z term with scale_attenuation, equal
     the one-p-at-a-time scaling by == and by repr."""
 
     def assert_matches_scalar(self, station, elevation, rate, p_list):
@@ -300,9 +307,9 @@ class TestScalingKernel:
         a001, lat = curve.reference_A001_dB, station.latitude_deg
         want = [(p, scalar_scaled(a001, p, lat, elevation))
                 for p in sorted(set(p_list))]
-        chain = [(p, scale_attenuation(a001, p,
-                                       latitude_term(lat, elevation, p),
-                                       elevation))
+        chain = [(p, scale_attenuation(
+                    a001, p, 0.0 if p >= 1.0 else _z_below_1(abs(lat), elevation),
+                    elevation))
                  for p in sorted(set(p_list))]
         assert list(curve.points) == want == chain
         assert repr(curve.points) == repr(tuple(want)) == repr(tuple(chain))

@@ -9,9 +9,9 @@ from rainlink import (DomainError, GroundStation, UnsupportedRegimeError,
                       slant_range)
 
 
-def station(lat=9.010833, alt_km=0.348, override=None):
+def station(lat=9.010833, alt_km=0.348):
     return GroundStation(name="Abuja", latitude_deg=lat, longitude_deg=7.271389,
-                         altitude_km=alt_km, rain_height_override_km=override)
+                         altitude_km=alt_km)
 
 
 class TestSlantRange:
@@ -85,7 +85,8 @@ class TestRainHeight:
         assert rain_height(station(lat=90.0)) == 0.0
 
     def test_override_wins(self):
-        assert rain_height(station(lat=10.0, override=4.5)) == 4.5
+        # a local rain height given to the path replaces the latitude rule's
+        assert rain_slant_path(station(lat=10.0), 20.0, 4.5).rain_height_km == 4.5
 
 
 class TestRainSlantPath:
@@ -115,8 +116,9 @@ class TestRainSlantPath:
         assert abs(path.horizontal_projection_km) < 1e-12
 
     def test_low_elevation_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            rain_slant_path(station(), 3.0, 5.0)
+        for elevation in (3.0, math.nextafter(5.0, 0.0)):
+            with pytest.raises(UnsupportedRegimeError):
+                rain_slant_path(station(), elevation, 5.0)
 
     def test_nan_elevation_rejected(self):
         # NaN passes both a > 90 and a < 5 test

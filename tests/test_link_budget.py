@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rainlink import (CnrMode, ConfigError, DomainError, TransmissionParams,
-                      available_margin, band_scenario, carrier_to_noise,
+                      available_margin, carrier_to_noise,
                       evaluate_link, free_space_path_loss, link_closes,
                       noise_power, parse_scenario, regression_coefficients,
                       slant_range, unavailability_duration)
@@ -160,35 +160,19 @@ class TestUnavailabilityDuration:
 
 
 class TestBandScenario:
-    def test_retune_preserves_other_fields(self):
-        params = uplink_params()
-        retuned = band_scenario(params, 6.0)
-        assert retuned.frequency_GHz == 6.0
-        assert retuned.eirp_dBW == params.eirp_dBW
-        assert retuned.bandwidth_Hz == params.bandwidth_Hz
-        assert retuned.system_temperature_K == params.system_temperature_K
-        assert retuned.antenna_diameter_m == params.antenna_diameter_m
-
-    def test_idempotent_at_same_frequency(self):
-        params = uplink_params()
-        assert band_scenario(params, params.frequency_GHz) == params
-
-    def test_validity_floor(self):
-        with pytest.raises(DomainError):
-            band_scenario(uplink_params(), 0.5)
+    """The same uplink at another carrier frequency."""
 
     @pytest.mark.parametrize("freq", [0.5, 1000.5, math.nan])
     def test_same_frequency_check_as_the_coefficients(self, freq):
-        message = (f"^frequency {freq} GHz outside the finite domain "
-                   r"\[1, 1000\]$")
-        with pytest.raises(DomainError, match=message):
-            band_scenario(uplink_params(), freq)
-        with pytest.raises(DomainError, match=message):
+        domain = rf" {freq} GHz outside the finite domain \[1, 1000\]$"
+        with pytest.raises(DomainError, match="^frequency_GHz" + domain):
+            uplink_params(frequency_GHz=freq)
+        with pytest.raises(DomainError, match="^frequency" + domain):
             regression_coefficients(freq)
 
     def test_fspl_difference_drives_cnr(self):
         ka = carrier_to_noise(uplink_params(), 5.0)
-        c = carrier_to_noise(band_scenario(uplink_params(), 6.0), 5.0)
+        c = carrier_to_noise(uplink_params(frequency_GHz=6.0), 5.0)
         from rainlink import free_space_path_loss, slant_range
         d = slant_range(1200.0, 20.0)
         delta = free_space_path_loss(28.5, d) - free_space_path_loss(6.0, d)

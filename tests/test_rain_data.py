@@ -20,7 +20,7 @@ from rainlink import (CadenceWarning, CoverageWarning, DomainError,
                       GroundStation, ParseError, RainSeries, SeparationWarning,
                       StationCatalog, Strategy, ValidationError, annual_accumulation,
                       catalog_to_csv, chebil_r001, empirical_exceedance_rate,
-                      great_circle_km, mean_rain_rate, packaged_catalog_text,
+                      mean_rain_rate, packaged_catalog_text,
                       parse_rain_series, parse_station_catalog, resolve_r001,
                       series_to_csv)
 from rainlink.constants import MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
@@ -247,6 +247,13 @@ class TestSerializers:
         catalog = parse_quietly("name,latitude_deg,longitude_deg,altitude_m\n" + "".join(
             f"S{i},0.0,{i / 100.0!r},{m!r}\n" for i, m in enumerate(metres)))
         assert parse_quietly(catalog_to_csv(catalog)) == catalog
+
+
+def great_circle_km(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
+    """_haversine_km, the catalog's close-pair distance, between two points in degrees."""
+    lat = [math.radians(lat1_deg), math.radians(lat2_deg)]
+    lon = [math.radians(lon1_deg), math.radians(lon2_deg)]
+    return rain_data._haversine_km(lat, lon, [math.cos(x) for x in lat], 0, 1)
 
 
 def brute_force_close_pairs(stations):
@@ -1101,6 +1108,16 @@ class TestResolveR001:
                 CoverageWarning, match="'TRMM': 120 samples are too few"):
             value = resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE, "TRMM")
         assert value == 0.4
+
+    @pytest.mark.parametrize("step_hours, coarse", [(672.0, True), (671.0, False)])
+    def test_coarse_cadence_from_28_days_of_mean_spacing(self, step_hours, coarse):
+        series = make_series([0.1, 0.2, 0.3], step_hours=step_hours)
+        assert series.mean_spacing_hours() == step_hours
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            resolve_r001(series, Strategy.EMPIRICAL_EXCEEDANCE, "gauge")
+        assert [type(w.message) for w in record] == \
+            [CadenceWarning] * coarse + [CoverageWarning]
 
     def test_empirical_on_fine_cadence_silent(self):
         import warnings as _warnings

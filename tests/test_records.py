@@ -49,8 +49,8 @@ class Case(NamedTuple):
 
 
 CASES = [
-    Case(GroundStation, ("Abuja", 9.06, 7.49, 0.536, None),
-         ("Abuja", 9.06, 7.49, 0.536, 4.0), {"rain_height_override_km": None}),
+    Case(GroundStation, ("Abuja", 9.06, 7.49, 0.536),
+         ("Abuja", 9.06, 7.49, 0.5), {}),
     Case(PathGeometry, (20.0, 5.0, 13.0, 12.2), (20.0, 5.0, 13.0, 12.5), {}),
     Case(RainCoefficients, (28.5, Polarization.VERTICAL, 0.2, 0.95),
          (28.5, Polarization.HORIZONTAL, 0.2, 0.95), {}),
@@ -188,7 +188,7 @@ class TestRepr:
     def test_text_as_the_dataclass_printed(self):
         assert repr(GroundStation("Abuja", 9.06, 7.49, 0.536)) == (
             "GroundStation(name='Abuja', latitude_deg=9.06, longitude_deg=7.49, "
-            "altitude_km=0.536, rain_height_override_km=None)")
+            "altitude_km=0.536)")
         assert repr(SpecificAttenuation(3.0, 50.0)) == (
             "SpecificAttenuation(gamma_dB_per_km=3.0, rain_rate_mm_per_hr=50.0)")
         assert repr(DESC) == (
@@ -202,7 +202,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"name": ""}, {"latitude_deg": 91.0}, {"longitude_deg": float("nan")},
-        {"altitude_km": -0.1}, {"rain_height_override_km": 10.0}])
+        {"altitude_km": -0.1}, {"altitude_km": 10.0}])
     def test_ground_station(self, kwargs):
         with pytest.raises(DomainError):
             GroundStation(**{"name": "A", "latitude_deg": 0.0,
