@@ -24,11 +24,11 @@ from .analysis import (PLOT_FIELDS, availability_sweep, compare_sources,
                        plot_data_table, write_report)
 from .attenuation import attenuation_curve
 from .constants import check
-from .errors import ConfigError, DomainError, RainlinkError, UsageError
+from .errors import ConfigError, DomainError, RainlinkError, UsageError, read_text
 from .geometry import rain_slant_path
 from .rain_data import (StationCatalog, Strategy, catalog_table,
                         packaged_catalog_text, parse_rain_series,
-                        parse_station_catalog, read_text, resolve_r001)
+                        parse_station_catalog, resolve_r001)
 from .rain_physics import Polarization, regression_coefficients
 from .scenario import (Scenario, SourceDescriptor, parse_scenario,
                        resolve_sources)

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and Record,
-the base of every one of its immutable records.
+"""Exception and warning types shared across the package; Record, the
+base of every one of its immutable records; and read_text, the one
+reader of input files, which raises those types.
 
 The hierarchy keeps three concerns separate so the CLI can map them to
 stable exit codes: bad values fed to the math (DomainError), bad input
@@ -123,3 +124,13 @@ class CoverageWarning(UserWarning):
 
 class DuplicateWarning(UserWarning):
     """Duplicate request entries were collapsed."""
+
+
+def read_text(path: str, error: type[RainlinkError] = ParseError) -> str:
+    """The text of a UTF-8 file, less a leading byte-order mark. Bytes that
+    are not UTF-8 raise error, naming the file and the byte offset."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 at byte {exc.start}") from exc

@@ -21,8 +21,8 @@ from enum import Enum
 from functools import cached_property
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
-from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError,
-                     RainlinkError, Record, SeparationWarning, ValidationError)
+from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError, Record,
+                     SeparationWarning, ValidationError)
 from .geometry import GroundStation
 
 CATALOG_HEADER = ["name", "latitude_deg", "longitude_deg", "altitude_m"]
@@ -447,13 +447,3 @@ def packaged_catalog_text() -> str:
     bit-exact)."""
     from importlib import resources
     return resources.files("rainlink.data").joinpath("stations_africa.csv").read_text(encoding="utf-8")
-
-
-def read_text(path: str, error: type[RainlinkError] = ParseError) -> str:
-    """The text of a UTF-8 file, less a leading byte-order mark. Bytes that
-    are not UTF-8 raise error, naming the file and the byte offset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read().removeprefix("\ufeff")
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 at byte {exc.start}") from exc

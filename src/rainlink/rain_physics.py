@@ -17,8 +17,7 @@ from enum import Enum
 from importlib import resources
 
 from .constants import check
-from .errors import ParseError, Record
-from .rain_data import read_text
+from .errors import ParseError, Record, read_text
 
 
 class Polarization(str, Enum):

@@ -11,10 +11,9 @@ from enum import Enum
 
 from .analysis import ResolvedSource
 from .constants import MIN_ELEVATION_DEG, check
-from .errors import ConfigError, DomainError, Record
+from .errors import ConfigError, DomainError, Record, read_text
 from .link_budget import CnrMode, TransmissionParams
-from .rain_data import (StationCatalog, Strategy, parse_rain_series,
-                        read_text, resolve_r001)
+from .rain_data import StationCatalog, Strategy, parse_rain_series, resolve_r001
 from .rain_physics import Polarization
 
 

@@ -3,30 +3,35 @@ checkouts byte for byte.
 
     python3 tests/cli_digests.py > digests.txt
 
-Run it in each checkout and diff the two outputs. The inputs are the
-packaged six-station fixture and the three benchmark workloads' files,
-generated at a fixed seed by perfbench/generate.py (imported, not
-edited). The list covers every command in csv, json and table,
-`--plot-data` with each plot field, `attenuation --series` on one series
-file as generated (Z stamps) and re-spelled three ways (`+00:00`; `Z`,
-`+00:00` and `-00:00` in turn line by line; naive, which the row loop
-reads), each with both strategies, and edge cases: empty values for
-`--catalog`, `--p`, `--plot-data`, `--label`, a scenario's `catalog` and a
-`paths` entry, a `--plot-data` path under a missing directory, and sources
-that do not cover every catalog station.
+Run it in each checkout and diff the two outputs. tests/cli_digests.txt
+holds its output, and tests/test_cli_digests.py checks every invocation
+against that file. The inputs are the packaged six-station fixture and
+the three benchmark workloads' files, generated at a fixed seed by
+perfbench/generate.py (imported, not edited). The list covers every
+command in csv, json and table, `--plot-data` with each plot field,
+`attenuation --series` on one series file as generated (Z stamps) and
+re-spelled three ways (`+00:00`; `Z`, `+00:00` and `-00:00` in turn line
+by line; naive, which the row loop reads), each with both strategies,
+and edge cases: empty values for `--catalog`, `--p`, `--plot-data`,
+`--label`, a scenario's `catalog` and a `paths` entry, a `--plot-data`
+path under a missing directory, and sources that do not cover every
+catalog station.
 
 Each invocation is one `python3 -m rainlink.cli` process on this
-checkout's `src/`, run in the inputs' directory. Each prints one line:
-its name, the exit code, and the sha256 of stdout, stderr and the plot
-file (`-` when none was written). The inputs' directory is written as
-`<work>` in the output before it is hashed, so the digests do not depend
-on where it is. The file has no `test_` prefix, so pytest does not
-collect it.
+checkout's `src/`, run in the inputs' directory (`in_subprocess`); the
+test runs `rainlink.cli.main` in its own interpreter (`in_process`),
+which gives the same lines. Each gives one line: its name, the exit
+code, and the sha256 of stdout, stderr and the plot file (`-` when none
+was written). The inputs' directory is written as `<work>` in the output
+before it is hashed, so the digests do not depend on where it is. The
+file has no `test_` prefix, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -154,21 +159,51 @@ def digest(data: bytes, work: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
+def in_subprocess(argv: list[str], work: str) -> tuple[int, bytes, bytes]:
+    """The exit code, stdout and stderr of one `python3 -m rainlink.cli argv`
+    process on this checkout's src/, run in work."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONHASHSEED="0")
+    run = subprocess.run([sys.executable, "-m", "rainlink.cli", *argv],
+                         cwd=work, env=env, capture_output=True)
+    return run.returncode, run.stdout, run.stderr
+
+
+def in_process(argv: list[str], work: str) -> tuple[int, bytes, bytes]:
+    """The same from rainlink.cli.main(argv), run in this interpreter with
+    work as the current directory."""
+    from rainlink.cli import main
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(home)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def lines(work: str, run=in_subprocess, names=None):
+    """One line per invocation (those in names, if given), each run by
+    run(argv, work)."""
+    plot = os.path.join(work, "plot.csv")
+    for name, argv in invocations(work):
+        if names is not None and name not in names:
+            continue
+        if os.path.exists(plot):
+            os.remove(plot)
+        code, stdout, stderr = run(argv, work)
+        plotted = "-"
+        if os.path.exists(plot):
+            with open(plot, "rb") as fh:
+                plotted = digest(fh.read(), work)
+        yield (f"{name} exit={code} stdout={digest(stdout, work)} "
+               f"stderr={digest(stderr, work)} plot={plotted}")
+
+
+def main() -> None:
     with tempfile.TemporaryDirectory(prefix="cli-digests-") as work:
-        plot = os.path.join(work, "plot.csv")
-        for name, argv in invocations(work):
-            if os.path.exists(plot):
-                os.remove(plot)
-            run = subprocess.run([sys.executable, "-m", "rainlink.cli", *argv],
-                                 cwd=work, env=env, capture_output=True)
-            plotted = "-"
-            if os.path.exists(plot):
-                with open(plot, "rb") as fh:
-                    plotted = digest(fh.read(), work)
-            print(f"{name} exit={run.returncode} stdout={digest(run.stdout, work)} "
-                  f"stderr={digest(run.stderr, work)} plot={plotted}", flush=True)
+        for line in lines(work):
+            print(line, flush=True)
 
 
 if __name__ == "__main__":
