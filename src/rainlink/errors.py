@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package; Record, the
-base of every one of its immutable records; and read_text, the one
-reader of input files, which raises those types.
+base of every one of its immutable records; and read_text and
+read_packaged, the readers of input and packaged files, which raise them.
 
 The hierarchy keeps three concerns separate so the CLI can map them to
 stable exit codes: bad values fed to the math (DomainError), bad input
@@ -9,6 +9,8 @@ documents (ParseError / ValidationError), and bad run configuration
 """
 
 from __future__ import annotations
+
+import os
 
 # sets an attribute past Record.__setattr__
 _set = object.__setattr__
@@ -134,3 +136,8 @@ def read_text(path: str, error: type[RainlinkError] = ParseError) -> str:
             return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 at byte {exc.start}") from exc
+
+
+def read_packaged(name: str) -> str:
+    """The text of the data file name packaged under rainlink/data."""
+    return read_text(os.path.join(os.path.dirname(__file__), "data", name))

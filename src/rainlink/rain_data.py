@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
 from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError, Record,
-                     SeparationWarning, ValidationError)
+                     SeparationWarning, ValidationError, read_packaged)
 from .geometry import GroundStation
 
 CATALOG_HEADER = ["name", "latitude_deg", "longitude_deg", "altitude_m"]
@@ -47,8 +47,8 @@ class Strategy(str, Enum):
 
 
 class RainSeries(Record):
-    """An ordered precipitation series for one station, held as a times
-    column and a rates column of equal length.
+    """A precipitation series for one station: at least one sample, held as
+    a strictly increasing times column and a finite, >= 0 rates column.
 
     cadence is a declared label ("monthly", "30-minute") or "", never
     inferred: resolve_r001 reads mean_spacing_hours() itself. The series
@@ -67,6 +67,15 @@ class RainSeries(Record):
             rates = [r for _, r in samples]
         if len(times) != len(rates):
             raise DomainError(f"{len(times)} times but {len(rates)} rates")
+        if not times:
+            raise ValidationError("series has no sample rows")
+        try:  # a naive time compared with an aware one raises TypeError
+            if not all(map(operator.lt, times, times[1:])):
+                raise DomainError("series times must strictly increase")
+        except TypeError as exc:
+            raise DomainError(f"series times do not compare: {exc}") from exc
+        if not all(0.0 <= r < math.inf for r in set(rates)):  # a NaN fails both
+            raise DomainError("series rates must be finite and >= 0")
         super().__init__(station_ref, tuple(times), tuple(rates), cadence)
 
     @property
@@ -74,10 +83,8 @@ class RainSeries(Record):
         return tuple(zip(self.times, self.rates))
 
     def mean_spacing_hours(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        span = self.times[-1] - self.times[0]
-        return span.total_seconds() / 3600.0 / (len(self.times) - 1)
+        span = self.times[-1] - self.times[0]  # 0 for one sample
+        return span.total_seconds() / 3600.0 / max(len(self.times) - 1, 1)
 
 
 class StationCatalog(Record):
@@ -292,15 +299,15 @@ def _parse_columns(text: str):
     """The whole series in one pass: (times, rates), or None when the text
     is not in the plain form this pass accepts and _parse_rows must read it.
 
-    The plain form is the exact header, then lines of one comma each with
-    no quotes, no CR and no blank line; UTC timestamps that fromisoformat
-    reads as such, strictly increasing; finite, non-negative rates. Any
+    The plain form is the exact header, then lines of one comma each with no
+    quotes, no CR and no blank line; UTC timestamps that fromisoformat reads
+    as such; rates that float reads. RainSeries checks order and rates. Any
     other text, naive or other offsets included, is left to the row loop,
-    which alone reports errors. A chunk of Z stamps is proved one comma a
-    line and UTC by one count; +00:00, -00:00 or a mix keep both per-sample
-    checks. The body is read by offset in chunks of about _CHUNK_CHARS, cut
-    at newlines, so one chunk at most is held as lines and cells; each
-    distinct rate text is parsed once, and its samples share one float.
+    which alone reports errors. A chunk of Z stamps is proved one comma a line
+    and UTC by one count; +00:00, -00:00 or a mix keep both per-sample checks.
+    The body is read by offset in chunks of about _CHUNK_CHARS, cut at
+    newlines, so one chunk at most is held as lines and cells; each distinct
+    rate text is parsed once, and its samples share one float.
     """
     start, end = len(_SERIES_HEADER_LINE) + 1, len(text) - text.endswith("\n")
     if not text.startswith(_SERIES_HEADER_LINE + "\n") or '"' in text or "\r" in text:
@@ -322,19 +329,16 @@ def _parse_columns(text: str):
                 and not all(map(operator.contains, chunk.split("\n"), [","] * commas)):
             return None
         cells = chunk.replace("\n", ",").split(",")
-        k = max(len(times) - 1, 0)  # from the last stamp before this chunk
+        k = len(times)  # the first stamp of this chunk
         try:
             times += map(datetime.fromisoformat, cells[0::2])
-            fresh = {t: float(t) for t in set(cells[1::2]).difference(floats)}
+            floats.update({t: float(t) for t in set(cells[1::2]).difference(floats)})
         except ValueError:
             return None
-        if not (all(0.0 <= r < math.inf for r in fresh.values())  # a NaN fails both
-                and (zulu or set(map(operator.attrgetter("tzinfo"), times[k:])) == {timezone.utc})
-                and all(map(operator.lt, times[k:], times[k + 1:]))):
+        if not zulu and set(map(operator.attrgetter("tzinfo"), times[k:])) != {timezone.utc}:
             return None
-        floats.update(fresh)
         rates += map(floats.__getitem__, cells[1::2])
-    return (times, rates) if times else None  # no row: the row loop rejects it
+    return times, rates
 
 
 def _parse_rows(text: str):
@@ -355,8 +359,6 @@ def _parse_rows(text: str):
             raise ParseError(f"timestamp {row[0].strip()} not after the previous row", line=idx)
         times.append(ts)
         rates.append(rate)
-    if not times:
-        raise ValidationError("series has no sample rows")
     return times, rates
 
 
@@ -364,17 +366,19 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
     """Parse a rain series CSV: strictly increasing UTC timestamps,
     finite non-negative rates, at least one sample.
 
-    Text in the plain form analysis.series_to_csv writes is parsed in
-    bulk; any other text, and every error, goes through the row loop.
+    Text in the plain form analysis.series_to_csv writes is parsed in bulk;
+    the row loop reads any other, and any RainSeries rejects, to name the line.
     """
-    times, rates = _parse_columns(text) or _parse_rows(text)
-    return RainSeries(station_ref, times, rates, cadence)
+    if (columns := _parse_columns(text)) is not None:
+        try:
+            return RainSeries(station_ref, *columns, cadence)
+        except (DomainError, ValidationError):
+            pass
+    return RainSeries(station_ref, *_parse_rows(text), cadence)
 
 
 def mean_rain_rate(series: RainSeries) -> float:
     """Arithmetic mean of the sample rates, mm/hr."""
-    if not series.rates:
-        raise DomainError("series is empty")
     try:
         return math.fsum(series.rates) / len(series.rates)
     except OverflowError as exc:
@@ -406,8 +410,6 @@ def chebil_r001(annual_accumulation_mm: float) -> float:
 def empirical_exceedance_rate(series: RainSeries, p_percent: float) -> float:
     """The rate exceeded during p percent of samples: sort descending and
     take the value at rank ceil(p/100 * N), clamped to a valid index."""
-    if not series.rates:
-        raise DomainError("series is empty")
     check("percentage", p_percent, "percentage")
     rates = sorted(series.rates, reverse=True)
     rank = math.ceil(p_percent / 100.0 * len(rates))
@@ -445,5 +447,4 @@ def resolve_r001(series: RainSeries, strategy: Strategy | str,
 def packaged_catalog_text() -> str:
     """The bundled six-station catalog CSV (printed coordinates kept
     bit-exact)."""
-    from importlib import resources
-    return resources.files("rainlink.data").joinpath("stations_africa.csv").read_text(encoding="utf-8")
+    return read_packaged("stations_africa.csv")

@@ -14,10 +14,9 @@ import csv
 import functools
 import math
 from enum import Enum
-from importlib import resources
 
 from .constants import check
-from .errors import ParseError, Record, read_text
+from .errors import ParseError, Record, read_packaged, read_text
 
 
 class Polarization(str, Enum):
@@ -117,10 +116,8 @@ def parse_coefficient_table(text: str) -> CoefficientTable:
 def load_coefficient_table(path: str | None = None) -> CoefficientTable:
     """Load the regression constants, from the packaged data file by
     default or from an override path."""
-    if path is not None:
-        return parse_coefficient_table(read_text(path))
-    return parse_coefficient_table(resources.files("rainlink.data").joinpath(
-        "p838_coefficients.txt").read_text(encoding="utf-8"))
+    text = read_packaged("p838_coefficients.txt") if path is None else read_text(path)
+    return parse_coefficient_table(text)
 
 
 @functools.cache
@@ -161,7 +158,7 @@ def specific_attenuation(rain_rate_mm_per_hr: float,
 def load_validation_table() -> list[tuple[float, float, float, float, float]]:
     """Packaged sampled-frequency validation rows as
     (frequency, kappa_h, alpha_h, kappa_v, alpha_v) tuples."""
-    text = resources.files("rainlink.data").joinpath("p838_validation.csv").read_text(encoding="utf-8")
+    text = read_packaged("p838_validation.csv")
     return [tuple(float(rec[k]) for k in ("frequency_GHz", "kappa_h", "alpha_h",
                                           "kappa_v", "alpha_v"))
             for rec in csv.DictReader(text.splitlines())]

@@ -114,6 +114,11 @@ MUTANTS = [
     Mutant("rain_data.py", "_COARSE_CADENCE_HOURS = 24.0 * 28.0", "_COARSE_CADENCE_HOURS = 24.0 * 27.0"),
     Mutant("rain_data.py", "_R001_RANK_SAMPLES = 10_000", "_R001_RANK_SAMPLES = 9_999"),
     Mutant("rain_data.py", "MEAN_EARTH_RADIUS_KM * math.asin(", "MEAN_EARTH_RADIUS_KM * math.atan("),
+    # the series rules RainSeries checks: strictly increasing times, finite
+    # non-negative rates
+    Mutant("rain_data.py", "all(map(operator.lt, times", "all(map(operator.le, times"),
+    Mutant("rain_data.py", "0.0 <= r < math.inf", "0.0 < r < math.inf"),
+    Mutant("rain_data.py", "0.0 <= r < math.inf", "0.0 <= r <= math.inf"),
     # P.838-3: the regressions and gamma = kappa R^alpha
     Mutant("rain_physics.py", "total = self.m * lf + self.offset", "total = self.m * lf - self.offset"),
     Mutant("rain_physics.py", "math.exp(-(((lf - b_j) / c_j) ** 2))",

@@ -31,10 +31,12 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_the_coefficient_path_loads_only_its_modules():
-    # the set-up probe of perfbench/run.py
-    assert fresh(f"rainlink.regression_coefficients(28.5); {LOADED}") == (
-        "['rainlink', 'rainlink.constants', 'rainlink.data', 'rainlink.errors', "
-        "'rainlink.rain_physics'] []\n")
+    # the set-up probe of perfbench/run.py; the packaged table is read by
+    # path, so neither rainlink.data nor importlib.resources is imported
+    assert fresh(f"rainlink.regression_coefficients(28.5); {LOADED}; "
+                 "print('importlib.resources' in sys.modules)") == (
+        "['rainlink', 'rainlink.constants', 'rainlink.errors', "
+        "'rainlink.rain_physics'] []\nFalse\n")
 
 
 def test_each_export_is_its_defining_modules_object():

@@ -208,7 +208,7 @@ class TestSerializers:
         assert catalog_to_csv(catalog) == oracle_catalog_csv(catalog)
 
     @settings(max_examples=100, deadline=None)
-    @given(rates=st.lists(st.floats(min_value=0.0, max_value=1e308), max_size=40),
+    @given(rates=st.lists(st.floats(min_value=0.0, max_value=1e308), min_size=1, max_size=40),
            step=st.integers(min_value=1, max_value=10 ** 6))
     def test_series_text_is_the_csv_writer_loop(self, rates, step):
         series = make_series(rates, step_hours=step / 3600.0)
@@ -720,13 +720,27 @@ def series_text(lines, final_newline=True):
 
 
 def outcome(parse, text):
-    """What parsing text gives: the columns, or the error raised."""
+    """What parsing text gives, once RainSeries has checked the columns:
+    the columns, or the error raised."""
     try:
-        times, rates = parse(text)
+        series = RainSeries("", *parse(text))
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
-    assert all(t.tzinfo is timezone.utc for t in times)
-    return tuple(times), tuple(rates)
+    assert all(t.tzinfo is timezone.utc for t in series.times)
+    return series.times, series.rates
+
+
+def declined(text):
+    """Whether parse_rain_series leaves text to the row loop: the bulk pass
+    declines it, or RainSeries rejects the columns the pass gives."""
+    columns = rain_data._parse_columns(text)
+    if columns is None:
+        return True
+    try:
+        RainSeries("", *columns)
+    except (DomainError, ValidationError):
+        return True
+    return False
 
 
 def bulk_first(text):
@@ -824,8 +838,8 @@ class TestBulkParse:
         expected = outcome(rain_data._parse_rows, text)
         assert outcome(bulk_first, text) == expected
         if not isinstance(expected[0], tuple):
-            # the row loop rejects it, so the bulk pass must have declined
-            assert rain_data._parse_columns(text) is None
+            # the row loop rejects it, so the bulk path must have left it there
+            assert declined(text)
 
     # the two agreement properties again, with chunks of a few dozen
     # characters, so that most texts cross several chunk boundaries
@@ -855,7 +869,7 @@ class TestBulkParse:
         "2010-01-01T00:00:00Z,1,2010-01-02T00:00:00Z\n2\n",
     ])
     def test_degenerate_texts_match_row_loop(self, text):
-        assert rain_data._parse_columns(text) is None
+        assert declined(text)
         assert outcome(bulk_first, text) == outcome(rain_data._parse_rows,
                                                     text)
 
@@ -917,7 +931,8 @@ class TestBulkParse:
 
 class TestChunkBoundaries:
     """Defects where one chunk of the bulk pass ends and the next begins:
-    the pass declines, and the row loop names the line."""
+    the pass declines, or RainSeries rejects its columns, and the row loop
+    names the line."""
 
     # 25 characters each with its newline: chunks of 2 * 25 - 1 characters,
     # each cut at the next newline, hold lines 0-1, 2-3 and 4-5
@@ -928,17 +943,23 @@ class TestChunkBoundaries:
     def two_line_chunks(self, monkeypatch):
         monkeypatch.setattr(rain_data, "_CHUNK_CHARS", 2 * 25 - 1)
 
-    @pytest.mark.parametrize("kind, token, message", [
-        ("repeat", "", "timestamp 2010-01-01T01:00:00Z not after the previous row"),
-        ("swap", "", "timestamp 2010-01-01T01:00:00Z not after the previous row"),
-        ("rate", "nan", "non-finite rate nan"),
-        ("one_field", "", "expected 2 fields, got 1"),
+    @pytest.mark.parametrize("kind, token, message, owner", [
+        ("repeat", "", "timestamp 2010-01-01T01:00:00Z not after the previous row", "record"),
+        ("swap", "", "timestamp 2010-01-01T01:00:00Z not after the previous row", "record"),
+        ("rate", "nan", "non-finite rate nan", "record"),
+        ("one_field", "", "expected 2 fields, got 1", "pass"),
     ], ids=["repeat", "swap", "nan", "no_comma"])
-    def test_defect_declines_to_the_row_loop(self, kind, token, message):
+    def test_defect_declines_to_the_row_loop(self, kind, token, message, owner):
         # each defect is in LINES[2], line 4 of the file: the first line of
-        # the second chunk
+        # the second chunk. The form is the pass's rule; order and rates
+        # are the record's, which rejects the columns the pass gives
         text = series_text(mutate(self.LINES, kind, 2, token))
-        assert rain_data._parse_columns(text) is None
+        columns = rain_data._parse_columns(text)
+        if owner == "pass":
+            assert columns is None
+        else:
+            with pytest.raises(DomainError):
+                RainSeries("", *columns)
         with pytest.raises(ParseError) as err:
             parse_rain_series(text)
         assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
@@ -1034,7 +1055,8 @@ class TestReductions:
         assert annual_accumulation(1e300) == 1e300 * 8766.0
 
     def test_empty_series_has_no_mean(self):
-        with pytest.raises(DomainError, match="series is empty"):
+        # a series has at least one sample, checked when it is built
+        with pytest.raises(ValidationError, match="^series has no sample rows$"):
             mean_rain_rate(RainSeries("x"))
 
     def test_negative_mean_rate_or_accumulation_rejected(self):
@@ -1084,8 +1106,9 @@ class TestEmpiricalExceedance:
             assert hi <= lo
 
     def test_empty_series_rejected(self):
-        with pytest.raises(DomainError, match="series is empty"):
-            empirical_exceedance_rate(RainSeries("x"), 0.01)
+        # a series has at least one sample, checked when it is built
+        with pytest.raises(ValidationError, match="^series has no sample rows$"):
+            empirical_exceedance_rate(RainSeries("x", samples=()), 0.01)
 
     def test_p_bounds(self):
         series = make_series([1.0, 2.0])

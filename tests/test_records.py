@@ -233,6 +233,25 @@ class TestValidation:
         with pytest.raises(DomainError):
             RainSeries("x", (T0,), ())
 
+    @pytest.mark.parametrize("times, rates, error, message", [
+        ((T0,), (float("nan"),), DomainError, "^series rates must be finite and >= 0$"),
+        ((T0, T1), (1.0, float("inf")), DomainError, "^series rates must be finite and >= 0$"),
+        ((T0, T1), (0.0, -1.0), DomainError, "^series rates must be finite and >= 0$"),
+        ((T0, T0), (0.0, 1.0), DomainError, "^series times must strictly increase$"),
+        ((T1, T0), (0.0, 1.0), DomainError, "^series times must strictly increase$"),
+        ((T0, T1.replace(tzinfo=None)), (0.0, 1.0), DomainError,
+         "^series times do not compare: can't compare offset-naive and offset-aware"),
+        ((), (), ValidationError, "^series has no sample rows$"),
+    ], ids=["nan", "inf", "negative", "repeated", "decreasing", "naive_after_aware", "empty"])
+    @pytest.mark.parametrize("build", ["columns", "samples"])
+    def test_series_rules(self, times, rates, error, message, build):
+        # the rules parse_rain_series enforces hold for a series built by hand
+        with pytest.raises(error, match=message):
+            if build == "columns":
+                RainSeries("x", times, rates)
+            else:
+                RainSeries("x", samples=tuple(zip(times, rates)))
+
     def test_transmission_params_name_the_first_bad_field(self):
         with pytest.raises(DomainError, match="^bandwidth_Hz "):
             TransmissionParams(28.5, -1.0, 75.9, 200.0, 31.8, 868.4, 0.36,
