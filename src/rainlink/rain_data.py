@@ -19,6 +19,7 @@ from collections import Counter
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
 from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError, Record,
@@ -69,13 +70,17 @@ class RainSeries(Record):
             raise DomainError(f"{len(times)} times but {len(rates)} rates")
         if not times:
             raise ValidationError("series has no sample rows")
-        try:  # a naive time compared with an aware one raises TypeError
+        if not isinstance(times[0], datetime):
+            raise DomainError(f"series times must be datetimes, not {type(times[0]).__name__}")
+        column = "times"
+        try:  # a naive time after an aware one, or a rate that is not a number, raises TypeError
             if not all(map(operator.lt, times, times[1:])):
                 raise DomainError("series times must strictly increase")
+            column = "rates"
+            if not all(0.0 <= r < math.inf for r in set(rates)):  # a NaN fails both
+                raise DomainError("series rates must be finite and >= 0")
         except TypeError as exc:
-            raise DomainError(f"series times do not compare: {exc}") from exc
-        if not all(0.0 <= r < math.inf for r in set(rates)):  # a NaN fails both
-            raise DomainError("series rates must be finite and >= 0")
+            raise DomainError(f"series {column} do not compare: {exc}") from exc
         super().__init__(station_ref, tuple(times), tuple(rates), cadence)
 
     @property
@@ -114,9 +119,11 @@ class StationCatalog(Record):
         lat, lon, cos_lat = _radians(self.stations)
         names = [s.name for s in self.stations]
         later = [[] for _ in names]  # later[i]: each j > i close to i
-        for a, ids, ranges, near in _close_windows(lat, lon, cos_lat):
-            for b in [ids[q % len(ids)] for r in ranges for q in r] + near:
-                later[min(a, b)].append(max(a, b))
+        for ids, wrap, lows, highs, near, own in _close_windows(lat, lon, cos_lat):
+            for a, low, high, rest in zip(ids, lows, highs, near):
+                for b in wrap[low:high] + rest:
+                    if a < b or not own:
+                        later[min(a, b)].append(max(a, b))
         return tuple((names[i], names[j], _haversine_km(lat, lon, cos_lat, i, j))
                      for i, js in enumerate(later) for j in sorted(js))
 
@@ -135,73 +142,81 @@ def _radians(stations) -> tuple[list[float], list[float], list[float]]:
     return lat, [math.radians(s.longitude_deg) for s in stations], list(map(math.cos, lat))
 
 
-# Close pairs come from latitude strips THETA / 4 high, THETA the angle at the
-# minimum separation. Caps shrunk or widened by 1e-6 (far beyond rounding) bound
-# the longitudes certainly and maybe close; the haversine argument s = (1 - u_a .
-# u_b) / 2 (u: unit vectors) decides the latter, and within 1e-9 of it km does.
+# Close pairs come from latitude strips THETA / 4 high, THETA the angle at the minimum
+# separation, sorted by longitude and taken in pairs (S, T), T at or above S in reach.
+# Caps shrunk or widened by 1e-6 (far beyond rounding) give a strip pair two longitude
+# half-widths: all pairs within the inner are close, none beyond the outer. The haversine
+# argument s = (1 - u_a . u_b) / 2 (u: unit vectors) decides the ring, within 1e-9 of it km.
 _THETA = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM
 _REACH = _THETA * (1.0 + 1e-6)
 _COS_IN, _COS_OUT = math.cos(_THETA * (1.0 - 1e-6)), math.cos(_REACH)
 _S_IN, _S_OUT = (math.sin(_THETA / 2.0) ** 2 * (1.0 + d) for d in (-1e-9, 1e-9))
+_DOT_IN, _DOT_OUT = 1.0 - 2.0 * _S_IN, 1.0 - 2.0 * _S_OUT  # u_a . u_b = 1 - 2 s
 
 
-def _half_width(cos_cap, sin_a, cos_a, sin_p, cos_p):
-    # longitude half-width at latitude p of the cap about a: pi all, -1 none
-    x = (cos_cap - sin_a * sin_p) / (cos_a * cos_p)
+def _half_width(cos_cap, a, p):
+    # longitude half-width at latitude p of the cap about latitude a: pi all, -1
+    # none. It is unimodal in each latitude, so over a box of latitudes the inner
+    # cap's is least at a corner, and the outer cap's greatest on an edge, at
+    # its peak sin(p) = sin(a) / cos(radius) clamped into the edge
+    x = (cos_cap - math.sin(a) * math.sin(p)) / (math.cos(a) * math.cos(p))
     return math.pi if x <= -1.0 else math.acos(x) if x < 1.0 else -1.0
 
 
-def _window(lons, c, w):
-    # positions [L, H), modulo n, of the sorted lons within w of c, across +-pi; H - L <= n
-    wraps_low, wraps_high = c - w < -math.pi, c + w > math.pi
-    low = bisect.bisect_left(lons, c - w + wraps_low * 2.0 * math.pi) - wraps_low * len(lons)
-    high = bisect.bisect_right(lons, c + w - wraps_high * 2.0 * math.pi) + wraps_high * len(lons)
-    return low, min(high, low + len(lons))
+def _widest(a, lo, hi):
+    peak = math.asin(max(-1.0, min(1.0, math.sin(a) / _COS_OUT)))
+    return _half_width(_COS_OUT, a, min(max(peak, lo), hi))
+
+
+def _windows(lons, wrap_lons, n, w):
+    # positions [low, high) in wrap_lons, a strip's n sorted lons (or those less
+    # 2 pi, as they are and plus 2 pi), within w of each lon: all n from low at pi
+    lows = list(map(bisect.bisect_left, repeat(wrap_lons), map(operator.sub, lons, repeat(w))))
+    return lows, list(map(operator.add, lows, repeat(n)) if w >= math.pi else map(
+        bisect.bisect_right, repeat(wrap_lons), map(operator.add, lons, repeat(w))))
 
 
 def _close_windows(lat, lon, cos_lat):
-    """Yield (a, ids, ranges, near) for each station a and each strip within
-    reach, from a's own up: ids[q % len(ids)] for q in ranges are certainly
-    close to a, near the others that are; in a's own strip only later ones."""
-    buckets, strips, sin, cos = {}, [], math.sin, math.cos
+    """Yield (ids, wrap, lows, highs, near, own) for each strip S and each strip T
+    within reach, from S's own up. Of T's ids in wrap (three times over where the
+    windows cross +-pi) those in wrap[lows[p]:highs[p]] are certainly close to
+    ids[p]; near[p] lists the others that are. In S's own strip (own) each pair
+    comes twice, and each station with itself."""
+    buckets, sin, cos = {}, math.sin, math.cos
     ux, uy = [c * cos(x) for c, x in zip(cos_lat, lon)], [c * sin(x) for c, x in zip(cos_lat, lon)]
     uz = list(map(sin, lat))
     for k in sorted(range(len(lat)), key=lon.__getitem__):  # ids by longitude
         buckets.setdefault(math.floor(lat[k] / (_THETA / 4.0)), []).append(k)
-    for _, ids in sorted(buckets.items()):
-        lo, hi = min(lat[k] for k in ids), max(lat[k] for k in ids)
-        strips.append((lo, hi, sin(lo), cos(lo), sin(hi), cos(hi), ids, [lon[k] for k in ids]))
-    for k, (*_, own_ids, _) in enumerate(strips):
-        for p, a in enumerate(own_ids):
-            phi, c, cos_a, sin_a, xa, ya = lat[a], lon[a], cos_lat[a], uz[a], ux[a], uy[a]
-            # widest at sin(phi*) = sin(phi) / cos(radius), or at a pole it holds
-            phi_star = math.asin(sin_a / _COS_OUT) if abs(sin_a) < _COS_OUT else 2.0
-            for lo, hi, sin_lo, cos_lo, sin_hi, cos_hi, ids, lons in strips[k:]:
-                if lo - phi > _REACH:
-                    break
-                w_in = min(_half_width(_COS_IN, sin_a, cos_a, sin_lo, cos_lo),
-                           _half_width(_COS_IN, sin_a, cos_a, sin_hi, cos_hi))
-                w_out = math.asin(min(1.0, sin(_REACH) / cos_a)) if lo <= phi_star <= hi else max(
-                    _half_width(_COS_OUT, sin_a, cos_a, sin_lo, cos_lo),
-                    _half_width(_COS_OUT, sin_a, cos_a, sin_hi, cos_hi))
-                n, (low, high) = len(ids), _window(lons, c, w_out)
-                in_low, in_high = _window(lons, c, w_in) if w_in >= 0.0 else (low, low)
-                rest = range(in_high, in_low + n) if high - low == n else \
-                    [*range(low, in_low), *range(in_high, high)]
-                own = ids is own_ids  # a is at p in both windows, later members at q < 0, p < q < n
-                ranges = (range(min(in_low, 0), 0), range(p + 1, min(in_high, n))) if own \
-                    else (range(in_low, in_high),)
-                maybe = (ids[q % n] for q in rest if not own or q < 0 or p < q < n)
-                yield a, ids, ranges, [
-                    b for b in maybe if (s := (1.0 - xa * ux[b] - ya * uy[b] - sin_a * uz[b]) / 2.0)
-                    < _S_IN or s < _S_OUT and _haversine_km(lat, lon, cos_lat, a, b) < MIN_SEPARATION_KM]
+    strips = [(min(lat[k] for k in ids), max(lat[k] for k in ids), ids, [lon[k] for k in ids])
+              for _, ids in sorted(buckets.items())]
+    for k, (lo, hi, ids, lons) in enumerate(strips):
+        for lo_t, hi_t, ids_t, lons_t in strips[k:]:
+            if lo_t - hi > _REACH:
+                break
+            w_in = min(_half_width(_COS_IN, a, p) for a in (lo, hi) for p in (lo_t, hi_t))
+            w_out = max(_widest(lo, lo_t, hi_t), _widest(hi, lo_t, hi_t),
+                        _widest(lo_t, lo, hi), _widest(hi_t, lo, hi))
+            wrap, wrap_lons, n = ids_t, lons_t, len(ids_t)
+            if lons[0] - w_out < -math.pi or lons[-1] + w_out > math.pi:
+                wrap, wrap_lons = ids_t * 3, [x - math.tau for x in lons_t] + lons_t + [
+                    x + math.tau for x in lons_t]
+            out_lows, out_highs = _windows(lons, wrap_lons, n, w_out)
+            lows, highs = _windows(lons, wrap_lons, n, w_in) if w_in >= 0.0 else (out_lows,) * 2
+            near = []
+            for a, low, high, in_low, in_high in zip(ids, out_lows, out_highs, lows, highs):
+                xa, ya, za = ux[a], uy[a], uz[a]
+                near.append([b for b in wrap[low:in_low] + wrap[in_high:high] if (
+                    d := xa * ux[b] + ya * uy[b] + za * uz[b]) > _DOT_IN or d > _DOT_OUT
+                    and _haversine_km(lat, lon, cos_lat, a, b) < MIN_SEPARATION_KM])
+            yield ids, wrap, lows, highs, near, ids is ids_t
 
 
 def _close_pair_summary(stations) -> tuple[int, tuple[float, int, int]]:
     """The number of pairs under MIN_SEPARATION_KM, and (km, i, j) of the
     first closest in all-pairs order, as min(close_pairs, key=km) picks it."""
     lat, lon, cos_lat = _radians(stations)
-    count = sum(sum(map(len, r)) + len(near) for _, _, r, near in _close_windows(lat, lon, cos_lat))
+    count = sum((sum(highs) - sum(lows) + sum(map(len, near)) - own * len(ids)) // (1 + own)
+                for ids, _, lows, highs, near, own in _close_windows(lat, lon, cos_lat))
     # a sweep by latitude that stops once the latitude term of s exceeds the
     # least s so far: that term never falls along the order, and the longitude
     # term only adds to it. Nearly equal s can round to equal km, so each close

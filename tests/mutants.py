@@ -119,6 +119,17 @@ MUTANTS = [
     Mutant("rain_data.py", "all(map(operator.lt, times", "all(map(operator.le, times"),
     Mutant("rain_data.py", "0.0 <= r < math.inf", "0.0 < r < math.inf"),
     Mutant("rain_data.py", "0.0 <= r < math.inf", "0.0 <= r <= math.inf"),
+    # the close-pair strip pairs: the caps shrunk and widened by 1e-6, the inner
+    # half-width least over the corners, the outer greatest over the edges at
+    # the clamped peak, windows across -pi wrapped, and a window of pi holding
+    # each member of T once
+    Mutant("rain_data.py", "math.cos(_THETA * (1.0 - 1e-6))", "math.cos(_THETA * (1.0 + 1e-6))"),
+    Mutant("rain_data.py", "_REACH = _THETA * (1.0 + 1e-6)", "_REACH = _THETA * (1.0 - 1e-6)"),
+    Mutant("rain_data.py", "w_in = min(", "w_in = max("),
+    Mutant("rain_data.py", "w_out = max(", "w_out = min("),
+    Mutant("rain_data.py", "a, min(max(peak, lo), hi))", "a, lo)"),
+    Mutant("rain_data.py", "if lons[0] - w_out < -math.pi or", "if lons[0] - w_out < -math.tau or"),
+    Mutant("rain_data.py", "if w >= math.pi else", "if w > math.pi else"),
     # P.838-3: the regressions and gamma = kappa R^alpha
     Mutant("rain_physics.py", "total = self.m * lf + self.offset", "total = self.m * lf - self.offset"),
     Mutant("rain_physics.py", "math.exp(-(((lf - b_j) / c_j) ** 2))",

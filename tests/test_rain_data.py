@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -462,9 +463,89 @@ class TestClosePairSearch:
                 parse_station_catalog(text)
         assert record == []
 
+    def test_stations_one_ulp_about_strip_edges(self):
+        # stations at each strip's least latitude as the search computes it,
+        # one ulp below it (the greatest of the strip under it) and one ulp
+        # above: corners of every strip pair
+        points = []
+        for k in (-20, -13, -5, -1, 0, 1, 2, 6, 13, 19, 20):
+            edge = strip_edge_deg(k)
+            for n, lat in enumerate((math.nextafter(edge, -90.0), edge,
+                                     math.nextafter(edge, 90.0))):
+                # a partner on the parallel just inside the cap, or across the pole
+                rim = rim_longitude(lat, lat) * (1.0 - 1e-9) if abs(lat) < 80.0 else 150.0
+                lon = (37.0 * k + 2.5 * n) % 360.0 - 180.0
+                points += [(lat, lon), (lat, (lon + rim + 180.0) % 360.0 - 180.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert len(pairs) > 100
+
+    def test_strips_of_one_station(self):
+        # each station is alone in its strip, so the strip pair's corners are
+        # the pair itself; partners 1 m inside or outside the minimum
+        # separation tell the 1e-6 shrink and widen of the caps apart
+        points = []
+        for j, (lat_a, lat_b) in enumerate(((-80.0, -71.0), (-60.0, -55.0), (-40.0, -31.0),
+                                            (-20.0, -11.0), (0.0, 9.0), (20.0, 25.0),
+                                            (40.0, 49.0), (60.0, 69.0), (76.0, 83.0))):
+            angle = THETA * (1.0 + (5e-7 if j % 2 else -5e-7))
+            lon = 180.0 * (j % 2) - 170.0
+            points += [(lat_a, lon), (lat_b, lon + rim_longitude(lat_a, lat_b, angle))]
+        catalog = parse_quietly(catalog_text(points))
+        strips = Counter(math.floor(math.radians(s.latitude_deg) / (THETA / 4.0))
+                         for s in catalog.stations)
+        assert set(strips.values()) == {1}
+        pairs = assert_matches_all_pairs(points)
+        assert [(a, b) for a, b, _ in pairs] == [(f"S{j}", f"S{j + 1}") for j in (0, 4, 8, 12, 16)]
+        assert all(0.0009 < MIN_SEPARATION_KM - d < 0.0011 for *_, d in pairs)
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_strip_pair_exactly_the_reach_apart(self, ulps):
+        # the lowest station of T sits _REACH (or one ulp less or more) above
+        # the highest of S: the first strip pair past the reach is skipped
+        points = []
+        for lat_a, lon in ((0.0, 10.0), (-30.0, 60.0), (45.0, -100.0)):
+            lat_b = math.degrees(math.radians(lat_a) + rain_data._REACH)
+            while math.radians(lat_b) - math.radians(lat_a) > rain_data._REACH:
+                lat_b = math.nextafter(lat_b, -90.0)
+            while math.radians(lat_b) - math.radians(lat_a) < rain_data._REACH:
+                lat_b = math.nextafter(lat_b, 90.0)
+            assert math.radians(lat_b) - math.radians(lat_a) == rain_data._REACH
+            for _ in range(abs(ulps)):
+                lat_b = math.nextafter(lat_b, 90.0 * ulps)
+            points += [(lat_a, lon), (lat_a - 2.0, lon + 3.0), (lat_b, lon),
+                       (lat_b + 2.0, lon - 1.0), (lat_b + 3.0, lon + 2.0)]
+        pairs = assert_matches_all_pairs(points)
+        assert len(pairs) == 12  # four in each group, none across the reach
+
+    def test_windows_wider_than_pi_near_a_pole(self):
+        # caps about stations above 72 degrees hold the pole: the outer window
+        # in a strip above is all of it, the inner only part, so the ring
+        # wraps from one side of the inner window around to the other
+        points = [(lat, lon) for lat in (72.5, 76.0, 80.0, 85.0, 89.5, 90.0)
+                  for lon in (-180.0, -135.0, -60.0, 0.0, 45.0, 100.0, 179.9, 180.0)]
+        points += [(-lat, -lon) for lat, lon in points[::3]]
+        pairs = assert_matches_all_pairs(points)
+        opposite = [(a, b) for a, b, _ in pairs
+                    if abs(points[int(a[1:])][1] - points[int(b[1:])][1]) >= 170.0]
+        assert len(opposite) > 50
+        assert len(pairs) < len(points) * (len(points) - 1) // 2
+
 
 # the latitude strips of the close-pair search are a quarter of this angle
 THETA = MIN_SEPARATION_KM / MEAN_EARTH_RADIUS_KM
+
+
+def strip_edge_deg(k):
+    """The least latitude, degrees, that the close-pair search puts in strip
+    k, the one from k * THETA / 4 radians up."""
+    def strip(deg):
+        return math.floor(math.radians(deg) / (THETA / 4.0))
+    lat = math.degrees(k * THETA / 4.0)
+    while strip(lat) >= k:
+        lat = math.nextafter(lat, -90.0)
+    while strip(lat) < k:
+        lat = math.nextafter(lat, 90.0)
+    return lat
 
 
 def assert_matches_all_pairs(points):
@@ -480,11 +561,11 @@ def assert_matches_all_pairs(points):
     return pairs
 
 
-def rim_longitude(lat_a, lat_b):
+def rim_longitude(lat_a, lat_b, angle=THETA):
     """The longitude offset, degrees, at which latitude lat_b meets the
-    circle of radius THETA about a station at lat_a."""
+    circle of radius angle about a station at lat_a."""
     pa, pb = math.radians(lat_a), math.radians(lat_b)
-    return math.degrees(math.acos((math.cos(THETA) - math.sin(pa) * math.sin(pb))
+    return math.degrees(math.acos((math.cos(angle) - math.sin(pa) * math.sin(pb))
                                   / (math.cos(pa) * math.cos(pb))))
 
 

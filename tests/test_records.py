@@ -242,7 +242,14 @@ class TestValidation:
         ((T0, T1.replace(tzinfo=None)), (0.0, 1.0), DomainError,
          "^series times do not compare: can't compare offset-naive and offset-aware"),
         ((), (), ValidationError, "^series has no sample rows$"),
-    ], ids=["nan", "inf", "negative", "repeated", "decreasing", "naive_after_aware", "empty"])
+        # a wrong type is a DomainError, not a bare TypeError, and integer
+        # times do not build a series that a reduction later fails on
+        ((T0,), ("1.0",), DomainError, "^series rates do not compare: '<=' .* 'str'$"),
+        ((T0,), (None,), DomainError, "^series rates do not compare: .* 'NoneType'$"),
+        ((1, 2), (0.0, 1.0), DomainError, "^series times must be datetimes, not int$"),
+        ((T0, 2), (0.0, 1.0), DomainError, "^series times do not compare: '<' not supported"),
+    ], ids=["nan", "inf", "negative", "repeated", "decreasing", "naive_after_aware", "empty",
+            "str_rate", "none_rate", "int_times", "int_after_datetime"])
     @pytest.mark.parametrize("build", ["columns", "samples"])
     def test_series_rules(self, times, rates, error, message, build):
         # the rules parse_rain_series enforces hold for a series built by hand
