@@ -34,8 +34,7 @@ _EXPORTS = {
     "rain_data": "RainSeries StationCatalog Strategy annual_accumulation chebil_r001 "
                  "empirical_exceedance_rate mean_rain_rate packaged_catalog_text "
                  "parse_rain_series parse_station_catalog resolve_r001",
-    "rain_physics": "CoefficientTable Polarization RainCoefficients SpecificAttenuation "
-                    "load_coefficient_table load_validation_table parse_coefficient_table "
+    "rain_physics": "Polarization RainCoefficients SpecificAttenuation load_validation_table "
                     "regression_coefficients specific_attenuation",
     "scenario": "Scenario SourceDescriptor SourceKind parse_scenario resolve_sources",
 }

@@ -1,6 +1,7 @@
 """Exception and warning types shared across the package; Record, the
-base of every one of its immutable records; and read_text and
-read_packaged, the readers of input and packaged files, which raise them.
+base of every one of its immutable records; Choice, the base of its
+enumerations; and read_text and read_packaged, the readers of input and
+packaged files, which raise them.
 
 The hierarchy keeps three concerns separate so the CLI can map them to
 stable exit codes: bad values fed to the math (DomainError), bad input
@@ -11,6 +12,7 @@ documents (ParseError / ValidationError), and bad run configuration
 from __future__ import annotations
 
 import os
+from enum import Enum
 
 # sets an attribute past Record.__setattr__
 _set = object.__setattr__
@@ -107,6 +109,16 @@ class ConfigError(RainlinkError):
 class UsageError(RainlinkError):
     """The caller asked for something the interface does not offer
     (unknown format, unknown source label)."""
+
+
+class Choice(str, Enum):
+    """A string enumeration whose lookup of any other value is a
+    DomainError listing the members' values."""
+
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(member.value for member in cls)
+        raise DomainError(f"must be one of {choices}, got {value!r}")
 
 
 class SeparationWarning(UserWarning):

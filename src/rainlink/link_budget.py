@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from enum import Enum
 
 from .constants import BOLTZMANN_J_PER_K, HOURS_PER_YEAR, check
-from .errors import ConfigError, DomainError, Record
+from .errors import Choice, ConfigError, DomainError, Record
 from .geometry import free_space_path_loss, slant_range
 
 
-class CnrMode(str, Enum):
+class CnrMode(Choice):
     PHYSICS = "physics"
     CALIBRATED = "calibrated"
 

@@ -17,12 +17,11 @@ import operator
 import warnings
 from collections import Counter
 from datetime import datetime, timezone
-from enum import Enum
 from functools import cached_property
 from itertools import repeat
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
-from .errors import (CadenceWarning, CoverageWarning, DomainError, ParseError, Record,
+from .errors import (CadenceWarning, Choice, CoverageWarning, DomainError, ParseError, Record,
                      SeparationWarning, ValidationError, read_packaged)
 from .geometry import GroundStation
 
@@ -42,7 +41,7 @@ _CHUNK_CHARS = 1 << 16
 _R001_RANK_SAMPLES = 10_000
 
 
-class Strategy(str, Enum):
+class Strategy(Choice):
     CHEBIL_ANNUAL = "chebil_annual"
     EMPIRICAL_EXCEEDANCE = "empirical_exceedance"
 

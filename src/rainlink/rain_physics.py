@@ -1,25 +1,21 @@
 """Frequency- and polarization-dependent power-law rain coefficients and
 the specific-attenuation law gamma = kappa * R^alpha.
 
-The regression constants from ITU-R P.838-3 ship as a documented
-plain-text data file next to this module and can be overridden via a
-path for auditability. A sampled-frequency validation table is packaged
-alongside so tests can pin the regression outputs.
+The regression constants of ITU-R P.838-3 are module constants, fixed by
+the recommendation. A sampled-frequency validation table is packaged in
+rainlink/data so that tests can pin the regression outputs.
 """
 
 from __future__ import annotations
 
-import configparser
 import csv
-import functools
 import math
-from enum import Enum
 
 from .constants import check
-from .errors import ParseError, Record, read_packaged, read_text
+from .errors import Choice, Record, read_packaged
 
 
-class Polarization(str, Enum):
+class Polarization(Choice):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
 
@@ -48,7 +44,10 @@ class SpecificAttenuation(Record):
 
 
 class _Regression(Record):
-    """One coefficient's Gaussian-sum regression in log10(frequency)."""
+    """One coefficient's Gaussian-sum regression in log10(frequency):
+    sum_j a_j exp(-((log10 f - b_j) / c_j)^2) + m log10 f + offset, which is
+    log10 of the coefficient when log_scale (kappa), else the coefficient
+    itself (alpha)."""
 
     a: tuple[float, ...]
     b: tuple[float, ...]
@@ -60,74 +59,37 @@ class _Regression(Record):
     def evaluate(self, frequency_GHz: float) -> float:
         lf = math.log10(frequency_GHz)
         total = self.m * lf + self.offset
-        try:
-            for a_j, b_j, c_j in zip(self.a, self.b, self.c):
-                total += a_j * math.exp(-(((lf - b_j) / c_j) ** 2))
-            return 10.0 ** total if self.log_scale else total
-        except OverflowError:
-            return math.inf  # outside every coefficient's domain
+        for a_j, b_j, c_j in zip(self.a, self.b, self.c):
+            total += a_j * math.exp(-(((lf - b_j) / c_j) ** 2))
+        return 10.0 ** total if self.log_scale else total
 
 
-class CoefficientTable(Record):
-    """The four regressions (kappa/alpha x horizontal/vertical)."""
-
-    kappa_h: _Regression
-    kappa_v: _Regression
-    alpha_h: _Regression
-    alpha_v: _Regression
-
-
-# the file's sections, in CoefficientTable's field order
-_SECTIONS = ("kappa_horizontal", "kappa_vertical", "alpha_horizontal", "alpha_vertical")
-
-
-def parse_coefficient_table(text: str) -> CoefficientTable:
-    """Parse the plain-text regression-constant format (INI sections with
-    space-separated float lists)."""
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ParseError(f"bad coefficient file: {exc}") from exc
-    regressions = []
-    for section in _SECTIONS:
-        if not parser.has_section(section):
-            raise ParseError(f"coefficient file missing section [{section}]")
-        sec = parser[section]
-        try:
-            a, b, c = (tuple(map(float, sec[k].split())) for k in "abc")
-            m = float(sec["m"])
-            offset = float(sec["offset"])
-            scale = sec["scale"].strip()
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"section [{section}]: {exc}") from exc
-        if not (len(a) == len(b) == len(c)) or not a:
-            raise ParseError(f"section [{section}]: a/b/c lists must be non-empty and equal length")
-        if scale not in ("log10", "linear"):
-            raise ParseError(f"section [{section}]: scale must be log10 or linear")
-        if any(x == 0.0 for x in c):
-            raise ParseError(f"section [{section}]: c terms must be non-zero")
-        if not all(map(math.isfinite, (*a, *b, *c, m, offset))):
-            raise ParseError(f"section [{section}]: constants must be finite")
-        regressions.append(_Regression(a, b, c, m, offset, scale == "log10"))
-    return CoefficientTable(*regressions)
-
-
-def load_coefficient_table(path: str | None = None) -> CoefficientTable:
-    """Load the regression constants, from the packaged data file by
-    default or from an override path."""
-    text = read_packaged("p838_coefficients.txt") if path is None else read_text(path)
-    return parse_coefficient_table(text)
-
-
-@functools.cache
-def _default_table() -> CoefficientTable:
-    return load_coefficient_table()
+# ITU-R P.838-3, valid 1 to 1000 GHz, transcribed from the recommendation;
+# edit only to correct against it. p838_validation.csv pins the outputs.
+_KAPPA_H = _Regression(a=(-5.33980, -0.35351, -0.23789, -0.94158),
+                       b=(-0.10008, 1.26970, 0.86036, 0.64552),
+                       c=(1.13098, 0.45400, 0.15354, 0.16817),
+                       m=-0.18961, offset=0.71147, log_scale=True)
+_KAPPA_V = _Regression(a=(-3.80595, -3.44965, -0.39902, 0.50167),
+                       b=(0.56934, -0.22911, 0.73042, 1.07319),
+                       c=(0.81061, 0.51059, 0.11899, 0.27195),
+                       m=-0.16398, offset=0.63297, log_scale=True)
+_ALPHA_H = _Regression(a=(-0.14318, 0.29591, 0.32177, -5.37610, 16.1721),
+                       b=(1.82442, 0.77564, 0.63773, -0.96230, -3.29980),
+                       c=(-0.55187, 0.19822, 0.13164, 1.47828, 3.43990),
+                       m=0.67849, offset=-1.95537, log_scale=False)
+_ALPHA_V = _Regression(a=(-0.07771, 0.56727, -0.20238, -48.2991, 48.5833),
+                       b=(2.33840, 0.95545, 1.14520, 0.791669, 0.791459),
+                       c=(-0.76284, 0.54039, 0.26809, 0.116226, 0.116479),
+                       m=-0.053739, offset=0.83433, log_scale=False)
+# per polarization, its kappa and alpha regressions
+_REGRESSIONS = {Polarization.HORIZONTAL: (_KAPPA_H, _ALPHA_H),
+                Polarization.VERTICAL: (_KAPPA_V, _ALPHA_V)}
 
 
 def regression_coefficients(frequency_GHz: float,
-                            polarization: Polarization | str = Polarization.VERTICAL,
-                            table: CoefficientTable | None = None) -> RainCoefficients:
+                            polarization: Polarization | str = Polarization.VERTICAL
+                            ) -> RainCoefficients:
     """Evaluate kappa and alpha at a frequency for one polarization.
 
     The regression is evaluated directly; no interpolation between
@@ -135,11 +97,9 @@ def regression_coefficients(frequency_GHz: float,
     """
     check("frequency_GHz", frequency_GHz, "frequency")
     pol = Polarization(polarization)
-    tab = table if table is not None else _default_table()
-    horizontal = pol is Polarization.HORIZONTAL
-    kappa = (tab.kappa_h if horizontal else tab.kappa_v).evaluate(frequency_GHz)
-    alpha = (tab.alpha_h if horizontal else tab.alpha_v).evaluate(frequency_GHz)
-    return RainCoefficients(frequency_GHz, pol, kappa, alpha)
+    kappa, alpha = _REGRESSIONS[pol]
+    return RainCoefficients(frequency_GHz, pol, kappa.evaluate(frequency_GHz),
+                            alpha.evaluate(frequency_GHz))
 
 
 def _gamma(rain_rate_mm_per_hr: float, coefficients: RainCoefficients) -> float:

@@ -7,17 +7,16 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Sequence
-from enum import Enum
 
 from .analysis import ResolvedSource
 from .constants import MIN_ELEVATION_DEG, check
-from .errors import ConfigError, DomainError, Record, read_text
+from .errors import Choice, ConfigError, DomainError, Record, read_text
 from .link_budget import CnrMode, TransmissionParams
 from .rain_data import StationCatalog, Strategy, parse_rain_series, resolve_r001
 from .rain_physics import Polarization
 
 
-class SourceKind(str, Enum):
+class SourceKind(Choice):
     R001 = "r001"
     SERIES = "series"
     ATTENUATION = "attenuation"
@@ -70,14 +69,12 @@ _KIND_FIELDS = {SourceKind.R001: (("value", "values"), (), "rain_rate_mm_per_hr"
                 SourceKind.ATTENUATION: (("values",), (), "attenuation_dB")}
 
 
-def _choice(enum: type[Enum], value, where: str):
+def _choice(enum: type[Choice], value, where: str):
     """value as a member of enum, or a ConfigError listing the members."""
     try:
         return enum(value)
-    except ValueError as exc:
-        choices = ", ".join(member.value for member in enum)
-        raise ConfigError(f"{where}: must be one of {choices}, "
-                          f"got {value!r}") from exc
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _number(value, where: str, quantity: str) -> float:

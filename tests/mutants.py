@@ -130,10 +130,15 @@ MUTANTS = [
     Mutant("rain_data.py", "a, min(max(peak, lo), hi))", "a, lo)"),
     Mutant("rain_data.py", "if lons[0] - w_out < -math.pi or", "if lons[0] - w_out < -math.tau or"),
     Mutant("rain_data.py", "if w >= math.pi else", "if w > math.pi else"),
-    # P.838-3: the regressions and gamma = kappa R^alpha
+    # P.838-3: the regressions, one transcribed constant of each, and
+    # gamma = kappa R^alpha
     Mutant("rain_physics.py", "total = self.m * lf + self.offset", "total = self.m * lf - self.offset"),
     Mutant("rain_physics.py", "math.exp(-(((lf - b_j) / c_j) ** 2))",
            "math.exp(-(((lf + b_j) / c_j) ** 2))"),
+    Mutant("rain_physics.py", "offset=0.71147,", "offset=0.71148,"),
+    Mutant("rain_physics.py", "offset=0.63297,", "offset=0.63298,"),
+    Mutant("rain_physics.py", "offset=-1.95537,", "offset=-1.95538,"),
+    Mutant("rain_physics.py", "offset=0.83433,", "offset=0.83434,"),
     Mutant("rain_physics.py", "coefficients.kappa * rain_rate_mm_per_hr ** coefficients.alpha",
            "coefficients.kappa * rain_rate_mm_per_hr * coefficients.alpha"),
     # comparison

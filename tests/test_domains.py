@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 
 import pytest
 
-from rainlink import DomainError, TransmissionParams
+from rainlink import (DomainError, RainCoefficients, RainSeries, TransmissionParams,
+                      carrier_to_noise, regression_coefficients, resolve_r001)
 from rainlink.constants import DOMAINS, check
 
 
@@ -32,3 +34,21 @@ class TestDomainTable:
 
     def test_every_transmission_field_has_a_domain(self):
         assert set(TransmissionParams._fields) <= set(DOMAINS)
+
+
+SERIES = RainSeries("x", (datetime(2020, 1, 1, tzinfo=timezone.utc),), (1.0,))
+
+
+@pytest.mark.parametrize("call, choices, value", [
+    (lambda: regression_coefficients(28.5, "diagonal"), "horizontal, vertical", "diagonal"),
+    (lambda: RainCoefficients(28.5, "diagonal", 0.1, 1.0), "horizontal, vertical", "diagonal"),
+    (lambda: carrier_to_noise(TransmissionParams(28.5, 2.1e9, 75.9, 20.0, 31.8, 868.4, 0.36,
+                                                 1200.0), 1.0, mode="bogus"),
+     "physics, calibrated", "bogus"),
+    (lambda: resolve_r001(SERIES, "bogus", "x"), "chebil_annual, empirical_exceedance", "bogus"),
+], ids=["regression_coefficients", "RainCoefficients", "carrier_to_noise", "resolve_r001"])
+def test_an_unknown_choice_is_a_domain_error(call, choices, value):
+    # DomainError is also a ValueError, what the enumeration raised before
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"must be one of {choices}, got {value!r}"

@@ -31,12 +31,13 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_the_coefficient_path_loads_only_its_modules():
-    # the set-up probe of perfbench/run.py; the packaged table is read by
-    # path, so neither rainlink.data nor importlib.resources is imported
+    # the set-up probe of perfbench/run.py; the regressions are constants of
+    # rain_physics, so no file is read: neither rainlink.data, nor
+    # importlib.resources, nor a configparser is imported
     assert fresh(f"rainlink.regression_coefficients(28.5); {LOADED}; "
-                 "print('importlib.resources' in sys.modules)") == (
+                 "print({'importlib.resources', 'configparser'} & sys.modules.keys())") == (
         "['rainlink', 'rainlink.constants', 'rainlink.errors', "
-        "'rainlink.rain_physics'] []\nFalse\n")
+        "'rainlink.rain_physics'] []\nset()\n")
 
 
 def test_each_export_is_its_defining_modules_object():

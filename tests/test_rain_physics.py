@@ -3,14 +3,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from importlib import resources
 
 import pytest
 
-from rainlink import (DomainError, ParseError, Polarization,
-                      RainCoefficients, load_coefficient_table,
-                      load_validation_table, parse_coefficient_table,
-                      regression_coefficients, specific_attenuation)
+from rainlink import (DomainError, Polarization, RainCoefficients,
+                      load_validation_table, regression_coefficients,
+                      specific_attenuation)
 from rainlink.constants import DOMAINS
 
 
@@ -103,127 +101,10 @@ class TestSpecificAttenuation:
             assert hi > lo
 
 
-class TestCoefficientTable:
-    def test_default_load(self):
-        table = load_coefficient_table()
-        assert table.kappa_h.log_scale
-        assert not table.alpha_v.log_scale
-
-    def test_override_path(self, tmp_path):
-        from importlib import resources
-        text = resources.files("rainlink.data").joinpath(
-            "p838_coefficients.txt").read_text(encoding="utf-8")
-        p = tmp_path / "coeffs.txt"
-        p.write_text(text)
-        table = load_coefficient_table(str(p))
-        c = regression_coefficients(28.5, "vertical", table=table)
-        assert abs(c.kappa - regression_coefficients(28.5, "vertical").kappa) < 1e-15
-
-    def test_override_path_not_utf8(self, tmp_path):
-        p = tmp_path / "coeffs.txt"
-        p.write_bytes(b"x\xff")
-        with pytest.raises(ParseError) as err:
-            load_coefficient_table(str(p))
-        assert str(err.value) == f"{p}: not UTF-8 at byte 1"
-
-    def test_missing_section_rejected(self):
-        with pytest.raises(ParseError):
-            parse_coefficient_table("[kappa_horizontal]\nscale = log10\n"
-                                    "a = 1\nb = 1\nc = 1\nm = 0\noffset = 0\n")
-
-    def test_ragged_lists_rejected(self):
-        text = ""
-        for section in ("kappa_horizontal", "kappa_vertical",
-                        "alpha_horizontal", "alpha_vertical"):
-            text += (f"[{section}]\nscale = linear\na = 1 2\nb = 1\nc = 1\n"
-                     "m = 0\noffset = 0\n")
-        with pytest.raises(ParseError):
-            parse_coefficient_table(text)
-
-    @pytest.mark.parametrize("field", ["a", "b", "c", "m", "offset"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_constant_rejected(self, field, value):
-        # such a constant would reach a json report as NaN, which is not JSON
-        def table(**given):
-            text = ""
-            for section in ("kappa_horizontal", "kappa_vertical",
-                            "alpha_horizontal", "alpha_vertical"):
-                lines = {"a": "1", "b": "1", "c": "1", "m": "0", "offset": "0",
-                         **(given if section == "alpha_vertical" else {})}
-                text += f"[{section}]\nscale = linear\n" + "".join(
-                    f"{key} = {number}\n" for key, number in lines.items())
-            return text
-
-        parse_coefficient_table(table(**{field: "2"}))
-        with pytest.raises(ParseError, match=r"section \[alpha_vertical\]: "
-                           "constants must be finite"):
-            parse_coefficient_table(table(**{field: value}))
-
-    def test_bad_scale_rejected(self):
-        text = ""
-        for section in ("kappa_horizontal", "kappa_vertical",
-                        "alpha_horizontal", "alpha_vertical"):
-            text += (f"[{section}]\nscale = exp\na = 1\nb = 1\nc = 1\n"
-                     "m = 0\noffset = 0\n")
-        with pytest.raises(ParseError):
-            parse_coefficient_table(text)
-
-
-PACKAGED = resources.files("rainlink.data").joinpath(
-    "p838_coefficients.txt").read_text(encoding="utf-8")
-
-
-def packaged_with(section, key, value):
-    """The packaged coefficient file with key set to value in section."""
-    text, count = re.subn(rf"(\[{section}\][^\[]*?\n{key} = )[^\n]*",
-                          lambda m: m.group(1) + value, PACKAGED, count=1)
-    assert count == 1
-    return text
-
-
-class TestCoefficientFileErrors:
-    def test_no_section_header(self):
-        with pytest.raises(ParseError, match="bad coefficient file"):
-            parse_coefficient_table("scale = log10\n")
-
-    def test_missing_key(self):
-        text = PACKAGED.replace("offset = 0.71147\n", "", 1)
-        with pytest.raises(ParseError,
-                           match=r"^section \[kappa_horizontal\]: 'offset'$"):
-            parse_coefficient_table(text)
-
-    def test_non_numeric_constant(self):
-        with pytest.raises(ParseError, match=r"^section \[alpha_horizontal\]: "
-                           "could not convert string to float: 'abc'$"):
-            parse_coefficient_table(packaged_with("alpha_horizontal", "m", "abc"))
-
-    def test_zero_c(self):
-        text = packaged_with("alpha_vertical", "c",
-                             "-0.76284 0.0 0.26809 0.116226 0.116479")
-        with pytest.raises(ParseError, match=r"^section \[alpha_vertical\]: "
-                           "c terms must be non-zero$"):
-            parse_coefficient_table(text)
-
-
 class TestCoefficientDomains:
-    """kappa and alpha are bounded: a table whose finite constants give a
-    coefficient outside its domain, or overflow on the way, is a
+    """kappa and alpha are bounded: the regressions stay inside their
+    domains over the band, and a hand-built record outside them is a
     DomainError, never an OverflowError or a negative kappa."""
-
-    @pytest.mark.parametrize("section, key, value", [
-        ("kappa_vertical", "m", "1e308"),  # 10 ** total overflows
-        ("alpha_vertical", "m", "1e308"),  # alpha 1.45e308
-        ("kappa_horizontal", "c", "1e-300 1e-300 1e-300 1e-300"),  # a Gaussian term overflows
-        ("kappa_vertical", "scale", "linear"),  # kappa -0.69
-    ])
-    def test_out_of_domain_table_is_domain_error(self, section, key, value):
-        table = parse_coefficient_table(packaged_with(section, key, value))
-        quantity, polarization = section.split("_")
-        low, high, unit = DOMAINS[quantity]
-        with pytest.raises(DomainError, match=re.escape(
-                f"{quantity}(28.5 GHz, {polarization}) ") + r"\S+ " + re.escape(
-                f"{unit} outside the finite domain [{low:g}, {high:g}]")):
-            regression_coefficients(28.5, polarization, table=table)
 
     def test_packaged_table_inside_the_domains_over_the_band(self):
         # 30,001 log-spaced frequencies, 1 to 1000 GHz

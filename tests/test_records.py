@@ -19,7 +19,7 @@ from typing import NamedTuple
 import pytest
 
 import rainlink
-from rainlink import (AttenuationCurve, CnrMode, CoefficientTable,
+from rainlink import (AttenuationCurve, CnrMode,
                       ComparisonRow, DomainError, GroundStation, LinkResult, PathGeometry,
                       Polarization, RainCoefficients, RainSeries,
                       ResolvedSource, Scenario, SourceDescriptor, SourceKind,
@@ -32,7 +32,6 @@ from rainlink.rain_physics import _Regression
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 T1 = datetime(2020, 1, 1, 1, tzinfo=timezone.utc)
 REG = _Regression((1.0, 2.0), (0.5, 1.5), (0.3, 0.4), 0.1, -0.2, True)
-REG_LINEAR = _Regression((1.0,), (0.5,), (0.3,), 0.1, -0.2, False)
 PARAMS = TransmissionParams(28.5, 2.1e9, 75.9, 20.0, 31.8, 868.4, 0.36, 1200.0)
 DESC = SourceDescriptor("ITU", SourceKind.R001, 90.0)
 ROW = ("Abuja", "ITU", 0.01, 34.2, 12.0, 0.36, 11.64, True)
@@ -57,8 +56,6 @@ CASES = [
     Case(SpecificAttenuation, (3.0, 50.0), (3.0, 50.5), {}),
     Case(_Regression, (REG.a, REG.b, REG.c, 0.1, -0.2, True),
          (REG.a, REG.b, REG.c, 0.1, -0.2, False), {}),
-    Case(CoefficientTable, (REG, REG_LINEAR, REG, REG_LINEAR),
-         (REG, REG, REG, REG_LINEAR), {}),
     Case(AttenuationCurve, (12.0, 50.0, ((0.01, 12.0), (0.1, 4.0)), ()),
          (12.0, 50.0, ((0.01, 12.0),), ()), {"diagnostics": ()}),
     Case(ResolvedSource, ("ITU", {"Abuja": 90.0}, None),
