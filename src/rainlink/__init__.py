@@ -22,8 +22,7 @@ _EXPORTS = {
     "analysis": "ComparisonRow ResolvedSource SweepTable availability_sweep catalog_to_csv "
                 "compare_sources emit_report overestimation_percentage plot_data_table "
                 "rank_stations series_to_csv write_report",
-    "attenuation": "AttenuationCurve attenuation_curve reference_attenuation scale_attenuation "
-                   "vertical_adjustment",
+    "attenuation": "AttenuationCurve attenuation_curve scale_attenuation",
     "errors": "CadenceWarning ConfigError CoverageWarning DomainError DuplicateWarning ParseError "
               "RainlinkError SeparationWarning UnsupportedRegimeError UsageError ValidationError",
     "geometry": "GroundStation PathGeometry free_space_path_loss rain_height rain_slant_path "

@@ -20,7 +20,7 @@ from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .attenuation import PPlan, attenuation_curve
+from .attenuation import PPlan, _chain
 from .constants import check
 from .errors import DomainError, Record, UsageError, ValidationError
 from .geometry import rain_slant_path
@@ -165,7 +165,7 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
     values = array("d", [0.0]) * (len(layout) * len(names))
     diagnostics: list[str] = []
     for station in catalog.stations:
-        path = None
+        chain_of = None  # built on the first rain-rate source
         curves = array("d")
         for source in sources:
             injected = source.attenuation_by_station is not None
@@ -179,12 +179,13 @@ def availability_sweep(catalog: StationCatalog, params: TransmissionParams,
                 cnr_of(value)  # a negative anchor fails here in physics mode
                 curves += array("d", [value]) * len(plan)
             else:
-                if path is None:
-                    path = rain_slant_path(station, params.elevation_deg)
-                curve = attenuation_curve(station, path, coeffs, value, plan)
-                for note in curve.diagnostics:
+                if chain_of is None:
+                    chain_of = _chain(station, rain_slant_path(station, params.elevation_deg),
+                                      coeffs, plan)
+                _, points, notes = chain_of(value)
+                for note in notes:
                     diagnostics.append(f"{station.name}/{source.label}: {note}")
-                curves.extend(map(itemgetter(1), curve.points))
+                curves.extend(map(itemgetter(1), points))
         values[block[station.name]] = array("d", map(curves.__getitem__, moved))
     return SweepTable(names, [label for label, _, _ in layout], [plan[j] for _, j, _ in layout],
                       values, cnr_of, params.required_margin_dB, diagnostics)

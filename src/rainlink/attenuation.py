@@ -50,40 +50,6 @@ def _reduction_factor(L_G_km: float, gamma_dB_per_km: float,
     return r001, ""
 
 
-def vertical_adjustment(L_G_km: float, r001: float, rain_height_km: float,
-                        station_altitude_km: float, elevation_deg: float,
-                        gamma_dB_per_km: float, frequency_GHz: float,
-                        absolute_latitude_deg: float) -> tuple[float, float]:
-    """Vertical adjustment step: returns (L_R_km, v001).
-
-    zeta = atan((h_R - h_s) / (L_G r001)); when zeta exceeds the
-    elevation the rain cell caps the path at L_G r001 / cos(e), else the
-    full vertical extent (h_R - h_s)/sin(e) applies. chi = 36 - |lat|
-    for |lat| < 36, else 0. The elevation enters the exponential in
-    degrees and the trigonometric terms in radians.
-    """
-    e_rad = math.radians(elevation_deg)
-    height = max(rain_height_km - station_altitude_km, 0.0)
-    horizontal = L_G_km * r001
-    # a zero horizontal extent takes the vertical path: zeta is undefined
-    if horizontal != 0.0 and math.atan2(height, horizontal) > e_rad:
-        L_R = horizontal / math.cos(e_rad)
-    else:
-        L_R = height / math.sin(e_rad)
-    chi = max(36.0 - abs(absolute_latitude_deg), 0.0)
-    v001 = 1.0 / (1.0 + math.sqrt(math.sin(e_rad)) * (
-        31.0 * (1.0 - math.exp(-elevation_deg / (1.0 + chi)))
-        * math.sqrt(L_R * gamma_dB_per_km) / frequency_GHz ** 2 - 0.45))
-    return L_R, v001
-
-
-def reference_attenuation(gamma_dB_per_km: float, effective_path_km: float) -> float:
-    """A001 = gamma * L_E, the attenuation exceeded 0.01% of an average year."""
-    if gamma_dB_per_km < 0.0 or effective_path_km < 0.0:
-        raise DomainError("specific attenuation and effective path must be >= 0")
-    return gamma_dB_per_km * effective_path_km
-
-
 def _z_below_1(abs_lat: float, elevation_deg: float) -> float:
     """The z term of the scaling exponent for p < 1% (it is zero at p >= 1%):
     zero at |lat| >= 36 deg; -0.005(|lat|-36) at elevations of 25 deg and
@@ -141,31 +107,59 @@ class PPlan(tuple):
         return plan
 
 
+def _chain(station: GroundStation, path: PathGeometry,
+           coefficients: RainCoefficients, plan: PPlan):
+    """The chain at one station: the terms that depend on neither R0.01
+    nor p are taken here, once. Its function of one R0.01 returns the
+    terms (gamma, r001, L_R, v001, A001), the (p, A_p) points over the
+    plan, and the notes: a clamp of r001, and each rise of A_p in p.
+
+    zeta = atan((h_R - h_s) / (L_G r001)); when zeta exceeds the
+    elevation the rain cell caps the path at L_G r001 / cos(e), else the
+    full vertical extent (h_R - h_s)/sin(e) applies. chi = 36 - |lat|
+    for |lat| < 36, else 0. A001 = gamma L_E, with L_E = L_R v001.
+    """
+    L_G, frequency_GHz = path.horizontal_projection_km, coefficients.frequency_GHz
+    elevation_deg, abs_lat = path.elevation_deg, abs(station.latitude_deg)
+    e_rad = math.radians(elevation_deg)
+    height = max(path.rain_height_km - station.altitude_km, 0.0)
+    chi = max(36.0 - abs_lat, 0.0)
+    factor = 31.0 * (1.0 - math.exp(-elevation_deg / (1.0 + chi)))
+    z = _z_below_1(abs_lat, elevation_deg)
+
+    def of(r001_rain_rate: float):
+        gamma = _gamma(r001_rain_rate, coefficients)
+        r001, clamped = _reduction_factor(L_G, gamma, frequency_GHz)
+        notes = [clamped] if clamped else []
+        horizontal = L_G * r001
+        # a zero horizontal extent takes the vertical path: zeta is undefined
+        if horizontal != 0.0 and math.atan2(height, horizontal) > e_rad:
+            L_R = horizontal / math.cos(e_rad)
+        else:
+            L_R = height / math.sin(e_rad)
+        v001 = 1.0 / (1.0 + math.sqrt(math.sin(e_rad)) * (
+            factor * math.sqrt(L_R * gamma) / frequency_GHz ** 2 - 0.45))
+        A001 = gamma * (L_R * v001)
+        points = _scaled(A001, z, elevation_deg, plan)
+        for (p_lo, a_lo), (p_hi, a_hi) in zip(points, points[1:]):
+            if a_hi > a_lo:
+                notes.append(
+                    f"monotonicity violation: A({p_hi:g}%) = {a_hi:.4f} dB exceeds "
+                    f"A({p_lo:g}%) = {a_lo:.4f} dB")
+        return (gamma, r001, L_R, v001, A001), points, notes
+    return of
+
+
 def attenuation_curve(station: GroundStation, path: PathGeometry,
                       coefficients: RainCoefficients, r001_rain_rate: float,
                       p_list: list[float]) -> AttenuationCurve:
-    """Run the full chain once for A001, then scale to every requested p
-    (a PPlan is taken as checked).
+    """The chain's one-source case: A001 from one R0.01, scaled to every
+    requested p (a PPlan is taken as checked).
 
     The returned curve is sorted ascending in p. Monotonicity (A_p
     non-increasing in p) is checked numerically and any violation is
     recorded as a diagnostic, never silently accepted.
     """
     plan = p_list if isinstance(p_list, PPlan) else PPlan(p_list)
-    gamma = _gamma(r001_rain_rate, coefficients)
-    r001, clamped = _reduction_factor(path.horizontal_projection_km, gamma,
-                                      coefficients.frequency_GHz)
-    diagnostics = [clamped] if clamped else []
-    L_R, v001 = vertical_adjustment(
-        path.horizontal_projection_km, r001, path.rain_height_km,
-        station.altitude_km, path.elevation_deg, gamma,
-        coefficients.frequency_GHz, abs(station.latitude_deg))
-    A001 = reference_attenuation(gamma, L_R * v001)
-    points = _scaled(A001, _z_below_1(abs(station.latitude_deg), path.elevation_deg),
-                     path.elevation_deg, plan)
-    for (p_lo, a_lo), (p_hi, a_hi) in zip(points, points[1:]):
-        if a_hi > a_lo:
-            diagnostics.append(
-                f"monotonicity violation: A({p_hi:g}%) = {a_hi:.4f} dB exceeds "
-                f"A({p_lo:g}%) = {a_lo:.4f} dB")
-    return AttenuationCurve(A001, r001_rain_rate, tuple(points), tuple(diagnostics))
+    (*_, A001), points, notes = _chain(station, path, coefficients, plan)(r001_rain_rate)
+    return AttenuationCurve(A001, r001_rain_rate, tuple(points), tuple(notes))

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from rainlink import (ConfigError, DomainError, DuplicateWarning,
                       GroundStation, LinkResult, Polarization,
                       ResolvedSource, StationCatalog, SweepTable,
-                      TransmissionParams, UsageError, ValidationError,
+                      TransmissionParams, UnsupportedRegimeError, UsageError,
+                      ValidationError,
                       attenuation_curve,
                       availability_sweep, compare_sources, emit_report,
                       evaluate_link, overestimation_percentage,
@@ -176,6 +177,28 @@ class TestAvailabilitySweep:
             margins = [m for _, m in sorted(rows)]
             for lo, hi in zip(margins, margins[1:]):
                 assert hi >= lo
+
+    def test_path_taken_only_for_rain_rate_sources(self):
+        # rain_slant_path rejects 3 deg; a station with only injected
+        # anchors never asks for its path
+        params = uplink_params(elevation_deg=3.0)
+        anchors = {s.name: 1.0 for s in catalog().stations}
+        table = availability_sweep(catalog(), params,
+                                   [ResolvedSource("GPM", attenuation_by_station=anchors)],
+                                   [0.01], mode="calibrated", k_clear_dB=3.0)
+        assert len(table) == 6
+        with pytest.raises(UnsupportedRegimeError, match="^elevation 3.0 deg below"):
+            availability_sweep(catalog(), params,
+                               [ResolvedSource("ITU", r001_by_station=anchors)], [0.01])
+
+    def test_builds_no_attenuation_curve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep built an AttenuationCurve")
+        monkeypatch.setattr(attenuation.AttenuationCurve, "__init__", refuse)
+        source = ResolvedSource("ITU", r001_by_station={
+            s.name: 90.0 for s in catalog().stations})
+        table = availability_sweep(catalog(), uplink_params(), [source], [0.01, 0.1])
+        assert len(table) == 12
 
     def test_injected_attenuation_constant_across_p(self):
         source = ResolvedSource("GPM", attenuation_by_station={

@@ -12,9 +12,8 @@ import rainlink.attenuation as attenuation
 from rainlink import (DomainError, DuplicateWarning, GroundStation,
                       PathGeometry, Polarization, RainCoefficients,
                       attenuation_curve, rain_slant_path,
-                      reference_attenuation, scale_attenuation,
-                      vertical_adjustment)
-from rainlink.attenuation import _reduction_factor, _z_below_1
+                      scale_attenuation)
+from rainlink.attenuation import PPlan, _chain, _reduction_factor, _z_below_1
 from rainlink.constants import DOMAINS
 
 
@@ -67,56 +66,72 @@ class TestHorizontalReductionFactor:
                 assert 0.0 < r <= 1.0
 
 
+def chain_terms(L_G_km, rate, latitude_deg=9.01, elevation_deg=20.0,
+                rain_height_km=5.0, altitude_km=0.348, kappa=7.0, alpha=1.0):
+    """The kernel's (gamma, r001, L_R, v001, A001) for one rate on a path
+    with ground projection L_G_km; kappa 7 and alpha 1 make gamma 14 dB/km
+    at 2 mm/h."""
+    e = math.radians(elevation_deg)
+    path = PathGeometry(elevation_deg, rain_height_km, L_G_km / math.cos(e), L_G_km)
+    station = GroundStation("S", latitude_deg, 7.0, altitude_km)
+    terms, _, _ = _chain(station, path, coeffs(kappa, alpha), PPlan([0.01]))(rate)
+    return terms
+
+
 class TestVerticalAdjustment:
     def test_documented_example(self):
-        l_r, v = vertical_adjustment(12.78, 0.3885, 5.0, 0.348, 20.0, 14.0,
-                                     28.5, 9.01)
-        assert abs(l_r - 5.283674565676077) < 1e-9
-        assert abs(v - 1.197827601153317) < 1e-9
+        gamma, r001, l_r, v, _ = chain_terms(12.78, 2.0)
+        assert gamma == 14.0
+        assert abs(r001 - 0.38844806205493226) < 1e-9
+        assert abs(l_r - 5.28296819965459) < 1e-9
+        assert abs(v - 1.1978370019948064) < 1e-9
 
     def test_chi_zero_at_high_latitude(self):
         # both chi branches must agree at the 36 degree boundary
-        _, v_at = vertical_adjustment(12.78, 0.3885, 5.0, 0.348, 20.0, 14.0,
-                                      28.5, 36.0)
-        _, v_above = vertical_adjustment(12.78, 0.3885, 5.0, 0.348, 20.0,
-                                         14.0, 28.5, 35.9999999)
+        _, _, _, v_at, _ = chain_terms(12.78, 2.0, latitude_deg=36.0)
+        _, _, _, v_above, _ = chain_terms(12.78, 2.0, latitude_deg=35.9999999)
         assert abs(v_at - v_above) < 1e-6
 
     def test_zero_gamma_limit(self):
-        _, v = vertical_adjustment(12.78, 0.3885, 5.0, 0.348, 20.0, 0.0,
-                                   28.5, 9.01)
+        gamma, r001, _, v, _ = chain_terms(12.78, 0.0)
+        assert (gamma, r001) == (0.0, 1.0)
         expected = 1.0 / (1.0 - 0.45 * math.sqrt(math.sin(math.radians(20.0))))
         assert abs(v - expected) < 1e-12
         assert v > 1.0
 
     def test_vertical_path_fallback(self):
-        l_r, _ = vertical_adjustment(0.0, 1.0, 5.0, 0.348, 90.0, 14.0, 28.5,
-                                     9.01)
+        _, _, l_r, _, _ = chain_terms(0.0, 2.0, elevation_deg=90.0)
         assert abs(l_r - (5.0 - 0.348)) < 1e-12
 
     def test_steep_cell_branch(self):
         # small horizontal extent forces zeta above the elevation angle
-        l_r, _ = vertical_adjustment(0.5, 1.0, 5.0, 0.348, 20.0, 14.0, 28.5,
-                                     9.01)
-        assert abs(l_r - 0.5 / math.cos(math.radians(20.0))) < 1e-12
+        _, r001, l_r, _, _ = chain_terms(0.5, 2.0)
+        assert abs(l_r - 0.5 * r001 / math.cos(math.radians(20.0))) < 1e-12
 
 
 class TestReferenceAttenuation:
     def test_zero_cases(self):
-        assert reference_attenuation(0.0, 6.33) == 0.0
-        assert reference_attenuation(14.0, 0.0) == 0.0
+        # no rain, and a station at its rain height: no path
+        assert chain_terms(12.78, 0.0)[-1] == 0.0
+        assert chain_terms(0.0, 2.0, altitude_km=5.0)[-1] == 0.0
 
     def test_product(self):
-        assert abs(reference_attenuation(14.0, 6.33) - 88.62) < 1e-9
+        gamma, _, l_r, v, a001 = chain_terms(12.78, 2.0)
+        assert a001 == gamma * (l_r * v)
+        assert abs(a001 - 88.59388705871415) < 1e-9
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(DomainError, match="must be >= 0"):
-            reference_attenuation(-1.0, 1.0)
+        # gamma = kappa R^alpha is negative only for a rate or kappa below 0
+        with pytest.raises(DomainError, match="^rain rate -1.0 mm/hr outside"):
+            chain_terms(12.78, -1.0)
+        with pytest.raises(DomainError, match=r"^kappa\(28.5 GHz, vertical\) -1.0 "):
+            chain_terms(12.78, 2.0, kappa=-1.0)
 
     def test_bilinear(self):
-        base = reference_attenuation(3.7, 2.9)
-        assert abs(reference_attenuation(7.4, 2.9) - 2.0 * base) < 1e-12
-        assert abs(reference_attenuation(3.7, 5.8) - 2.0 * base) < 1e-12
+        # A001 = gamma L_E over rates and path lengths, with L_E = L_R v001
+        for L_G_km, rate in itertools.product([0.0, 0.5, 12.78, 60.0], [0.5, 2.0, 40.0]):
+            gamma, _, l_r, v, a001 = chain_terms(L_G_km, rate, kappa=0.2, alpha=0.9)
+            assert a001 == gamma * (l_r * v)
 
 
 class TestLatitudeTerm:
@@ -238,9 +253,12 @@ class TestAttenuationCurve:
         e = math.radians(20.0)
         path = PathGeometry(20.0, math.tan(e), 1.0 / math.cos(e), 1.0)
         curve = attenuation_curve(st, path, coeffs(kappa=5.0558, alpha=1.0), 1.0, [0.01])
-        L_R, v001 = vertical_adjustment(1.0, 1.0, path.rain_height_km, 0.0, 20.0,
-                                        5.0558, 28.5, 9.0)
-        assert curve.reference_A001_dB == reference_attenuation(5.0558, L_R * v001)
+        gamma, r001, L_R, v001, A001 = chain_terms(
+            1.0, 1.0, latitude_deg=9.0, rain_height_km=path.rain_height_km,
+            altitude_km=0.0, kappa=5.0558)
+        assert (gamma, r001) == (5.0558, 1.0)
+        assert abs(L_R - 1.0 / math.cos(e)) < 1e-12
+        assert curve.reference_A001_dB == A001 == gamma * (L_R * v001)
         assert curve.diagnostics == (
             "horizontal reduction factor 1.0000 clamped to 1.0",)
 

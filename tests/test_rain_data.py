@@ -725,6 +725,15 @@ class TestParseRainSeries:
         series = parse_rain_series(text)
         assert series.samples[0][0].hour == 0
 
+    def test_lowercase_z_read_as_utc(self):
+        # the bulk pass declines lowercase z, so the row loop reads these
+        text = ("timestamp,rate_mm_per_hr\n"
+                "2010-01-01T00:00:00Z,0.1\n"
+                "2010-01-01T01:30:00Z,0.2\n")
+        lower = parse_rain_series(text.replace("Z,", "z,"))
+        assert lower.times == parse_rain_series(text).times
+        assert lower.times[1] == datetime(2010, 1, 1, 1, 30, tzinfo=timezone.utc)
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             parse_rain_series("timestamp,rate_mm_per_hr\n")

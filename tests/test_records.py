@@ -181,6 +181,22 @@ class TestRecord:
             assert type(again) is case.cls and again == record
 
 
+def test_records_of_two_classes_never_compare_equal():
+    # equality holds within one class: another record class with the same
+    # fields and values is another record
+    class Station(Record):
+        name: str
+        latitude_deg: float
+        longitude_deg: float
+        altitude_km: float
+
+    values = ("Abuja", 9.06, 7.49, 0.536)
+    record, twin = GroundStation(*values), Station(*values)
+    assert record.__eq__(twin) is NotImplemented
+    assert twin.__eq__(record) is NotImplemented
+    assert record != twin and twin != record
+
+
 class TestRepr:
     def test_text_as_the_dataclass_printed(self):
         assert repr(GroundStation("Abuja", 9.06, 7.49, 0.536)) == (
