@@ -20,19 +20,17 @@ __version__ = "0.1.0"
 # submodule: the names the package exports from it, split on spaces
 _EXPORTS = {
     "analysis": "ComparisonRow ResolvedSource SweepTable availability_sweep catalog_to_csv "
-                "compare_sources emit_report overestimation_percentage plot_data_table "
-                "rank_stations series_to_csv write_report",
+                "compare_sources emit_report plot_data_table rank_stations series_to_csv "
+                "write_report",
     "attenuation": "AttenuationCurve attenuation_curve scale_attenuation",
     "errors": "CadenceWarning ConfigError CoverageWarning DomainError DuplicateWarning ParseError "
               "RainlinkError SeparationWarning UnsupportedRegimeError UsageError ValidationError",
     "geometry": "GroundStation PathGeometry free_space_path_loss rain_height rain_slant_path "
                 "slant_range",
     "link_budget": "CnrMode LinkResult TransmissionParams UnavailabilityDuration available_margin "
-                   "carrier_to_noise evaluate_link link_closes noise_power "
-                   "unavailability_duration",
-    "rain_data": "RainSeries StationCatalog Strategy annual_accumulation chebil_r001 "
-                 "empirical_exceedance_rate mean_rain_rate packaged_catalog_text "
-                 "parse_rain_series parse_station_catalog resolve_r001",
+                   "carrier_to_noise evaluate_link link_closes unavailability_duration",
+    "rain_data": "RainSeries StationCatalog Strategy empirical_exceedance_rate "
+                 "packaged_catalog_text parse_rain_series parse_station_catalog resolve_r001",
     "rain_physics": "Polarization RainCoefficients SpecificAttenuation load_validation_table "
                     "regression_coefficients specific_attenuation",
     "scenario": "Scenario SourceDescriptor SourceKind parse_scenario resolve_sources",

@@ -104,24 +104,13 @@ class SweepTable:
         return list(starmap(LinkResult, self))
 
 
-def overestimation_percentage(baseline_dB: float, estimate_dB: float) -> float:
-    """(baseline - estimate)/baseline * 100; full precision (display
-    rounding is the caller's concern)."""
-    if baseline_dB <= 0.0:
-        raise DomainError(f"undefined comparison: baseline {baseline_dB} dB "
-                          "must be > 0")
-    percent = (baseline_dB - estimate_dB) / baseline_dB * 100.0
-    if not math.isfinite(percent):
-        raise DomainError(f"overestimation of baseline {baseline_dB} dB overflows")
-    return percent
-
-
 def compare_sources(baseline_results: list[LinkResult],
                     estimate_results: list[LinkResult]) -> list[ComparisonRow]:
-    """One ComparisonRow per station, in baseline order. Both result sets
-    must cover exactly the same stations."""
+    """One ComparisonRow per station, in baseline order, with the overestimation
+    (baseline - estimate)/baseline * 100 at full precision. Both result sets
+    must cover exactly the same stations, and each baseline must be > 0."""
     base_by_station = {r.station_ref: r for r in baseline_results}
-    est_by_station = {r.station_ref: r for r in estimate_results}
+    est_by_station = {r.station_ref: r.attenuation_dB for r in estimate_results}
     if len(base_by_station) != len(baseline_results):
         raise ValidationError("baseline results repeat a station")
     if len(est_by_station) != len(estimate_results):
@@ -137,9 +126,13 @@ def compare_sources(baseline_results: list[LinkResult],
         raise ValidationError("station sets differ; " + "; ".join(parts))
     rows = []
     for base in baseline_results:
-        a, b = base.attenuation_dB, est_by_station[base.station_ref].attenuation_dB
-        rows.append(ComparisonRow(base.station_ref, a, b,
-                                  overestimation_percentage(a, b)))
+        baseline_dB, estimate_dB = base.attenuation_dB, est_by_station[base.station_ref]
+        if baseline_dB <= 0.0:
+            raise DomainError(f"undefined comparison: baseline {baseline_dB} dB must be > 0")
+        percent = (baseline_dB - estimate_dB) / baseline_dB * 100.0
+        if not math.isfinite(percent):
+            raise DomainError(f"overestimation of baseline {baseline_dB} dB overflows")
+        rows.append(ComparisonRow(base.station_ref, baseline_dB, estimate_dB, percent))
     return rows
 
 
@@ -366,5 +359,4 @@ def plot_data_table(table: SweepTable,
     if value_field not in PLOT_FIELDS:
         raise UsageError(f"unknown plot field {value_field!r}")
     column = SWEEP_COLUMNS.index(value_field)
-    rows = ((row[0], row[1], float(row[2]), float(row[column])) for row in table)
-    return [*SWEEP_COLUMNS[:3], value_field], rows
+    return [*SWEEP_COLUMNS[:3], value_field], map(itemgetter(0, 1, 2, column), table)

@@ -89,16 +89,15 @@ def scale_attenuation(A001_dB: float, p_percent: float, z: float,
 
 
 class PPlan(tuple):
-    """The distinct p of a p list, ascending, each checked once; a list
-    that repeats a value gets a DuplicateWarning. terms: per p, the parts
-    of _scaled's exponent that depend on p alone."""
+    """The distinct p of a p list, ascending, each checked once and held
+    as a float; a list that repeats a value gets a DuplicateWarning.
+    terms: per p, the parts of _scaled's exponent that depend on p alone."""
 
     def __new__(cls, p_list):
         if not p_list:
             raise DomainError("p_list must be non-empty")
-        plan = super().__new__(cls, sorted(set(p_list)))
-        for p in plan:
-            check("p_percent", p, "exceedance percentage")
+        plan = super().__new__(cls, [float(check("p_percent", p, "exceedance percentage"))
+                                     for p in sorted(set(p_list))])
         if len(plan) != len(p_list):
             warnings.warn("duplicate p values collapsed", DuplicateWarning,
                           stacklevel=2)
@@ -154,12 +153,11 @@ def attenuation_curve(station: GroundStation, path: PathGeometry,
                       coefficients: RainCoefficients, r001_rain_rate: float,
                       p_list: list[float]) -> AttenuationCurve:
     """The chain's one-source case: A001 from one R0.01, scaled to every
-    requested p (a PPlan is taken as checked).
+    requested p.
 
     The returned curve is sorted ascending in p. Monotonicity (A_p
     non-increasing in p) is checked numerically and any violation is
     recorded as a diagnostic, never silently accepted.
     """
-    plan = p_list if isinstance(p_list, PPlan) else PPlan(p_list)
-    (*_, A001), points, notes = _chain(station, path, coefficients, plan)(r001_rain_rate)
+    (*_, A001), points, notes = _chain(station, path, coefficients, PPlan(p_list))(r001_rain_rate)
     return AttenuationCurve(A001, r001_rain_rate, tuple(points), tuple(notes))

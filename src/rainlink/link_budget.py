@@ -57,13 +57,6 @@ class LinkResult(Record):
     closes: bool
 
 
-def noise_power(system_temperature_K: float, bandwidth_Hz: float) -> float:
-    """Thermal noise power 10 log10(kTB) in dBW."""
-    check("system_temperature_K", system_temperature_K, "temperature")
-    check("bandwidth_Hz", bandwidth_Hz, "bandwidth")
-    return 10.0 * math.log10(BOLTZMANN_J_PER_K * system_temperature_K * bandwidth_Hz)
-
-
 def link_budget(params: TransmissionParams,
                 mode: CnrMode | str = CnrMode.PHYSICS,
                 k_clear_dB: float | None = None) -> Callable[[float], float]:
@@ -88,7 +81,9 @@ def link_budget(params: TransmissionParams,
     clear_dB = params.eirp_dBW - free_space_path_loss(params.frequency_GHz, d)
     other_dB = params.other_losses_dB
     gain_dBi = params.receiver_gain_dBi
-    noise_dBW = noise_power(params.system_temperature_K, params.bandwidth_Hz)
+    # thermal noise 10 log10(kTB) in dBW; T and B are checked by TransmissionParams
+    noise_dBW = 10.0 * math.log10(BOLTZMANN_J_PER_K * params.system_temperature_K
+                                  * params.bandwidth_Hz)
 
     def cnr(attenuation_dB: float) -> float:
         if attenuation_dB < 0.0:

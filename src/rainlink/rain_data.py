@@ -391,36 +391,6 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
     return RainSeries(station_ref, *_parse_rows(text), cadence)
 
 
-def mean_rain_rate(series: RainSeries) -> float:
-    """Arithmetic mean of the sample rates, mm/hr."""
-    try:
-        return math.fsum(series.rates) / len(series.rates)
-    except OverflowError as exc:
-        raise DomainError("the series rates sum past the float range") from exc
-
-
-def annual_accumulation(mean_rate_mm_per_hr: float) -> float:
-    """Annual accumulation M in mm from a mean rate, over an average
-    Julian year."""
-    if mean_rate_mm_per_hr < 0.0:
-        raise DomainError(f"mean rate {mean_rate_mm_per_hr} must be >= 0")
-    accumulation = mean_rate_mm_per_hr * HOURS_PER_YEAR
-    if accumulation == math.inf:
-        raise DomainError(f"mean rate {mean_rate_mm_per_hr} mm/hr overflows "
-                          "the annual accumulation")
-    return accumulation
-
-
-def chebil_r001(annual_accumulation_mm: float) -> float:
-    """Chebil conversion from annual accumulation M (mm) to the rain rate
-    exceeded 0.01% of the year: R001 = 12.2903 M^0.2973."""
-    if annual_accumulation_mm < 0.0:
-        raise DomainError(f"accumulation {annual_accumulation_mm} must be >= 0")
-    if annual_accumulation_mm == 0.0:
-        return 0.0
-    return 12.2903 * annual_accumulation_mm ** 0.2973
-
-
 def empirical_exceedance_rate(series: RainSeries, p_percent: float) -> float:
     """The rate exceeded during p percent of samples: sort descending and
     take the value at rank ceil(p/100 * N), clamped to a valid index."""
@@ -435,14 +405,23 @@ def resolve_r001(series: RainSeries, strategy: Strategy | str,
                  label: str) -> float:
     """Reduce a rain series to the R001 rain rate per a strategy.
 
-    chebil_annual: Chebil conversion of the annual accumulation implied
-    by the series mean. empirical_exceedance: the rate exceeded in 0.01%
-    of samples (warns on coarse cadences, where that statistic is weak,
-    and on series too short for the rank to be above the maximum; label
-    names the source in the warnings).
+    chebil_annual: Chebil's power law of the annual accumulation M (mm)
+    that the series mean rate gives over an average Julian year.
+    empirical_exceedance: the rate exceeded in 0.01% of samples (warns
+    on coarse cadences, where that statistic is weak, and on series too
+    short for the rank to be above the maximum; label names the source
+    in the warnings).
     """
     if Strategy(strategy) is Strategy.CHEBIL_ANNUAL:
-        return chebil_r001(annual_accumulation(mean_rain_rate(series)))
+        try:
+            mean_rate_mm_per_hr = math.fsum(series.rates) / len(series.rates)
+        except OverflowError as exc:
+            raise DomainError("the series rates sum past the float range") from exc
+        annual_accumulation_mm = mean_rate_mm_per_hr * HOURS_PER_YEAR
+        if annual_accumulation_mm == math.inf:
+            raise DomainError(f"mean rate {mean_rate_mm_per_hr} mm/hr overflows "
+                              "the annual accumulation")
+        return 12.2903 * annual_accumulation_mm ** 0.2973
     spacing = series.mean_spacing_hours()
     if spacing >= _COARSE_CADENCE_HOURS or series.cadence.lower() == "monthly":
         warnings.warn(

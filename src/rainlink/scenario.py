@@ -105,9 +105,9 @@ def _mapping(raw: dict, name: str, where: str) -> dict | None:
     return raw[name]
 
 
-def _kind_fields(kind: SourceKind | str, given, where: str) -> str | None:
-    """The quantity of kind's numbers once the fields given are what kind
-    uses, else a ConfigError naming where and the field."""
+def _kind_fields(kind: SourceKind | str, given, where: str) -> tuple[SourceKind, str | None]:
+    """kind as a SourceKind and the quantity of its numbers once the fields
+    given are what kind uses, else a ConfigError naming where and the field."""
     kind = _choice(SourceKind, kind, f"{where}: field kind")
     needs, takes, quantity = _KIND_FIELDS[kind]
     for name in given:
@@ -117,7 +117,7 @@ def _kind_fields(kind: SourceKind | str, given, where: str) -> str | None:
     if len(needed) != 1:  # r001 takes one shared value or per-station values
         raise ConfigError(f"{where}: {kind.value} kind requires "
                           f"{' or '.join(needs)}" + ", not both" * bool(needed))
-    return quantity
+    return kind, quantity
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -161,8 +161,7 @@ def parse_scenario(text: str) -> Scenario:
         where = f"sources[{i}] ({label})"
         values = _mapping(raw, "values", where)
         paths = _mapping(raw, "paths", where)
-        kind = _choice(SourceKind, raw.get("kind"), f"{where}: field kind")
-        quantity = _kind_fields(kind, [name for name in _OPTIONAL if name in raw], where)
+        kind, quantity = _kind_fields(raw.get("kind"), [n for n in _OPTIONAL if n in raw], where)
         desc = SourceDescriptor(
             label=label, kind=kind,
             value=_number(raw["value"], f"{where}: field value", quantity)

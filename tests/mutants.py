@@ -94,8 +94,8 @@ MUTANTS = [
     Mutant("constants.py", "MEAN_EARTH_RADIUS_KM = 6371.0", "MEAN_EARTH_RADIUS_KM = 6378.0"),
     Mutant("constants.py", '"p_percent": (0.001, 1.0,', '"p_percent": (0.0001, 1.0,'),
     # link budget: noise, C/N in both modes, margin, closure, durations
-    Mutant("link_budget.py", "return 10.0 * math.log10(BOLTZMANN_J_PER_K",
-           "return 20.0 * math.log10(BOLTZMANN_J_PER_K"),
+    Mutant("link_budget.py", "noise_dBW = 10.0 * math.log10(BOLTZMANN_J_PER_K",
+           "noise_dBW = 20.0 * math.log10(BOLTZMANN_J_PER_K"),
     Mutant("link_budget.py", "- attenuation_dB - other_dB + gain_dBi",
            "- attenuation_dB + other_dB + gain_dBi"),
     Mutant("link_budget.py", "k_clear_dB - attenuation_dB", "k_clear_dB + attenuation_dB"),
@@ -174,6 +174,14 @@ MUTANTS = [
            "only peak memory changes: one parsed series (2.3 MB at 35,040 samples) "
            "is held at a time"),
     Mutant("attenuation.py", "if len(plan) != len(p_list):", "if len(plan) < len(p_list) - 1:"),
+    # README's input rules and exit codes: a BOM-led file, the column of a
+    # decode error, a ConfigError's exit code, an empty --label, a CSV error's line
+    Mutant("errors.py", 'fh.read().removeprefix("\\ufeff")', "fh.read()"),
+    Mutant("errors.py", "{exc.start}", "{exc.end}"),
+    Mutant("cli.py", "isinstance(exc, (UsageError, ConfigError))", "isinstance(exc, UsageError)"),
+    Mutant("cli.py", 'if args.label == "":', "if False:"),
+    Mutant("rain_data.py", "raise ParseError(str(exc), line=reader.line_num)",
+           "raise ParseError(str(exc))"),
 ]
 
 

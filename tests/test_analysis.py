@@ -20,7 +20,7 @@ from rainlink import (ConfigError, DomainError, DuplicateWarning,
                       ValidationError,
                       attenuation_curve,
                       availability_sweep, compare_sources, emit_report,
-                      evaluate_link, overestimation_percentage,
+                      evaluate_link,
                       packaged_catalog_text, parse_station_catalog,
                       rain_slant_path, rank_stations, regression_coefficients)
 import rainlink.analysis as analysis
@@ -60,6 +60,13 @@ GPM_ATTEN = {"Abuja": 10.3059, "Hartbeesthoek": 22.7947, "Cairo": -13.2802,
              "Longonot": 16.3896, "Port Louis": 0.7753, "Praia": -1.3956}
 
 
+def overestimation_percentage(baseline_dB, estimate_dB):
+    """compare_sources' overestimation at one station."""
+    [row] = compare_sources(results_from({"x": baseline_dB}),
+                            results_from({"x": estimate_dB}, label="GPM"))
+    return row.overestimation_percent
+
+
 class TestOverestimation:
     def test_reference_rows(self):
         assert round(overestimation_percentage(31.6560, -13.2802)) == 142
@@ -69,9 +76,11 @@ class TestOverestimation:
         assert overestimation_percentage(7.5, 7.5) == 0.0
 
     def test_undefined_baseline(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^undefined comparison: baseline 0.0 dB "
+                                              "must be > 0$"):
             overestimation_percentage(0.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^undefined comparison: baseline -3.0 dB "
+                                              "must be > 0$"):
             overestimation_percentage(-3.0, 1.0)
 
     def test_share_identity(self):
@@ -911,6 +920,22 @@ class TestEmitPlotData:
         column = SWEEP_COLUMNS.index(field)
         _, rows = plot_data_table(table, field)
         assert list(rows) == [(*row[:3], row[column]) for row in table]
+
+    def test_integer_p_prints_as_the_report_prints_it(self):
+        # a p given as an int is one float from the plan on: the sweep report,
+        # its plot data and a curve's points all hold 1.0
+        source = ResolvedSource("x", r001_by_station={
+            s.name: 90.0 for s in catalog().stations})
+        table = availability_sweep(catalog(), uplink_params(), [source], [1, 0.01])
+        report = emit_report(table, "csv").splitlines()
+        plot = emit_report(plot_data_table(table), "csv").splitlines()
+        assert [line.split(",")[2] for line in report] == [line.split(",")[2] for line in plot]
+        assert report[2].startswith("Abuja,x,1.0,")
+        assert all(type(p) is float for p in attenuation.PPlan([1, 0.01, 0.5]))
+        st = catalog().stations[0]
+        curve = attenuation_curve(st, rain_slant_path(st, 20.0), regression_coefficients(28.5),
+                                  90.0, [1])
+        assert type(curve.points[0][0]) is float
 
     def test_rows_are_a_fresh_lazy_iteration(self):
         table = self.sweep_table()

@@ -279,13 +279,6 @@ class TestAttenuationCurve:
         with pytest.raises(DomainError):
             attenuation_curve(st, path, coeffs(), 90.0, [])
 
-    def test_plan_is_not_checked_again(self, monkeypatch):
-        plan = attenuation.PPlan([0.5, 0.01])
-        monkeypatch.setattr(attenuation, "check", None)
-        curve = attenuation_curve(abuja(), rain_slant_path(abuja(), 20.0),
-                                  coeffs(), 90.0, plan)
-        assert [p for p, _ in curve.points] == [0.01, 0.5]
-
     def test_all_points_non_negative(self):
         st = abuja()
         path = rain_slant_path(st, 20.0, 5.0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rainlink import (CnrMode, ConfigError, DomainError, TransmissionParams,
                       available_margin, carrier_to_noise,
                       evaluate_link, free_space_path_loss, link_closes,
-                      noise_power, parse_scenario, regression_coefficients,
+                      parse_scenario, regression_coefficients,
                       slant_range, unavailability_duration)
 from rainlink.link_budget import link_budget
 
@@ -24,22 +24,39 @@ def uplink_params(**overrides):
     return TransmissionParams(**fields)
 
 
+# 10 log10(kTB) in dBW at the uplink's 868.4 K and 2.1 GHz, written out
+UPLINK_NOISE_dBW = 10.0 * math.log10(1.380649e-23 * 868.4 * 2.1e9)
+
+
 class TestNoisePower:
+    """The kTB noise term, read off the C/N link_budget gives in clear sky."""
+
+    @staticmethod
+    def noise_power(system_temperature_K, bandwidth_Hz):
+        params = uplink_params(system_temperature_K=system_temperature_K,
+                               bandwidth_Hz=bandwidth_Hz, receiver_gain_dBi=0.0)
+        clear_dB = 75.9 - free_space_path_loss(28.5, slant_range(1200.0, 20.0))
+        return clear_dB - link_budget(params)(0.0)
+
     def test_uplink_bandwidth(self):
-        assert abs(noise_power(868.4, 2.1e9) - (-105.98977607805465)) < 1e-9
+        assert abs(self.noise_power(868.4, 2.1e9) - (-105.98977607805465)) < 1e-9
+        assert abs(UPLINK_NOISE_dBW - (-105.98977607805465)) < 1e-12
 
     def test_ktb_floor(self):
-        assert abs(noise_power(290.0, 1.0) - (-203.97518719422808)) < 1e-9
+        assert abs(self.noise_power(290.0, 1.0) - (-203.97518719422808)) < 1e-9
 
     def test_doubling_bandwidth_adds_3dB(self):
-        delta = noise_power(868.4, 4.2e9) - noise_power(868.4, 2.1e9)
+        # doubling B costs 10 log10 2 dB of C/N
+        delta = (carrier_to_noise(uplink_params(bandwidth_Hz=2.1e9), 0.0)
+                 - carrier_to_noise(uplink_params(bandwidth_Hz=4.2e9), 0.0))
         assert abs(delta - 3.0102999566398116) < 1e-12
 
     def test_non_positive_rejected(self):
+        # TransmissionParams checks T and B when it is built
         with pytest.raises(DomainError):
-            noise_power(0.0, 1.0)
+            carrier_to_noise(uplink_params(system_temperature_K=0.0), 0.0)
         with pytest.raises(DomainError):
-            noise_power(290.0, 0.0)
+            carrier_to_noise(uplink_params(bandwidth_Hz=0.0), 0.0)
 
 
 class TestCarrierToNoise:
@@ -92,7 +109,7 @@ class TestLinkBudget:
                                receiver_gain_dBi=gain, other_losses_dB=other)
         fspl = free_space_path_loss(28.5, slant_range(1200.0, elevation))
         want = (eirp - fspl - attenuation - other + gain
-                - noise_power(868.4, 2.1e9))
+                - UPLINK_NOISE_dBW)
         assert link_budget(params)(attenuation) == want
         assert carrier_to_noise(params, attenuation) == want
 

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import rainlink.rain_data as rain_data
 from rainlink import (CadenceWarning, CoverageWarning, DomainError,
                       GroundStation, ParseError, RainSeries, SeparationWarning,
-                      StationCatalog, Strategy, ValidationError, annual_accumulation,
-                      catalog_to_csv, chebil_r001, empirical_exceedance_rate,
-                      mean_rain_rate, packaged_catalog_text,
+                      StationCatalog, Strategy, ValidationError,
+                      catalog_to_csv, empirical_exceedance_rate,
+                      packaged_catalog_text,
                       parse_rain_series, parse_station_catalog, resolve_r001,
                       series_to_csv)
 from rainlink.constants import MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM
@@ -1114,12 +1114,26 @@ class TestRowLoopMemory:
         assert rates[1] is rates[4] is rates[28]
 
 
+def chebil(series: RainSeries) -> float:
+    """R0.01 of series by the chebil_annual strategy."""
+    return resolve_r001(series, Strategy.CHEBIL_ANNUAL, "x")
+
+
+def chebil_of_mean(mean_rate_mm_per_hr: float) -> float:
+    """Chebil's R0.01 = 12.2903 M^0.2973 written out, with the annual
+    accumulation M = mean rate * 8766 h."""
+    return 12.2903 * (mean_rate_mm_per_hr * 8766.0) ** 0.2973
+
+
 class TestReductions:
+    """The chebil_annual reduction through resolve_r001: the series mean,
+    the annual accumulation it gives, and Chebil's power law of that."""
+
     def test_mean_constant(self):
-        assert mean_rain_rate(make_series([0.5] * 7)) == 0.5
+        assert chebil(make_series([0.5] * 7)) == chebil_of_mean(0.5)
 
     def test_mean_two_values(self):
-        assert abs(mean_rain_rate(make_series([0.1, 0.3])) - 0.2) < 1e-15
+        assert chebil(make_series([0.1, 0.3])) == pytest.approx(chebil_of_mean(0.2), rel=1e-14)
 
     def test_mean_against_independent_fold(self):
         rng = random.Random(17)
@@ -1128,48 +1142,51 @@ class TestReductions:
         total = 0.0
         for r in rates:
             total += r
-        assert abs(mean_rain_rate(series) - total / 120.0) < 1e-12
+        assert chebil(series) == pytest.approx(chebil_of_mean(total / 120.0), rel=1e-12)
 
     def test_annual_accumulation(self):
-        assert annual_accumulation(0.0) == 0.0
-        assert annual_accumulation(1.0) == 8766.0
-        assert abs(annual_accumulation(0.1455) - 1275.453) < 1e-9
+        assert chebil(make_series([0.0])) == 0.0
+        assert chebil(make_series([1.0])) == 12.2903 * 8766.0 ** 0.2973
+        assert chebil(make_series([0.1455])) == pytest.approx(12.2903 * 1275.453 ** 0.2973,
+                                                             rel=1e-12)
 
     def test_overflow_is_domain_error(self):
         # finite rates whose sum, or whose year's accumulation, overflows
-        with pytest.raises(DomainError, match="float range"):
-            mean_rain_rate(make_series([1e308, 1e308]))
-        assert mean_rain_rate(make_series([1e308])) == 1e308
-        with pytest.raises(DomainError, match="overflows"):
-            annual_accumulation(1e308)
-        assert annual_accumulation(1e300) == 1e300 * 8766.0
+        with pytest.raises(DomainError, match="^the series rates sum past the float range$"):
+            chebil(make_series([1e308, 1e308]))
+        with pytest.raises(DomainError, match=r"^mean rate 1e\+308 mm/hr overflows "
+                                              "the annual accumulation$"):
+            chebil(make_series([1e308]))
+        assert chebil(make_series([1e300])) == 12.2903 * (1e300 * 8766.0) ** 0.2973
 
     def test_empty_series_has_no_mean(self):
         # a series has at least one sample, checked when it is built
         with pytest.raises(ValidationError, match="^series has no sample rows$"):
-            mean_rain_rate(RainSeries("x"))
+            chebil(RainSeries("x"))
 
     def test_negative_mean_rate_or_accumulation_rejected(self):
-        with pytest.raises(DomainError, match="mean rate -1.0 must be >= 0"):
-            annual_accumulation(-1.0)
-        with pytest.raises(DomainError, match="accumulation -1.0 must be >= 0"):
-            chebil_r001(-1.0)
+        # a negative rate, so a negative mean or accumulation, cannot reach
+        # the reduction: the series is refused when it is built
+        with pytest.raises(DomainError, match="^series rates must be finite and >= 0$"):
+            chebil(make_series([-1.0]))
+        with pytest.raises(DomainError, match="^series rates must be finite and >= 0$"):
+            chebil(make_series([2.0, -1.0]))
 
     def test_one_sample_has_no_spacing(self):
         assert make_series([3.0]).mean_spacing_hours() == 0.0
         assert make_series([3.0, 1.0], step_hours=0.5).mean_spacing_hours() == 0.5
 
     def test_chebil_values(self):
-        assert chebil_r001(1.0) == pytest.approx(12.2903)
-        assert chebil_r001(0.0) == 0.0
-        assert abs(chebil_r001(1275.0) - 102.99844352542164) < 1e-9
+        assert chebil(make_series([1.0 / 8766.0])) == pytest.approx(12.2903)
+        assert chebil(make_series([0.0] * 3)) == 0.0
+        assert abs(chebil(make_series([1275.0 / 8766.0])) - 102.99844352542164) < 1e-9
 
     def test_chebil_increasing_concave(self):
         rng = random.Random(23)
         for _ in range(50):
             m = rng.uniform(1.0, 4000.0)
-            assert chebil_r001(2.0 * m) > chebil_r001(m)
-            assert chebil_r001(2.0 * m) < 2.0 * chebil_r001(m)
+            once, twice = (chebil(make_series([k * m / 8766.0])) for k in (1.0, 2.0))
+            assert once < twice < 2.0 * once
 
 
 class TestEmpiricalExceedance:
