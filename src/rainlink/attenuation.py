@@ -96,8 +96,9 @@ class PPlan(tuple):
     def __new__(cls, p_list):
         if not p_list:
             raise DomainError("p_list must be non-empty")
+        # keyed by bool-ness too, so that True is checked, not collapsed into 1
         plan = super().__new__(cls, [float(check("p_percent", p, "exceedance percentage"))
-                                     for p in sorted(set(p_list))])
+                                     for _, p in sorted({(type(p) is bool, p) for p in p_list})])
         if len(plan) != len(p_list):
             warnings.warn("duplicate p values collapsed", DuplicateWarning,
                           stacklevel=2)

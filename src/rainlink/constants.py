@@ -57,9 +57,9 @@ DOMAINS = {
 
 
 def check(quantity: str, value: float, name: str) -> float:
-    """value if it is in quantity's domain (NaN is not), else a DomainError."""
+    """value if it is in quantity's domain (NaN and a bool are not), else a DomainError."""
     low, high, unit = DOMAINS[quantity]
-    if not low <= value <= high:
+    if isinstance(value, bool) or not low <= value <= high:
         raise DomainError(f"{name} {value} {unit} outside the finite domain "
                           f"[{low:g}, {high:g}]")
     return value

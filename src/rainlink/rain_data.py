@@ -18,7 +18,7 @@ import warnings
 from collections import Counter
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .constants import HOURS_PER_YEAR, MEAN_EARTH_RADIUS_KM, MIN_SEPARATION_KM, check
 from .errors import (CadenceWarning, Choice, CoverageWarning, DomainError, ParseError, Record,
@@ -314,11 +314,11 @@ def _parse_columns(text: str):
     is not in the plain form this pass accepts and _parse_rows must read it.
 
     The plain form is the exact header, then lines of one comma each with no
-    quotes, no CR and no blank line; UTC timestamps that fromisoformat reads
-    as such; rates that float reads. RainSeries checks order and rates. Any
-    other text, naive or other offsets included, is left to the row loop,
-    which alone reports errors. A chunk of Z stamps is proved one comma a line
-    and UTC by one count; +00:00, -00:00 or a mix keep both per-sample checks.
+    quotes, no CR and no blank line; stamps that fromisoformat reads, in each
+    chunk all naive (read as UTC) or each ending in Z, +00:00 or -00:00; rates
+    that float reads. RainSeries checks order and rates. Any other text is left
+    to the row loop, which alone reports errors. One count proves a chunk one
+    comma a line and UTC, once a naive chunk has +00:00 after each stamp.
     The body is read by offset in chunks of about _CHUNK_CHARS, cut at
     newlines, so one chunk at most is held as lines and cells; each distinct
     rate text is parsed once, and its samples share one float.
@@ -331,28 +331,32 @@ def _parse_columns(text: str):
     half = csv.field_size_limit() // 2 or 1
     if any(text.find("\n", k, k + half) < 0 for k in range(start, end - half + 1, half)):
         return None
-    times, rates, floats = [], [], {}
+    times, rates, floats, utc = [], [], {}, ("Z", "+00:00", "-00:00")
     while start < end:
         cut = text.find("\n", start + _CHUNK_CHARS, end)
         chunk = text[start:cut if cut >= 0 else end]
         start += len(chunk) + 1
+        # naive by its first stamp: each comma then follows +00:00, and a stamp with a Z
+        # or an offset gets a second one, which fromisoformat rejects
+        if naive := not chunk[:chunk.find(",")].endswith(utc):
+            chunk = chunk.replace(",", "+00:00,")
         commas = chunk.count(",")  # as many as lines, one in each
-        # all commas after a Z: float() reads no text ending in Z, so one a line, each stamp UTC
-        zulu = chunk.count("Z,") == commas
-        if chunk.count("\n") + 1 != commas or not zulu \
-                and not all(map(operator.contains, chunk.split("\n"), [","] * commas)):
+        # all commas after a UTC suffix: float() reads no text ending in one, so one a line
+        if chunk.count("\n") + 1 != commas or not naive and commas not in accumulate(
+                chunk.count(suffix + ",") for suffix in utc):
             return None
         cells = chunk.replace("\n", ",").split(",")
-        k = len(times)  # the first stamp of this chunk
+        stamps = cells[0::2]
         try:
-            times += map(datetime.fromisoformat, cells[0::2])
+            if naive:  # without +00:00 too, as fromisoformat skips junk before an offset
+                all(map(datetime.fromisoformat, map(str.removesuffix, stamps, repeat("+00:00"))))
+            times += map(datetime.fromisoformat, stamps)
             floats.update({t: float(t) for t in set(cells[1::2]).difference(floats)})
         except ValueError:
             return None
-        if not zulu and set(map(operator.attrgetter("tzinfo"), times[k:])) != {timezone.utc}:
-            return None
         rates += map(floats.__getitem__, cells[1::2])
-    return times, rates
+    # a date-only stamp reads naive (+00:00 as a separator): RainSeries fails a mix
+    return (times, rates) if times and times[0].tzinfo else None
 
 
 def _parse_rows(text: str):
@@ -380,8 +384,8 @@ def parse_rain_series(text: str, station_ref: str = "", cadence: str = "") -> Ra
     """Parse a rain series CSV: strictly increasing UTC timestamps,
     finite non-negative rates, at least one sample.
 
-    Text in the plain form analysis.series_to_csv writes is parsed in bulk;
-    the row loop reads any other, and any RainSeries rejects, to name the line.
+    Plain text, its stamps each ending in Z, +00:00 or -00:00, or naive, is parsed
+    in bulk; the row loop reads any other, and any RainSeries rejects, to name the line.
     """
     if (columns := _parse_columns(text)) is not None:
         try:

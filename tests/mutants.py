@@ -153,7 +153,18 @@ MUTANTS = [
     Mutant("analysis.py", "if len(set(column[:64])) <= 32 and 0.0 not in column:",
            "if len(set(column[:64])) <= 32:"),
     Mutant("analysis.py", 'close, width = "\\n  }" if header else "}",', 'close, width = "\\n  }",'),
-    Mutant("rain_data.py", 'zulu = chunk.count("Z,") == commas', 'zulu = chunk.count("Z") == commas'),
+    # the bulk series pass: a naive chunk's rewrite, the UTC suffixes, the count
+    # proof, the strict reading of naive stamps and the first time's zone
+    Mutant("rain_data.py", 'chunk = chunk.replace(",", "+00:00,")',
+           'chunk = chunk.replace(",", "+01:00,")'),
+    Mutant("rain_data.py", ' or not naive and commas not in accumulate(\n'
+           '                chunk.count(suffix + ",") for suffix in utc)', ""),
+    Mutant("rain_data.py", 'utc = [], [], {}, ("Z", "+00:00", "-00:00")',
+           'utc = [], [], {}, ("Z", "+00:00", "+01:00")'),
+    Mutant("rain_data.py",
+           'all(map(datetime.fromisoformat, map(str.removesuffix, stamps, repeat("+00:00"))))',
+           "()"),
+    Mutant("rain_data.py", "if times and times[0].tzinfo else None", "if times else None"),
     Mutant("rain_data.py", ' or normalized.endswith("z")', ""),
     Mutant("scenario.py", "if type(value) not in (int, float):",
            "if not isinstance(value, (int, float)):"),
@@ -182,6 +193,36 @@ MUTANTS = [
     Mutant("cli.py", 'if args.label == "":', "if False:"),
     Mutant("rain_data.py", "raise ParseError(str(exc), line=reader.line_num)",
            "raise ParseError(str(exc))"),
+    # a bool is not a number: check() refuses it, and PPlan checks it apart from 1
+    Mutant("constants.py", "if isinstance(value, bool) or not low", "if not low"),
+    Mutant("attenuation.py", "sorted({(type(p) is bool, p) for p in p_list})",
+           "sorted({(False, p) for p in p_list})"),
+    # README's sweep and link reports: repr-exact floats, the JSON layout, the
+    # plot columns, report order, the column block arithmetic, the non-empty
+    # list, the 1024-row chunks, row widths, csv and json in chunks, the aligned
+    # table's trimmed lines, nothing written for a rejected table, iterator
+    # rows checked per chunk, the --stamp JSON head and the comparison header
+    Mutant("analysis.py", "return repr(float(value)) if machine",
+           "return repr(value) if machine"),
+    Mutant("analysis.py", '\\n    {encode_basestring_ascii(k)}: "',
+           '\\n   {encode_basestring_ascii(k)}: "'),
+    Mutant("analysis.py", "itemgetter(0, 1, 2, column)", "itemgetter(0, 1, 2, 3)"),
+    Mutant("analysis.py", "names = sorted(station.name for station in catalog.stations)",
+           "names = [station.name for station in catalog.stations]"),
+    Mutant("analysis.py", "min(stop - k * block, block)", "min(stop - k * block, block - 1)"),
+    Mutant("analysis.py", "table and all(isinstance(r, ComparisonRow)",
+           "all(isinstance(r, ComparisonRow)"),
+    Mutant("analysis.py", "_CHUNK_ROWS = 1024", "_CHUNK_ROWS = 2048"),
+    Mutant("analysis.py", "if set(map(len, rows)) - {len(header)}:", "if False:"),
+    Mutant("analysis.py", 'size = _CHUNK_ROWS if format in ("csv", "json") else None',
+           'size = 1 << 30 if format in ("csv", "json") else None'),
+    Mutant("analysis.py", '"  ".join(cells).rstrip()', '"  ".join(cells)'),
+    Mutant("analysis.py", "chain((head, next(chunks)), chunks, (tail,))",
+           "chain((head,), chunks, (tail,))"),
+    Mutant("analysis.py", "iter(lambda: checked(list(islice(rows, size))), [])",
+           "iter(lambda: list(islice(rows, size)), [])"),
+    Mutant("cli.py", '"report":\\n', '"rows":\\n'),
+    Mutant("analysis.py", '"overestimation_percent"]', '"overestimation_pct"]'),
 ]
 
 

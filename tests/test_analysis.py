@@ -672,6 +672,12 @@ class TestReportChunks:
         else:
             assert len(chunks) == 1
 
+    def test_a_full_chunk_holds_1024_rows(self):
+        # README's bound: at most 1024 data rows per write
+        rows = [[f"S{i}", i / 3.0, True] for i in range(2500)]
+        chunks = analysis._report_chunks((["name", "p", "ok"], rows), "json")
+        assert [rows_in("json", chunk) for chunk in chunks] == [1024, 1024, 452]
+
     @pytest.mark.parametrize("format", ["csv", "json", "table"])
     def test_head_and_tail_frame_the_chunks(self, format):
         table = (["name", "p", "ok"],

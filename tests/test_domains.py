@@ -9,6 +9,7 @@ import pytest
 
 from rainlink import (DomainError, RainCoefficients, RainSeries, TransmissionParams,
                       carrier_to_noise, regression_coefficients, resolve_r001)
+from rainlink.attenuation import PPlan
 from rainlink.constants import DOMAINS, check
 
 
@@ -31,6 +32,17 @@ class TestDomainTable:
                 check(quantity, value, "x")
             assert str(err.value) == (f"x {value} {unit} outside the finite "
                                       f"domain [{low:g}, {high:g}]")
+
+    @pytest.mark.parametrize("call", [
+        lambda: check("p_percent", True, "x"),
+        lambda: PPlan([True]),
+        # True == 1: a set of p keyed by value alone keeps the 1 and drops the True
+        lambda: PPlan([1, 0.01, True]),
+        lambda: PPlan([0.01, False]),
+    ], ids=["check", "alone", "after_1", "false"])
+    def test_a_bool_is_not_a_number(self, call):
+        with pytest.raises(DomainError, match="True|False"):
+            call()
 
     def test_every_transmission_field_has_a_domain(self):
         assert set(TransmissionParams._fields) <= set(DOMAINS)

@@ -733,6 +733,9 @@ class TestParseRainSeries:
         lower = parse_rain_series(text.replace("Z,", "z,"))
         assert lower.times == parse_rain_series(text).times
         assert lower.times[1] == datetime(2010, 1, 1, 1, 30, tzinfo=timezone.utc)
+        # a first stamp with no UTC suffix makes the chunk naive, and
+        # fromisoformat reads no naive stamp that ends in z
+        assert rain_data._parse_columns(text.replace("Z,", "z,")) is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -855,6 +858,13 @@ def mutate(lines, kind, i, token):
         lines[i] = f"{stamp} ,{rate}"
     elif kind == "lower_z":
         lines[i] = f"{stamp[:-1]}z,{rate}"
+    elif kind == "junk":
+        # before an offset, fromisoformat skips a character after the time
+        lines[i] = f"{stamp}x,{rate}"
+    elif kind == "date_only":
+        # the date, spelled as the stamp was: before +00:00 or -00:00,
+        # fromisoformat reads the sign as a separator and the time as naive
+        lines[i] = f"{stamp[:10]}{stamp[26 if '.' in stamp else 19:]},{rate}"
     elif kind == "repeat" and i > 0:
         lines[i] = f"{lines[i - 1].split(',')[0]},{rate}"
     elif kind == "swap" and i > 0:
@@ -878,10 +888,13 @@ def mutate(lines, kind, i, token):
 
 VALID_SERIES = dict(lines=series_lines(UTC_OFFSETS + OTHER_OFFSETS),
                     final_newline=st.booleans())
+PLAIN_SPELLINGS = ["Z", "+00:00", "-00:00", "naive"]
 SERIES_DEFECTS = dict(
-    lines=series_lines(["Z", "+00:00"]),
+    # mostly one spelling a series, so that most defects reach the bulk path
+    lines=st.one_of(series_lines(PLAIN_SPELLINGS),
+                    *(series_lines([spelling]) for spelling in PLAIN_SPELLINGS)),
     kind=st.sampled_from(["blank", "crlf", "quote", "lead_space",
-                          "trail_space", "lower_z",
+                          "trail_space", "lower_z", "junk", "date_only",
                           "repeat", "swap", "rate", "extra_field",
                           "one_field", "shifted_field", "stamp",
                           "header"]),
@@ -912,6 +925,15 @@ class TestBulkParse:
         assert columns is not None
         assert outcome(lambda _: columns, text) == outcome(
             rain_data._parse_rows, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=series_lines(["naive"]), final_newline=st.booleans())
+    def test_naive_series_take_the_bulk_path(self, lines, final_newline):
+        text = series_text(lines, final_newline)
+        columns = rain_data._parse_columns(text)
+        assert columns is not None
+        assert outcome(lambda _: columns, text) == outcome(rain_data._parse_rows, text)
+        assert {t.tzinfo for t in columns[0]} == {timezone.utc}
 
     @settings(max_examples=300, deadline=None)
     @given(**SERIES_DEFECTS)
@@ -957,6 +979,25 @@ class TestBulkParse:
         # the right number of commas, but not one on every line
         "timestamp,rate_mm_per_hr\n"
         "2010-01-01T00:00:00Z,1,2010-01-02T00:00:00Z\n2\n",
+        # a naive first stamp makes the chunk naive: a Z or an offset after
+        # it gets a second offset, which fromisoformat rejects
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00,1\n2010-01-02T00:00:00Z,2\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00,1\n2010-01-02T02:00:00+02:00,2\n",
+        # as many commas as lines, each after a Z, but none on the first line:
+        # the cells would pair T1 with the rate T2Z, which float rejects
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00Z\n"
+        "2010-01-02T00:00:00Z,2010-01-03T00:00:00Z,5\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00\n"
+        "2010-01-02T00:00:00,2010-01-03T00:00:00,5\n",
+        # naive stamps that fromisoformat rejects, but reads once +00:00 follows
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00x,1\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:000,1\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00 ,1\n",
+        # date-only stamps: before +00:00 the sign is read as a separator and
+        # the time as naive, so only the row loop makes these UTC
+        "timestamp,rate_mm_per_hr\n2010-01-01,1\n2010-01-02,2\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01+00:00,1\n2010-01-02-00:00,2\n",
+        "timestamp,rate_mm_per_hr\n2010-01-01T00:00:00Z,1\n2010-01-02+00:00,2\n",
     ])
     def test_degenerate_texts_match_row_loop(self, text):
         assert declined(text)
@@ -977,6 +1018,8 @@ class TestBulkParse:
         assert parse_rain_series(text, station_ref="x") == series
         offsets = text.replace("Z,", "+00:00,").rstrip("\n")
         assert parse_rain_series(offsets, station_ref="x") == series
+        naive = text.replace("Z,", ",")
+        assert parse_rain_series(naive, station_ref="x") == series
 
     def test_every_utc_spelling_gives_one_series(self):
         text = series_to_csv(make_series([0.0, 1.5, 0.25, 4.0]))
@@ -988,8 +1031,8 @@ class TestBulkParse:
         assert {t.tzinfo for s in series for t in s.times} == {timezone.utc}
 
     def test_naive_stamp_among_z_stamps_declines(self):
-        # one comma fewer follows a Z than there are commas, so the chunk
-        # keeps the tzinfo check, which the naive stamp fails
+        # one comma fewer follows a UTC suffix than there are commas, so the
+        # count declines the chunk
         lines = [f"2010-01-01T0{h}:00:00Z,{h}.5" for h in range(6)]
         lines[3] = "2010-01-01T03:00:00,3.5"
         text = series_text(lines)
@@ -1066,8 +1109,8 @@ class TestChunkBoundaries:
 
     def test_z_chunk_then_offset_chunks(self):
         # lines 2-5 are 30 characters each with their newline, so the chunks
-        # still hold lines 0-1 (Z), 2-3 (+00:00) and 4-5 (-00:00); only the
-        # first is proved UTC by one count
+        # still hold lines 0-1 (Z), 2-3 (+00:00) and 4-5 (-00:00); each is
+        # proved UTC by one count
         offsets = ["Z"] * 2 + ["+00:00"] * 2 + ["-00:00"] * 2
         text = series_text([line.replace("Z,", offset + ",")
                             for line, offset in zip(self.LINES, offsets)])
@@ -1075,6 +1118,16 @@ class TestChunkBoundaries:
         assert columns is not None
         assert outcome(lambda _: columns, text) == outcome(rain_data._parse_rows, text)
         assert tuple(columns[1]) == (0.5, 1.5, 0.0, 2.5, 0.0, 3.5)
+
+    def test_utc_chunks_then_a_naive_chunk(self):
+        # chunks of lines 0-1 (Z), 2-3 (-00:00) and 4-5 (naive): each chunk
+        # is naive or not by its own first stamp
+        offsets = ["Z,"] * 2 + ["-00:00,"] * 2 + [","] * 2
+        text = series_text([line.replace("Z,", offset)
+                            for line, offset in zip(self.LINES, offsets)])
+        columns = rain_data._parse_columns(text)
+        assert columns is not None
+        assert outcome(lambda _: columns, text) == outcome(rain_data._parse_rows, text)
 
 
 class TestBulkParseMemory:
@@ -1101,9 +1154,9 @@ class TestBulkParseMemory:
 
 class TestRowLoopMemory:
     def test_row_loop_shares_one_float_per_rate_text(self):
-        """A naive-stamp series goes through the row loop, which shares a
-        float per distinct rate text as the bulk pass does."""
-        start = datetime(2010, 1, 1)
+        """A +02:00 series goes through the row loop, which shares a float
+        per distinct rate text as the bulk pass does."""
+        start = datetime(2010, 1, 1, tzinfo=timezone(timedelta(hours=2)))
         lines = [f"{(start + timedelta(minutes=30 * k)).isoformat()},"
                  f"{['0.0', '2.5', '12.25'][k % 3]}" for k in range(30)]
         text = series_text(lines)
